@@ -1,9 +1,13 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cliutil"
@@ -17,14 +21,16 @@ import (
 // consume partial Table II rows while the tail is still running, and the
 // merged record — assembled in sweep order from exactly the per-leg Results
 // the synchronous path would have gathered — is byte-identical to a
-// synchronous single-node sweep.
+// synchronous single-node sweep. watosd and watos-router run this one
+// lifecycle (SweepEngine) and differ only in the LegDispatcher: the daemon
+// queues each leg as a local job, the router routes it across the fleet.
 //
 // Dispatch is SupraX-style critical-path-first: the merge barrier waits on
 // the slowest leg, so the legs gating the most downstream work (estimated
 // by the architecture's die count, which bounds the strategy space the leg
 // explores) are submitted first at the highest within-class criticality,
-// and light legs fill the remaining worker slots. All legs ride the
-// "sweep-leg" priority class, strictly below interactive traffic.
+// and light legs fill the remaining worker slots. Unlabelled sweeps ride
+// the "sweep-leg" priority class, strictly below interactive traffic.
 
 // SweepLeg is the live status of one scattered sweep part inside a handle.
 type SweepLeg struct {
@@ -145,15 +151,64 @@ func sweepDispatchOrder(legs []SweepLeg) []int {
 	return order
 }
 
-// StartSweep expands a sweep request, registers a durable handle, and
-// scatters the legs as prioritized jobs — heaviest first — returning the
-// handle immediately. Legs complete in the background; LookupSweep polls
-// the handle, WaitSweep blocks on it. A submission failure (backpressure,
-// draining) fails the handle and is returned as the error.
-func (s *Server) StartSweep(req Request) (SweepStatus, error) {
+// LegDispatcher runs one sweep leg on its tier: the daemon queues it as a
+// local job, the router walks the leg's replica set. It is called from
+// SweepEngine.Start in dispatch order with the leg's request — priority
+// already clamped, criticality set — and the sweep's absolute deadline
+// (zero when the request carried none). It must call fold exactly once with
+// the leg's terminal record, from any goroutine (before returning, for a
+// leg it can answer at once); fold also takes a non-terminal record, which
+// publishes the job the leg was queued as. A non-nil error is a refusal at
+// launch: it fails the sweep, and Start returns it without launching the
+// remaining legs.
+type LegDispatcher func(part Request, deadline time.Time, fold func(SweepLeg)) error
+
+// SweepEngine is the async sweep lifecycle both serving tiers run: it mints
+// the durable handle, dispatches the legs critical-path-first, folds each
+// terminal leg into the handle, merges the gathered records, and serves the
+// three /v1/sweeps routes. A tier differs only in its Dispatch.
+type SweepEngine struct {
+	// Dispatch runs one leg (required).
+	Dispatch LegDispatcher
+	// Admit, when set, may refuse a sweep before its handle is minted.
+	Admit func() error
+	// Retention bounds the handle store. It is read once, on first use, so
+	// a tier may set its retention knobs after constructing the engine.
+	Retention func() jobs.Options
+
+	once   sync.Once
+	store  *jobs.Store[SweepStatus]
+	mu     sync.Mutex
+	done   map[string]chan struct{} // closed when a handle goes terminal
+	merged atomic.Uint64
+}
+
+// handles returns the handle store, building it on first use.
+func (e *SweepEngine) handles() *jobs.Store[SweepStatus] {
+	e.once.Do(func() {
+		var opts jobs.Options
+		if e.Retention != nil {
+			opts = e.Retention()
+		}
+		opts.Prefix = "swp"
+		e.store = jobs.NewStore(opts, cloneSweepStatus)
+		e.done = make(map[string]chan struct{})
+	})
+	return e.store
+}
+
+// Start expands a sweep request, registers a durable handle, and dispatches
+// the legs — heaviest first — returning the handle immediately. Legs
+// complete in the background; Lookup polls the handle, Wait blocks on it.
+func (e *SweepEngine) Start(req Request) (SweepStatus, error) {
 	norm, parts, err := ExpandSweep(req)
 	if err != nil {
 		return SweepStatus{}, err
+	}
+	if e.Admit != nil {
+		if err := e.Admit(); err != nil {
+			return SweepStatus{}, err
+		}
 	}
 	legs := make([]SweepLeg, len(parts))
 	for i, p := range parts {
@@ -164,19 +219,25 @@ func (s *Server) StartSweep(req Request) (SweepStatus, error) {
 			State:       StateQueued,
 		}
 	}
-	id, _ := s.sweeps.Create(func(id string) SweepStatus {
+	now := time.Now()
+	// The deadline budget is absolute from here: every leg spends from it,
+	// retries and failovers included.
+	deadline := norm.Deadline(now)
+	store := e.handles()
+	id, _ := store.Create(func(id string) SweepStatus {
 		return SweepStatus{
 			ID:          id,
 			State:       StateRunning,
 			Fingerprint: norm.Fingerprint(),
 			Total:       len(parts),
 			Legs:        legs,
-			SubmittedAt: time.Now(),
+			SubmittedAt: now,
+			Deadline:    deadline,
 		}
 	})
-	s.mu.Lock()
-	s.sweepDone[id] = make(chan struct{})
-	s.mu.Unlock()
+	e.mu.Lock()
+	e.done[id] = make(chan struct{})
+	e.mu.Unlock()
 
 	for _, i := range sweepDispatchOrder(legs) {
 		part := parts[i]
@@ -194,77 +255,70 @@ func (s *Server) StartSweep(req Request) (SweepStatus, error) {
 			part.Priority = pool.SweepLeg.String()
 		}
 		part.Criticality = legs[i].Criticality
-		j, coalesced, err := s.Submit(part)
-		if err != nil {
-			s.failSweep(id, fmt.Sprintf("sweep part %s: %v", part.Config, err))
-			st, _ := s.sweeps.Get(id)
+		fold := func(leg SweepLeg) { e.fold(id, i, leg) }
+		if err := e.Dispatch(part, deadline, fold); err != nil {
+			e.fail(id, fmt.Sprintf("sweep part %s: %v", part.Config, err))
+			st, _ := store.Get(id)
 			return st, fmt.Errorf("service: sweep part %s: %w", part.Config, err)
 		}
-		idx := i
-		s.sweeps.Update(id, func(st *SweepStatus) {
-			st.Legs[idx].JobID = j.ID
-			st.Legs[idx].Coalesced = coalesced
-		})
-		go s.watchLeg(id, idx, j.ID)
 	}
-	st, err := s.sweeps.Get(id)
-	if err != nil {
-		return SweepStatus{}, err
-	}
-	return st, nil
+	return store.Get(id)
 }
 
-// watchLeg waits for one leg's job to go terminal and folds it into the
-// handle. One goroutine per leg: the job's done channel is the only wake
-// signal, so no polling.
-func (s *Server) watchLeg(id string, idx int, jobID string) {
-	j, err := s.Wait(jobID)
-	if err != nil {
-		j = Job{ID: jobID, State: StateFailed, Error: err.Error()}
-	}
-	s.legDone(id, idx, j)
-}
-
-// legDone folds a terminal leg job into the sweep handle; the last
-// successful leg triggers the merge. It is the router's entry point too —
-// router legs complete via runLeg rather than a local job, but fold in
-// identically.
-func (s *Server) legDone(id string, idx int, j Job) {
-	var complete bool
+// fold records a leg report in the handle. A non-terminal report only
+// publishes the leg's job; a terminal one completes the leg, and the last
+// leg of a still-running sweep triggers the merge. Degraded legs are
+// terminal without failing the sweep; when any of them carries no result,
+// the merge runs through MergeSweepDegraded, whose marker rows are never
+// byte-identical to a healthy sweep.
+func (e *SweepEngine) fold(id string, idx int, leg SweepLeg) {
+	var complete, degraded, terminal bool
 	var results []*Result
-	err := s.sweeps.Update(id, func(st *SweepStatus) {
-		leg := &st.Legs[idx]
-		if leg.State.Terminal() {
+	var configs, degradedErrs []string
+	err := e.store.Update(id, func(st *SweepStatus) {
+		dst := &st.Legs[idx]
+		if dst.State.Terminal() {
 			return // duplicate completion (failover race); first wins
 		}
-		leg.State = j.State
-		if j.ID != "" {
-			leg.JobID = j.ID
+		dst.State = leg.State
+		if leg.JobID != "" {
+			dst.JobID = leg.JobID
+		}
+		dst.Shard, dst.Coalesced, dst.Degraded, dst.Error = leg.Shard, leg.Coalesced, leg.Degraded, leg.Error
+		if !leg.State.Terminal() {
+			return
 		}
 		st.Completed++
-		if j.State == StateDone {
-			leg.Result = j.Result
-		} else {
-			leg.Error = j.Error
-			if st.State == StateRunning {
-				// A leg killed by its own deadline surfaces as
-				// deadline_exceeded on the sweep too — budget exhaustion,
-				// not a fault. Any other leg failure fails the sweep.
-				if j.State == StateExpired {
-					st.State = StateExpired
-					st.Error = fmt.Sprintf("sweep part %s deadline exceeded: %s", leg.Config, j.Error)
-				} else {
-					st.State = StateFailed
-					st.Error = fmt.Sprintf("sweep part %s failed: %s", leg.Config, j.Error)
-				}
-				st.FinishedAt = time.Now()
+		switch {
+		case leg.State == StateDone:
+			dst.Result = leg.Result
+		case leg.Degraded:
+			// Absorbed: the sweep keeps running and merges around this leg.
+		case st.State == StateRunning:
+			// A leg killed by its own deadline surfaces as deadline_exceeded
+			// on the sweep too — budget exhaustion, not a fault. Any other
+			// leg failure fails the sweep.
+			if leg.State == StateExpired {
+				st.State = StateExpired
+				st.Error = fmt.Sprintf("sweep part %s deadline exceeded: %s", dst.Config, leg.Error)
+			} else {
+				st.State = StateFailed
+				st.Error = fmt.Sprintf("sweep part %s failed: %s", dst.Config, leg.Error)
 			}
+			st.FinishedAt = time.Now()
 		}
+		terminal = st.State.Terminal()
 		if st.State == StateRunning && st.Completed == st.Total {
 			complete = true
 			results = make([]*Result, st.Total)
-			for i := range st.Legs {
-				results[i] = st.Legs[i].Result
+			configs = make([]string, st.Total)
+			degradedErrs = make([]string, st.Total)
+			for i, l := range st.Legs {
+				results[i], configs[i] = l.Result, l.Config
+				if l.Degraded && l.Result == nil {
+					degraded = true
+					degradedErrs[i] = l.Error
+				}
 			}
 		}
 	})
@@ -272,8 +326,14 @@ func (s *Server) legDone(id string, idx int, j Job) {
 		return // handle evicted mid-flight; nothing to fold into
 	}
 	if complete {
-		merged, mergeErr := MergeSweep(results)
-		s.sweeps.Update(id, func(st *SweepStatus) {
+		var merged *Result
+		var mergeErr error
+		if degraded {
+			merged, mergeErr = MergeSweepDegraded(results, configs, degradedErrs)
+		} else {
+			merged, mergeErr = MergeSweep(results)
+		}
+		e.store.Update(id, func(st *SweepStatus) {
 			if mergeErr != nil {
 				st.State = StateFailed
 				st.Error = mergeErr.Error()
@@ -284,61 +344,78 @@ func (s *Server) legDone(id string, idx int, j Job) {
 			st.FinishedAt = time.Now()
 		})
 		if mergeErr == nil {
-			s.mu.Lock()
-			s.stats.SweepsRun++
-			s.mu.Unlock()
+			e.merged.Add(1)
 		}
+		terminal = true
 	}
-	st, err := s.sweeps.Get(id)
-	if err == nil && st.State.Terminal() {
-		s.finishSweep(id)
+	if terminal {
+		e.release(id)
 	}
 }
 
-// failSweep marks the handle failed (if still running) and releases
-// waiters.
-func (s *Server) failSweep(id, msg string) {
-	s.sweeps.Update(id, func(st *SweepStatus) {
+// fail marks the handle failed (if still running) and releases waiters.
+func (e *SweepEngine) fail(id, msg string) {
+	e.store.Update(id, func(st *SweepStatus) {
 		if st.State == StateRunning {
 			st.State = StateFailed
 			st.Error = msg
 			st.FinishedAt = time.Now()
 		}
 	})
-	s.finishSweep(id)
+	e.release(id)
 }
 
-// finishSweep closes the handle's done channel, waking synchronous waiters.
-func (s *Server) finishSweep(id string) {
-	s.mu.Lock()
-	if ch, ok := s.sweepDone[id]; ok {
+// release closes the handle's done channel, waking waiters.
+func (e *SweepEngine) release(id string) {
+	e.mu.Lock()
+	if ch, ok := e.done[id]; ok {
 		close(ch)
-		delete(s.sweepDone, id)
+		delete(e.done, id)
 	}
-	s.mu.Unlock()
+	e.mu.Unlock()
 }
 
-// LookupSweep returns a snapshot of a sweep handle: jobs.ErrGone for an
-// evicted handle (HTTP 410), jobs.ErrUnknown for a never-issued ID (404).
-func (s *Server) LookupSweep(id string) (SweepStatus, error) {
-	return s.sweeps.Get(id)
+// Lookup returns a snapshot of a sweep handle: jobs.ErrGone for an evicted
+// handle (HTTP 410), jobs.ErrUnknown for a never-issued ID (404).
+func (e *SweepEngine) Lookup(id string) (SweepStatus, error) {
+	return e.handles().Get(id)
 }
 
-// WaitSweep blocks until the sweep handle goes terminal and returns it.
-func (s *Server) WaitSweep(id string) (SweepStatus, error) {
-	s.mu.Lock()
-	ch := s.sweepDone[id]
-	s.mu.Unlock()
+// Wait blocks until the handle goes terminal or ctx ends.
+func (e *SweepEngine) Wait(ctx context.Context, id string) (SweepStatus, error) {
+	store := e.handles()
+	e.mu.Lock()
+	ch := e.done[id]
+	e.mu.Unlock()
 	if ch != nil {
-		<-ch
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return SweepStatus{}, ctx.Err()
+		}
 	}
-	return s.sweeps.Get(id)
+	return store.Get(id)
 }
 
-// Sweeps lists the retained sweep handles, oldest first.
-func (s *Server) Sweeps() []SweepSummary {
-	var out []SweepSummary
-	s.sweeps.Each(func(id string, st SweepStatus) {
+// Sweep is the synchronous facade: Start, Wait for the merge, and render
+// the SweepResult payload. One code path produces both the 202-handle flow
+// and this blocking flow, which is what keeps the merged Canonical
+// byte-identical between them.
+func (e *SweepEngine) Sweep(ctx context.Context, req Request) (SweepResult, error) {
+	st, err := e.Start(req)
+	if err != nil {
+		return SweepResult{}, err
+	}
+	if st, err = e.Wait(ctx, st.ID); err != nil {
+		return SweepResult{}, err
+	}
+	return st.ToResult()
+}
+
+// List returns the retained sweep handles, oldest first.
+func (e *SweepEngine) List() []SweepSummary {
+	out := []SweepSummary{}
+	e.handles().Each(func(id string, st SweepStatus) {
 		out = append(out, SweepSummary{
 			ID:          st.ID,
 			State:       st.State,
@@ -352,9 +429,82 @@ func (s *Server) Sweeps() []SweepSummary {
 	return out
 }
 
+// Merged counts the sweeps merged successfully.
+func (e *SweepEngine) Merged() uint64 { return e.merged.Load() }
+
+// AddGauges adds the handle-store gauges to st. SweepsRetained counts every
+// handle the store holds, running or terminal — the population the
+// retention cap bounds.
+func (e *SweepEngine) AddGauges(st *Stats) {
+	store := e.handles()
+	store.Each(func(_ string, sw SweepStatus) {
+		switch sw.State {
+		case StateDone:
+			st.SweepsDone++
+		case StateFailed, StateExpired:
+			st.SweepsFailed++
+		default:
+			st.SweepsRunning++
+		}
+		st.SweepsRetained++
+	})
+	st.SweepsEvicted += store.Evicted()
+}
+
+// Routes registers POST /v1/sweeps, GET /v1/sweeps and GET /v1/sweeps/{id}.
+// refused renders a Start refusal with the tier's status split.
+func (e *SweepEngine) Routes(mux *http.ServeMux, refused func(http.ResponseWriter, error)) {
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		var req Request
+		if err := DecodeBody(w, r, &req); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+			return
+		}
+		// Pre-validate so a bad request stays 400 on both flows; a refusal
+		// past validation is the tier's to render.
+		if _, _, err := ExpandSweep(req); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		st, err := e.Start(req)
+		if err != nil {
+			refused(w, err)
+			return
+		}
+		if r.URL.Query().Get("wait") == "" {
+			WriteJSON(w, http.StatusAccepted, st)
+			return
+		}
+		// Synchronous compatibility flow: block until the merge, or until
+		// the client goes away.
+		st, err = e.Wait(r.Context(), st.ID)
+		var res SweepResult
+		if err == nil {
+			res, err = st.ToResult()
+		}
+		if err != nil {
+			WriteError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		WriteJSON(w, http.StatusOK, res)
+	})
+	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, e.List())
+	})
+	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		st, err := e.Lookup(id)
+		if err != nil {
+			WriteError(w, SweepLookupStatus(err), "sweep "+id+": "+err.Error())
+			return
+		}
+		WriteJSON(w, http.StatusOK, st)
+	})
+}
+
 // SweepLookupStatus converts the handle-store sentinels into the HTTP
-// statuses shared by both daemons' handlers: 410 for evicted, 404 for
-// never issued.
+// statuses GET /v1/sweeps/{id} answers on both tiers: 410 for evicted, 404
+// for never issued.
 func SweepLookupStatus(err error) int {
 	switch {
 	case errors.Is(err, jobs.ErrGone):

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,14 +15,14 @@ import (
 // sweepRequest is the full Table II sweep used across the async tests.
 func sweepRequest() Request { return Request{Model: "Llama2-30B", Seq: 2048} }
 
-// TestAsyncSweepHandle checks the tentpole flow: StartSweep returns a
+// TestAsyncSweepHandle checks the tentpole flow: Start returns a
 // running handle immediately, legs fold in incrementally, and the final
 // merged record is byte-identical to the same sweep run as one job.
 func TestAsyncSweepHandle(t *testing.T) {
 	s := NewServer(Options{EvalWorkers: 0, JobWorkers: 2, Backlog: 16}, nil)
 	defer s.Close()
 
-	st, err := s.StartSweep(sweepRequest())
+	st, err := s.sweeps.Start(sweepRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func TestAsyncSweepHandle(t *testing.T) {
 		}
 	}
 
-	final, err := s.WaitSweep(st.ID)
+	final, err := s.sweeps.Wait(context.Background(), st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 	}
 	<-blocked
 
-	sw, err := s.StartSweep(sweepRequest())
+	sw, err := s.sweeps.Start(sweepRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +110,7 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 	}
 	// The single worker dispatched the interactive job before any leg, so
 	// at the moment it finished the sweep cannot have completed.
-	mid, err := s.LookupSweep(sw.ID)
+	mid, err := s.sweeps.Lookup(sw.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +118,7 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 		t.Error("sweep already terminal when the interactive job finished")
 	}
 
-	final, err := s.WaitSweep(sw.ID)
+	final, err := s.sweeps.Wait(context.Background(), sw.ID)
 	if err != nil || final.State != StateDone {
 		t.Fatalf("sweep: %v / %s (%s)", err, final.State, final.Error)
 	}
@@ -148,7 +152,7 @@ func TestPromoteOnCoalesce(t *testing.T) {
 	}
 	<-blocked
 
-	sw, err := s.StartSweep(sweepRequest())
+	sw, err := s.sweeps.Start(sweepRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +176,40 @@ func TestPromoteOnCoalesce(t *testing.T) {
 			st.QueueInteractive, st.QueueSweepLeg)
 	}
 	close(release)
-	if _, err := s.WaitSweep(sw.ID); err != nil {
+	if _, err := s.sweeps.Wait(context.Background(), sw.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSweepWaitHonorsClientContext pins the blocking flow's lifetime: a
+// ?wait=1 sweep whose client has gone away frees its handler at once
+// (500), while the handle and its legs keep running.
+func TestSweepWaitHonorsClientContext(t *testing.T) {
+	s := NewServer(Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 16}, nil)
+	defer s.Close()
+	release := occupyWorker(t, s)
+	defer release()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweeps?wait=1",
+		strings.NewReader(`{"model": "Llama2-30B", "seq": 2048}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		s.Handler().ServeHTTP(rec, req)
+		close(served)
+	}()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("?wait=1 handler still blocked after its client went away")
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("abandoned ?wait=1 sweep answered %d, want 500", rec.Code)
+	}
+	if st := s.Stats(); st.SweepsRunning != 1 {
+		t.Errorf("sweeps_running = %d after the client left, want 1 (the handle outlives the request)", st.SweepsRunning)
 	}
 }
 
@@ -193,16 +229,16 @@ func TestSweepHandleEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = second
-	if _, err := s.LookupSweep("swp-1"); !errors.Is(err, jobs.ErrGone) {
+	if _, err := s.sweeps.Lookup("swp-1"); !errors.Is(err, jobs.ErrGone) {
 		t.Errorf("evicted handle: err = %v, want ErrGone", err)
 	}
 	if got := SweepLookupStatus(jobs.ErrGone); got != 410 {
 		t.Errorf("SweepLookupStatus(ErrGone) = %d, want 410", got)
 	}
-	if _, err := s.LookupSweep("swp-2"); err != nil {
+	if _, err := s.sweeps.Lookup("swp-2"); err != nil {
 		t.Errorf("retained handle: %v", err)
 	}
-	if _, err := s.LookupSweep("swp-99"); !errors.Is(err, jobs.ErrUnknown) {
+	if _, err := s.sweeps.Lookup("swp-99"); !errors.Is(err, jobs.ErrUnknown) {
 		t.Errorf("never-issued handle: err = %v, want ErrUnknown", err)
 	}
 	if st := s.Stats(); st.SweepsEvicted != 1 || st.SweepsRetained != 1 {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -227,9 +228,14 @@ func TestSweepMixedLegExpiry(t *testing.T) {
 	release := occupyWorker(t, s)
 
 	req := Request{Model: "Llama2-30B", Seq: 2048, Seed: 11, DeadlineMS: 600_000}
-	st, err := s.StartSweep(req)
+	before := time.Now()
+	st, err := s.sweeps.Start(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The handle carries the sweep's absolute deadline, as on the router.
+	if budget := 600 * time.Second; st.Deadline.Before(before.Add(budget)) || st.Deadline.After(time.Now().Add(budget)) {
+		t.Errorf("handle deadline = %v, want submission + 600s (request deadline_ms)", st.Deadline)
 	}
 	if st.Total < 2 {
 		t.Fatalf("sweep has %d legs, need >= 2 for a mixed outcome", st.Total)
@@ -252,21 +258,21 @@ func TestSweepMixedLegExpiry(t *testing.T) {
 		t.Fatal("no queued leg could be expired")
 	}
 	release()
-	final, err := s.WaitSweep(st.ID)
+	final, err := s.sweeps.Wait(context.Background(), st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.State != StateExpired {
 		t.Fatalf("sweep state = %q, want %q (error: %s)", final.State, StateExpired, final.Error)
 	}
-	// WaitSweep wakes at the first terminal transition (the expired leg);
+	// Wait wakes at the first terminal transition (the expired leg);
 	// the surviving legs keep running and fold in behind it.
 	for wait := time.Now().Add(30 * time.Second); final.Completed < final.Total; {
 		if time.Now().After(wait) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
-		if final, err = s.LookupSweep(st.ID); err != nil {
+		if final, err = s.sweeps.Lookup(st.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,12 +304,12 @@ func TestSweepPriorityHonored(t *testing.T) {
 	release := occupyWorker(t, s)
 
 	bulk := Request{Model: "Llama2-30B", Seq: 2048, Seed: 21, Priority: "background"}
-	bulkSt, err := s.StartSweep(bulk)
+	bulkSt, err := s.sweeps.Start(bulk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hot := Request{Model: "Llama2-30B", Seq: 2048, Seed: 22, Priority: "interactive"}
-	hotSt, err := s.StartSweep(hot)
+	hotSt, err := s.sweeps.Start(hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,10 +324,10 @@ func TestSweepPriorityHonored(t *testing.T) {
 		}
 	}
 	release()
-	if _, err := s.WaitSweep(hotSt.ID); err != nil {
+	if _, err := s.sweeps.Wait(context.Background(), hotSt.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WaitSweep(bulkSt.ID); err != nil {
+	if _, err := s.sweeps.Wait(context.Background(), bulkSt.ID); err != nil {
 		t.Fatal(err)
 	}
 	// Every interactive leg must have started before any background leg:

@@ -41,9 +41,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
+	s.sweeps.Routes(mux, WriteSubmitError)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
@@ -58,7 +56,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON renders v as the JSON response body with the given status —
+// the one JSON writer of both tiers' handlers.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -66,10 +66,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// WriteError renders the {"error": msg} body with the given status.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorBody{Error: msg})
+}
+
 // MaxRequestBytes bounds a job-submission body; a Request is a handful of
 // short fields, so anything near the bound is garbage and a streaming
 // client cannot pin handler memory.
 const MaxRequestBytes = 1 << 20
+
+// DecodeBody decodes a bounded JSON request body into v. A typo'd field
+// must fail loudly, not silently run the default job, so unknown fields
+// are an error.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
 
 // SetRetryAfter stamps the standard backoff hint (whole seconds, rounded
 // up, minimum 1 — zero reads as "immediately").
@@ -93,24 +107,21 @@ func WriteSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &shed):
 		SetRetryAfter(w, shed.RetryAfter)
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrBusy):
 		SetRetryAfter(w, time.Second)
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 	}
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	// A typo'd field must fail loudly, not silently run the default job.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if err := DecodeBody(w, r, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	j, coalesced, err := s.Submit(req)
@@ -118,14 +129,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		WriteSubmitError(w, err)
 	case coalesced:
-		writeJSON(w, http.StatusOK, j)
+		WriteJSON(w, http.StatusOK, j)
 	default:
-		writeJSON(w, http.StatusAccepted, j)
+		WriteJSON(w, http.StatusAccepted, j)
 	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
+	WriteJSON(w, http.StatusOK, s.Jobs())
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -133,86 +144,30 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(id)
 	if !ok {
 		if s.JobGone(id) {
-			writeJSON(w, http.StatusGone, errorBody{Error: "job " + id + " evicted from history"})
+			WriteError(w, http.StatusGone, "job "+id+" evicted from history")
 			return
 		}
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job " + id})
+		WriteError(w, http.StatusNotFound, "unknown job "+id)
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
-	}
-	// Validation failures are the client's fault (400); failures past
-	// validation are execution-side (503 for backpressure/draining, 500
-	// otherwise). Pre-validate so the 400/503 split stays clean on the
-	// async path too.
-	if _, _, err := ExpandSweep(req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	if r.URL.Query().Get("wait") != "" {
-		// Synchronous compatibility flow: block until the merge.
-		res, err := s.Sweep(req)
-		var shed *ShedError
-		switch {
-		case errors.As(err, &shed), errors.Is(err, ErrBusy), errors.Is(err, ErrDraining):
-			WriteSubmitError(w, err)
-		case err != nil:
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusOK, res)
-		}
-		return
-	}
-	st, err := s.StartSweep(req)
-	if err != nil {
-		WriteSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	out := s.Sweeps()
-	if out == nil {
-		out = []SweepSummary{}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, err := s.LookupSweep(id)
-	if err != nil {
-		writeJSON(w, SweepLookupStatus(err), errorBody{Error: "sweep " + id + ": " + err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, j)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Trace())
+	WriteJSON(w, http.StatusOK, s.Trace())
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	info, err := s.SaveSnapshot()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleSnapshotPull streams the live cache snapshot (header+body gob, the
@@ -237,11 +192,11 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 	info, err := s.RestoreSnapshotFrom(r.Body)
 	switch {
 	case errors.Is(err, ErrStaleSnapshot):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusConflict, err.Error())
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 	default:
-		writeJSON(w, http.StatusOK, info)
+		WriteJSON(w, http.StatusOK, info)
 	}
 }
 
@@ -250,7 +205,7 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 // while its snapshot is handed to the inheritors.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.BeginDrain()
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // handleHealth is the routing tier's admission signal, so a draining daemon
@@ -258,8 +213,8 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // stop receiving new routed work immediately.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

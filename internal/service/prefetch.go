@@ -221,17 +221,17 @@ func (s *Server) noteWarmHitLocked(fp string) {
 	}
 }
 
-// predictAndPrefetch runs after a demand job completes: enumerate the
-// request's sweep neighbors, rank them by learned locality, and feed the
-// top PrefetchFanout not-yet-warm predictions into the idle-gated lane.
-// Every rejection (ErrBusy: demand took the capacity, or the neighbor is
-// already warm/in flight) is silent — speculation that cannot run for free
-// simply doesn't run.
-func (s *Server) predictAndPrefetch(prev Request, prevFP string) {
-	neighbors := prev.SweepNeighbors()
-	if len(neighbors) == 0 {
-		return
+// PrefetchNeighbors is the prediction step both tiers run after a demand
+// request: enumerate prev's sweep neighbors, rank them by the locality
+// trace has learned, and offer each to issue until fanout (default 3) of
+// them were issued. issue reports whether a neighbor spent one unit of the
+// fanout; a refusal (busy capacity, already warm or in flight) is silent —
+// speculation that cannot run for free simply doesn't run.
+func PrefetchNeighbors(trace *prefetch.Trace[TracePoint], prev Request, prevFP string, fanout int, issue func(req Request, fp string) bool) {
+	if fanout <= 0 {
+		fanout = 3
 	}
+	neighbors := prev.SweepNeighbors()
 	byFP := make(map[string]Request, len(neighbors))
 	fps := make([]string, len(neighbors))
 	for i, n := range neighbors {
@@ -240,14 +240,22 @@ func (s *Server) predictAndPrefetch(prev Request, prevFP string) {
 		byFP[fp] = n
 	}
 	issued := 0
-	for _, fp := range s.trace.Rank(prevFP, fps) {
-		if issued >= s.opts.PrefetchFanout {
+	for _, fp := range trace.Rank(prevFP, fps) {
+		if issued >= fanout {
 			return
 		}
-		req := byFP[fp]
-		req.Priority = pool.Prefetch.String()
-		if _, coalesced, err := s.Submit(req); err == nil && !coalesced {
+		if issue(byFP[fp], fp) {
 			issued++
 		}
 	}
+}
+
+// predictAndPrefetch runs after a demand job completes and feeds the top
+// PrefetchFanout predictions into the idle-gated lane.
+func (s *Server) predictAndPrefetch(prev Request, prevFP string) {
+	PrefetchNeighbors(s.trace, prev, prevFP, s.opts.PrefetchFanout, func(req Request, _ string) bool {
+		req.Priority = pool.Prefetch.String()
+		_, coalesced, err := s.Submit(req)
+		return err == nil && !coalesced
+	})
 }

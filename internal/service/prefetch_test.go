@@ -243,7 +243,7 @@ func TestSweepLegPrefetchClamp(t *testing.T) {
 	release := occupyWorker(t, s)
 	defer release()
 
-	if _, err := s.StartSweep(Request{Model: "Llama2-30B", Seq: 2048, Priority: "prefetch"}); err != nil {
+	if _, err := s.sweeps.Start(Request{Model: "Llama2-30B", Seq: 2048, Priority: "prefetch"}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -253,7 +253,7 @@ func TestSweepLegPrefetchClamp(t *testing.T) {
 	}
 
 	// Explicit demand priority still propagates to the legs unchanged.
-	if _, err := s.StartSweep(Request{Model: "Llama2-30B", Seq: 2048, Seed: 2, Priority: "interactive"}); err != nil {
+	if _, err := s.sweeps.Start(Request{Model: "Llama2-30B", Seq: 2048, Seed: 2, Priority: "interactive"}); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.QueueInteractive == 0 {

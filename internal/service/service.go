@@ -138,9 +138,11 @@ func (r Request) Normalize() (Request, error) {
 	return r, nil
 }
 
-// deadline converts the relative wire budget into an absolute deadline at
-// admission time (zero when the request carries none).
-func (r Request) deadline(now time.Time) time.Time {
+// Deadline converts the relative wire budget into an absolute deadline at
+// admission time (zero when the request carries none). Each tier computes it
+// once where it takes ownership of the request and threads it from there —
+// recomputing it per retry would silently restart the budget.
+func (r Request) Deadline(now time.Time) time.Time {
 	if r.DeadlineMS <= 0 {
 		return time.Time{}
 	}
@@ -325,9 +327,10 @@ type Stats struct {
 	// counters above.
 	JobsPending int `json:"jobs_pending"`
 	JobsRunning int `json:"jobs_running"`
-	// Async sweep-handle gauges: handles still running, terminal handles
-	// retained for polling, and handles dropped by TTL/max-entries
-	// eviction (polling an evicted handle returns 410).
+	// Async sweep-handle gauges: handles by state, every handle the store
+	// retains (running or terminal — the population SweepHistory caps), and
+	// handles dropped by TTL/max-entries eviction (polling an evicted
+	// handle returns 410).
 	SweepsRunning  int    `json:"sweeps_running"`
 	SweepsDone     int    `json:"sweeps_done"`
 	SweepsFailed   int    `json:"sweeps_failed"`
@@ -470,17 +473,16 @@ type Server struct {
 	pred   predictor.Predictor
 	queue  *pool.Queue
 	start  time.Time
-	sweeps *jobs.Store[SweepStatus]
+	sweeps *SweepEngine
 	trace  *prefetch.Trace[TracePoint]
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string        // submission order, for listings
-	inflight  map[string]*job // fingerprint → queued/running job
-	seq       int
-	stats     Stats
-	draining  bool
-	sweepDone map[string]chan struct{} // closed when a sweep handle goes terminal
+	mu       sync.Mutex
+	jobs     map[string]*job
+	order    []string        // submission order, for listings
+	inflight map[string]*job // fingerprint → queued/running job
+	seq      int
+	stats    Stats
+	draining bool
 	// warmed tracks fingerprints executed to completion on this daemon and
 	// which lane warmed them — the warm-hit attribution table and the
 	// prefetcher's already-warm filter. Bounded FIFO (warmOrder).
@@ -537,24 +539,21 @@ func NewServer(opts Options, pred predictor.Predictor) *Server {
 	if opts.HistoryTTL == 0 {
 		opts.HistoryTTL = time.Hour
 	}
-	if opts.PrefetchFanout <= 0 {
-		opts.PrefetchFanout = 3
-	}
 	s := &Server{
-		opts:  opts,
-		pred:  pred,
-		queue: pool.NewQueue(opts.JobWorkers, opts.Backlog),
-		start: time.Now(),
-		sweeps: jobs.NewStore[SweepStatus](jobs.Options{
-			Prefix:     "swp",
-			TTL:        opts.SweepTTL,
-			MaxEntries: opts.SweepHistory,
-		}, cloneSweepStatus),
-		trace:     prefetch.NewTrace[TracePoint](opts.TraceCapacity),
-		jobs:      make(map[string]*job),
-		inflight:  make(map[string]*job),
-		sweepDone: make(map[string]chan struct{}),
-		warmed:    make(map[string]*warmRecord),
+		opts:     opts,
+		pred:     pred,
+		queue:    pool.NewQueue(opts.JobWorkers, opts.Backlog),
+		start:    time.Now(),
+		trace:    prefetch.NewTrace[TracePoint](opts.TraceCapacity),
+		jobs:     make(map[string]*job),
+		inflight: make(map[string]*job),
+		warmed:   make(map[string]*warmRecord),
+	}
+	s.sweeps = &SweepEngine{
+		Dispatch: s.dispatchLeg,
+		Retention: func() jobs.Options {
+			return jobs.Options{TTL: opts.SweepTTL, MaxEntries: opts.SweepHistory}
+		},
 	}
 	s.queue.SetClassBudgets(opts.ClassBudgets)
 	return s
@@ -576,7 +575,7 @@ func (s *Server) Submit(req Request) (Job, bool, error) {
 	fp := norm.Fingerprint()
 
 	now := time.Now()
-	deadline := norm.deadline(now)
+	deadline := norm.Deadline(now)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1014,18 +1013,8 @@ func (s *Server) Stats() Stats {
 	st.TraceLen = s.trace.Len()
 	st.EstWaitInteractiveMS = s.queue.EstimatedWait(pool.Interactive, 0).Milliseconds()
 	st.EstWaitBackgroundMS = s.queue.EstimatedWait(pool.Background, 0).Milliseconds()
-	s.sweeps.Each(func(_ string, sw SweepStatus) {
-		switch sw.State {
-		case StateDone:
-			st.SweepsDone++
-		case StateFailed, StateExpired:
-			st.SweepsFailed++
-		default:
-			st.SweepsRunning++
-		}
-	})
-	st.SweepsRetained = st.SweepsRunning + st.SweepsDone + st.SweepsFailed
-	st.SweepsEvicted = s.sweeps.Evicted()
+	st.SweepsRun = s.sweeps.Merged()
+	s.sweeps.AddGauges(&st)
 	st.Backlog = s.opts.Backlog
 	st.JobWorkers = s.opts.JobWorkers
 	st.EvalWorkers = s.opts.EvalWorkers

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/cliutil"
 )
@@ -151,22 +153,32 @@ func MergeSweepDegraded(parts []*Result, configs, degradedErr []string) (*Result
 }
 
 // Sweep scatters a sweep request into per-architecture jobs on this daemon
-// and gathers them into one merged record set. It is the synchronous facade
-// over the async handle machinery (StartSweep + WaitSweep) — one code path
-// produces both the 202-handle flow and this blocking flow, which is what
-// guarantees the merged Canonical stays byte-identical between them. Parts
-// submit through the normal job path at sweep-leg priority, so identical
-// in-flight architectures coalesce, every part lands in the shared caches,
-// and interactive jobs overtake the legs. A part that fails (or a backlog
-// rejection) fails the whole sweep.
+// and gathers them into one merged record set: the synchronous facade over
+// the async handle flow (SweepEngine.Sweep). Parts submit through the normal
+// job path at sweep-leg priority, so identical in-flight architectures
+// coalesce, every part lands in the shared caches, and interactive jobs
+// overtake the legs. A part that fails (or a backlog rejection) fails the
+// whole sweep.
 func (s *Server) Sweep(req Request) (SweepResult, error) {
-	st, err := s.StartSweep(req)
+	return s.sweeps.Sweep(context.Background(), req)
+}
+
+// dispatchLeg is the daemon's LegDispatcher: the leg is an ordinary job on
+// this daemon's queue, and one goroutine per leg waits on the job's done
+// channel — the only wake signal, so no polling — to fold it in. The
+// leg's own DeadlineMS budget is admitted by Submit, as for any job.
+func (s *Server) dispatchLeg(part Request, _ time.Time, fold func(SweepLeg)) error {
+	j, coalesced, err := s.Submit(part)
 	if err != nil {
-		return SweepResult{}, err
+		return err
 	}
-	st, err = s.WaitSweep(st.ID)
-	if err != nil {
-		return SweepResult{}, err
-	}
-	return st.ToResult()
+	fold(SweepLeg{State: StateQueued, JobID: j.ID, Coalesced: coalesced})
+	go func() {
+		done, err := s.Wait(j.ID)
+		if err != nil {
+			done = Job{ID: j.ID, State: StateFailed, Error: err.Error()}
+		}
+		fold(SweepLeg{State: done.State, JobID: done.ID, Coalesced: coalesced, Result: done.Result, Error: done.Error})
+	}()
+	return nil
 }

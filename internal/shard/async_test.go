@@ -3,10 +3,15 @@ package shard
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/opgraph"
+	"repro/internal/predictor"
 	"repro/internal/search"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -76,7 +81,7 @@ func TestRouterSweepHandleGone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.router.LookupSweep("swp-1"); !errors.Is(err, jobs.ErrGone) {
+	if _, err := f.router.sweeps.Lookup("swp-1"); !errors.Is(err, jobs.ErrGone) {
 		t.Errorf("evicted handle: err = %v, want ErrGone", err)
 	}
 	var se *client.StatusError
@@ -85,6 +90,101 @@ func TestRouterSweepHandleGone(t *testing.T) {
 	}
 	if _, err := f.client.SweepStatus(ctx, "swp-99"); !errors.As(err, &se) || se.Code != 404 {
 		t.Errorf("never-issued handle over HTTP: %v, want 404", err)
+	}
+}
+
+// TestRouterSweepLegPrefetchClamp pins the leg-priority floor at the routing
+// tier, exactly as on a daemon: a sweep labelled prefetch runs its legs as
+// sweep-leg demand jobs on the shard, never in the speculative lane, where a
+// busy shard would refuse them and demand arrival would cancel them.
+func TestRouterSweepLegPrefetchClamp(t *testing.T) {
+	f := newFleet(t, 1)
+	ctx := context.Background()
+	before := f.shards[0].Stats()
+	req := service.Request{Model: "Llama2-30B", Seq: 2048, Seed: 31, Priority: "prefetch"}
+	if _, err := f.client.Sweep(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	after := f.shards[0].Stats()
+	if sub, spec := after.JobsSubmitted-before.JobsSubmitted, after.PrefetchIssued-before.PrefetchIssued; sub != 4 || spec != 0 {
+		t.Errorf("prefetch-labelled sweep: shard jobs_submitted +%d, prefetch_issued +%d; want +4 and +0", sub, spec)
+	}
+}
+
+// gatedPredictor holds every prediction while the test holds mu: a
+// deterministic way to keep a daemon's jobs running.
+type gatedPredictor struct {
+	predictor.Predictor
+	mu *sync.RWMutex
+}
+
+func (g gatedPredictor) Predict(op opgraph.Op, die predictor.DieContext) predictor.Estimate {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.Predictor.Predict(op, die)
+}
+
+// TestSweepGaugesAgreeAcrossTiers pins one meaning of the sweep-store gauges
+// on both tiers: with one finished and one running handle, Server.Stats and
+// Router.Stats report the same counts, and sweeps_retained counts every
+// handle the store holds, running or terminal.
+func TestSweepGaugesAgreeAcrossTiers(t *testing.T) {
+	ctx := context.Background()
+	var gate sync.RWMutex
+	pred := gatedPredictor{Predictor: predictor.NewLookupTable(predictor.TileLevel{}), mu: &gate}
+	serve := func() (*service.Server, *httptest.Server) {
+		s := service.NewServer(service.Options{EvalWorkers: 1, JobWorkers: 1}, pred)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		return s, ts
+	}
+	daemon, dts := serve()
+	_, sts := serve()
+	m := NewMap([]string{strings.TrimPrefix(sts.URL, "http://")}, Options{})
+	m.Probe(ctx)
+	t.Cleanup(m.Close)
+	router := NewRouter(m)
+	rts := httptest.NewServer(router.Handler())
+	t.Cleanup(rts.Close)
+	tiers := []*client.Client{client.New(dts.URL), client.New(rts.URL)}
+
+	for _, c := range tiers {
+		c.PollInterval = 2 * time.Millisecond
+		if _, err := c.Sweep(ctx, service.Request{Model: "Llama2-30B", Config: "config3", Seq: 2048}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate.Lock()
+	release := sync.OnceFunc(gate.Unlock)
+	t.Cleanup(release) // runs before the servers close
+	var running []string
+	for _, c := range tiers {
+		st, err := c.StartSweep(ctx, service.Request{Model: "Llama2-30B", Config: "config1", Seq: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		running = append(running, st.ID)
+	}
+
+	type gauges struct {
+		Running, Done, Failed, Retained int
+		Evicted                         uint64
+	}
+	read := func(st service.Stats) gauges {
+		return gauges{st.SweepsRunning, st.SweepsDone, st.SweepsFailed, st.SweepsRetained, st.SweepsEvicted}
+	}
+	want := gauges{Running: 1, Done: 1, Retained: 2}
+	if got := read(daemon.Stats()); got != want {
+		t.Errorf("daemon sweep gauges = %+v, want %+v", got, want)
+	}
+	if got := read(router.Stats(ctx).Stats); got != want {
+		t.Errorf("router sweep gauges = %+v, want %+v", got, want)
+	}
+	release()
+	for i, c := range tiers {
+		if _, err := c.WaitSweep(ctx, running[i], nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

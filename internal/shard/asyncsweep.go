@@ -3,121 +3,45 @@ package shard
 import (
 	"context"
 	"errors"
-	"sort"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/service"
 )
 
-// Async sweeps at the routing tier mirror the daemon's handle machinery:
-// POST /v1/sweeps answers 202 with a durable handle, legs scatter across
-// the fleet by fingerprint and fold back incrementally, and the merged
-// record stays byte-identical to a single-node sweep because the legs
-// gather exactly the per-architecture Results service.MergeSweep expects.
-// Each leg rides runLeg — the same bounded-retry, replica-failover driver
-// the synchronous scatter used — so mid-sweep shard churn is still
-// absorbed; the handle just makes the recovery observable leg by leg.
-//
-// Legs dispatch critical-path-first (die count, service.LegCriticality) and
-// carry the "sweep-leg" priority class down to the owning shard's queue, so
-// interactive traffic overtakes bulk legs fleet-wide, not just locally.
+// Async sweeps at the routing tier run the daemon's lifecycle
+// (service.SweepEngine): POST /v1/sweeps answers 202 with a durable handle,
+// legs dispatch critical-path-first and fold back incrementally, and the
+// merged record stays byte-identical to a single-node sweep. The router
+// supplies only the leg dispatcher below: each leg scatters across the
+// fleet by its own fingerprint and rides runLeg — the bounded-retry,
+// replica-failover driver — so mid-sweep shard churn is absorbed and the
+// recovery stays observable leg by leg. Legs carry their priority class
+// down to the owning shard's queue, so interactive traffic overtakes bulk
+// legs fleet-wide, not just locally.
 
-// ensureSweeps lazily builds the router's handle store: Router is
-// constructed by NewRouter with tuning fields set afterwards, so the store
-// materializes on first use with whatever SweepTTL/SweepHistory hold then.
-func (r *Router) ensureSweeps() {
-	r.sweepsOnce.Do(func() {
-		r.sweeps = jobs.NewStore[service.SweepStatus](jobs.Options{
-			Prefix:     "swp",
-			TTL:        r.SweepTTL,
-			MaxEntries: r.SweepHistory,
-		}, func(s service.SweepStatus) service.SweepStatus {
-			s.Legs = append([]service.SweepLeg(nil), s.Legs...)
-			return s
+// dispatchLeg is the router's service.LegDispatcher. A fingerprint the
+// fleet already answered folds in from the result cache without crossing a
+// shard; any other leg runs in the background on its own context — the
+// handle outlives the submitting HTTP request, so a client can disconnect
+// and poll the handle later.
+func (r *Router) dispatchLeg(part service.Request, deadline time.Time, fold func(service.SweepLeg)) error {
+	fp := part.Fingerprint()
+	if res, ok := r.Cache.Get(fp); ok {
+		fold(service.SweepLeg{
+			State:  service.StateDone,
+			JobID:  "cache/" + ResultCacheKey(fp),
+			Shard:  "cache",
+			Result: res,
 		})
-		r.sweepDone = make(map[string]chan struct{})
-	})
-}
-
-// StartSweep expands a sweep request, registers a durable handle, and
-// scatters the legs across the fleet — heaviest first — returning the
-// handle immediately. Legs complete in the background on their own context:
-// the handle outlives the submitting HTTP request, so a client can
-// disconnect and poll the handle later.
-func (r *Router) StartSweep(req service.Request) (service.SweepStatus, error) {
-	norm, parts, err := service.ExpandSweep(req)
-	if err != nil {
-		return service.SweepStatus{}, err
+		return nil
 	}
-	// Fast-fail an empty fleet with the routing sentinel (503) rather than
-	// minting a handle whose every leg is doomed.
-	if len(r.Map.Healthy()) == 0 {
-		return service.SweepStatus{}, ErrNoShards
-	}
-	r.ensureSweeps()
-	legs := make([]service.SweepLeg, len(parts))
-	for i, p := range parts {
-		legs[i] = service.SweepLeg{
-			Config:      p.Config,
-			Fingerprint: p.Fingerprint(),
-			Criticality: service.LegCriticality(p.Config),
-			State:       service.StateQueued,
-		}
-	}
-	// The sweep's deadline budget is absolute from here: every leg shares it,
-	// and retries/failovers spend from it rather than restarting it.
-	deadline := requestDeadline(norm, time.Now())
-	id, _ := r.sweeps.Create(func(id string) service.SweepStatus {
-		return service.SweepStatus{
-			ID:          id,
-			State:       service.StateRunning,
-			Fingerprint: norm.Fingerprint(),
-			Total:       len(parts),
-			Legs:        legs,
-			SubmittedAt: time.Now(),
-			Deadline:    deadline,
-		}
-	})
-	r.mu.Lock()
-	r.sweepDone[id] = make(chan struct{})
-	r.mu.Unlock()
-
-	order := make([]int, len(legs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return legs[order[a]].Criticality > legs[order[b]].Criticality
-	})
-	for _, i := range order {
-		if res, ok := r.Cache.Get(legs[i].Fingerprint); ok {
-			// The fleet already answered this architecture: fold the cached
-			// record in without crossing a shard.
-			r.legDone(id, i, service.SweepLeg{
-				State:  service.StateDone,
-				JobID:  "cache/" + ResultCacheKey(legs[i].Fingerprint),
-				Shard:  "cache",
-				Result: res,
-			})
-			continue
-		}
-		part := parts[i]
-		if part.Priority == "" {
-			// Legs default to the sweep-leg class, but a sweep submitted with
-			// an explicit priority keeps it end to end: a background sweep's
-			// legs must not overtake interactive traffic on the shard queues.
-			part.Priority = "sweep-leg"
-		}
-		part.Criticality = legs[i].Criticality
-		go r.runSweepLeg(id, i, part, deadline)
-	}
-	return r.sweeps.Get(id)
+	go func() { fold(r.runSweepLeg(part, deadline)) }()
+	return nil
 }
 
 // runSweepLeg drives one scattered leg through runLeg (bounded retries,
-// replica failover, optional per-attempt deadline) and folds the outcome
-// into the handle. Failure handling degrades rather than fails where it can:
+// replica failover, optional per-attempt deadline) and returns its terminal
+// record. Failure handling degrades rather than fails where it can:
 //
 //   - deadline exhaustion (errLegDeadline) expires the sweep, distinctly
 //     from failure — the budget ran out, nothing broke;
@@ -127,7 +51,7 @@ func (r *Router) StartSweep(req service.Request) (service.SweepStatus, error) {
 //     and the sweep still answers with every row it could gather;
 //   - only a deterministic execution failure fails the sweep (the
 //     infeasible-architecture contract is unchanged).
-func (r *Router) runSweepLeg(id string, idx int, part service.Request, deadline time.Time) {
+func (r *Router) runSweepLeg(part service.Request, deadline time.Time) service.SweepLeg {
 	res, ref, err := r.runLeg(context.Background(), part, deadline)
 	leg := service.SweepLeg{
 		JobID:     ref.JobID,
@@ -161,154 +85,5 @@ func (r *Router) runSweepLeg(id string, idx int, part service.Request, deadline 
 		leg.State = service.StateFailed
 		leg.Error = err.Error()
 	}
-	r.legDone(id, idx, leg)
-}
-
-// legDone folds a terminal leg into the sweep handle; the last successful
-// leg triggers the merge, exactly as on a daemon (service.Server.legDone).
-// Degraded legs are terminal without failing the sweep; when any of them
-// carries no result, the merge runs through MergeSweepDegraded, whose output
-// carries marker rows and is never byte-identical — which is why degraded
-// merges (unlike per-leg results) never enter the result cache.
-func (r *Router) legDone(id string, idx int, leg service.SweepLeg) {
-	var complete, degraded bool
-	var results []*service.Result
-	var configs, degradedErrs []string
-	err := r.sweeps.Update(id, func(st *service.SweepStatus) {
-		dst := &st.Legs[idx]
-		if dst.State.Terminal() {
-			return // duplicate completion; first wins
-		}
-		dst.State = leg.State
-		if leg.JobID != "" {
-			dst.JobID = leg.JobID
-		}
-		dst.Shard = leg.Shard
-		dst.Coalesced = leg.Coalesced
-		dst.Degraded = leg.Degraded
-		if leg.Error != "" {
-			dst.Error = leg.Error
-		}
-		st.Completed++
-		switch {
-		case leg.State == service.StateDone:
-			dst.Result = leg.Result
-		case leg.Degraded:
-			// Absorbed: the sweep keeps running and merges around this leg.
-		case st.State == service.StateRunning:
-			if leg.State == service.StateExpired {
-				st.State = service.StateExpired
-				st.Error = "sweep part " + dst.Config + " deadline exceeded: " + leg.Error
-			} else {
-				st.State = service.StateFailed
-				st.Error = "sweep part " + dst.Config + " failed: " + leg.Error
-			}
-			st.FinishedAt = time.Now()
-		}
-		if st.State == service.StateRunning && st.Completed == st.Total {
-			complete = true
-			results = make([]*service.Result, st.Total)
-			configs = make([]string, st.Total)
-			degradedErrs = make([]string, st.Total)
-			for i := range st.Legs {
-				results[i] = st.Legs[i].Result
-				configs[i] = st.Legs[i].Config
-				if st.Legs[i].Degraded && st.Legs[i].Result == nil {
-					degraded = true
-					degradedErrs[i] = st.Legs[i].Error
-				}
-			}
-		}
-	})
-	if err != nil {
-		return // handle evicted mid-flight
-	}
-	if complete {
-		var merged *service.Result
-		var mergeErr error
-		if degraded {
-			merged, mergeErr = service.MergeSweepDegraded(results, configs, degradedErrs)
-		} else {
-			merged, mergeErr = service.MergeSweep(results)
-		}
-		r.sweeps.Update(id, func(st *service.SweepStatus) {
-			if mergeErr != nil {
-				st.State = service.StateFailed
-				st.Error = mergeErr.Error()
-			} else {
-				st.State = service.StateDone
-				st.Result = merged
-			}
-			st.FinishedAt = time.Now()
-		})
-		if mergeErr == nil {
-			r.count(func(c *RouterCounters) { c.SweepsRouted++ })
-		}
-	}
-	st, err := r.sweeps.Get(id)
-	if err == nil && st.State.Terminal() {
-		r.mu.Lock()
-		if ch, ok := r.sweepDone[id]; ok {
-			close(ch)
-			delete(r.sweepDone, id)
-		}
-		r.mu.Unlock()
-	}
-}
-
-// LookupSweep snapshots a router sweep handle: jobs.ErrGone once evicted
-// (410), jobs.ErrUnknown for a never-issued ID (404).
-func (r *Router) LookupSweep(id string) (service.SweepStatus, error) {
-	r.ensureSweeps()
-	return r.sweeps.Get(id)
-}
-
-// WaitSweep blocks until the handle goes terminal or the context ends.
-func (r *Router) WaitSweep(ctx context.Context, id string) (service.SweepStatus, error) {
-	r.ensureSweeps()
-	r.mu.Lock()
-	ch := r.sweepDone[id]
-	r.mu.Unlock()
-	if ch != nil {
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return service.SweepStatus{}, ctx.Err()
-		}
-	}
-	return r.sweeps.Get(id)
-}
-
-// Sweeps lists the retained router sweep handles, oldest first.
-func (r *Router) Sweeps() []service.SweepSummary {
-	r.ensureSweeps()
-	var out []service.SweepSummary
-	r.sweeps.Each(func(id string, st service.SweepStatus) {
-		out = append(out, service.SweepSummary{
-			ID:          st.ID,
-			State:       st.State,
-			Fingerprint: st.Fingerprint,
-			Total:       st.Total,
-			Completed:   st.Completed,
-			SubmittedAt: st.SubmittedAt,
-			FinishedAt:  st.FinishedAt,
-		})
-	})
-	return out
-}
-
-// Sweep is the synchronous facade: scatter the sweep as an async handle,
-// block until the merge, and render the pre-async SweepResult payload. One
-// code path produces both flows, which is what keeps the merged Canonical
-// byte-identical between them (and to a single-node sweep).
-func (r *Router) Sweep(ctx context.Context, req service.Request) (service.SweepResult, error) {
-	st, err := r.StartSweep(req)
-	if err != nil {
-		return service.SweepResult{}, err
-	}
-	st, err = r.WaitSweep(ctx, st.ID)
-	if err != nil {
-		return service.SweepResult{}, err
-	}
-	return st.ToResult()
+	return leg
 }

@@ -298,36 +298,37 @@ func TestRouterDegradedLegServedFromCache(t *testing.T) {
 	}
 	f.servers[0].Close()
 
-	p0, err := warm.Normalize()
+	// Drive the shared sweep engine through a dispatcher that skips the
+	// router's start-time cache check: every leg walks its dead replica set,
+	// and only then may the warm config3 leg fall back to the cache.
+	r := f.router
+	eng := &service.SweepEngine{
+		Dispatch: func(part service.Request, deadline time.Time, fold func(service.SweepLeg)) error {
+			fold(r.runSweepLeg(part, deadline))
+			return nil
+		},
+	}
+	st, err := eng.Start(service.Request{Model: "Llama2-30B", Seq: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := p0
-	p1.Config = "config1"
-	r := f.router
-	r.ensureSweeps()
-	legs := []service.SweepLeg{
-		{Config: p0.Config, Fingerprint: p0.Fingerprint(), State: service.StateQueued},
-		{Config: p1.Config, Fingerprint: p1.Fingerprint(), State: service.StateQueued},
-	}
-	id, _ := r.sweeps.Create(func(id string) service.SweepStatus {
-		return service.SweepStatus{ID: id, State: service.StateRunning, Total: 2,
-			Legs: legs, SubmittedAt: time.Now()}
-	})
-	r.mu.Lock()
-	r.sweepDone[id] = make(chan struct{})
-	r.mu.Unlock()
-	r.runSweepLeg(id, 0, p0, time.Time{})
-	r.runSweepLeg(id, 1, p1, time.Time{})
-
-	st, err := r.WaitSweep(ctx, id)
+	st, err = eng.Wait(ctx, st.ID)
 	if err != nil || st.State != service.StateDone {
 		t.Fatalf("sweep = %s (%v), want done", st.State, err)
 	}
-	if l := st.Legs[0]; !l.Degraded || l.State != service.StateDone || l.Shard != "cache" || l.Result == nil {
+	leg := func(config string) service.SweepLeg {
+		for _, l := range st.Legs {
+			if l.Config == config {
+				return l
+			}
+		}
+		t.Fatalf("sweep has no %s leg", config)
+		return service.SweepLeg{}
+	}
+	if l := leg("config3"); !l.Degraded || l.State != service.StateDone || l.Shard != "cache" || l.Result == nil {
 		t.Errorf("cache-fallback leg %+v, want degraded done from cache", l)
 	}
-	if l := st.Legs[1]; !l.Degraded || l.State != service.StateFailed || l.Result != nil {
+	if l := leg("config1"); !l.Degraded || l.State != service.StateFailed || l.Result != nil {
 		t.Errorf("cold leg %+v, want degraded marker", l)
 	}
 	if !strings.Contains(st.Result.Canonical, "arch=config1 err=degraded:") {

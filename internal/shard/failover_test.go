@@ -88,7 +88,7 @@ func TestRouterSweepFailoverMidSweep(t *testing.T) {
 	}
 	gate.victim.Store(int32(victim))
 
-	sw, err := router.Sweep(context.Background(), req)
+	sw, err := router.sweeps.Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatalf("sweep through a mid-sweep crash: %v", err)
 	}

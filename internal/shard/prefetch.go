@@ -70,43 +70,18 @@ func (r *Router) releasePrefetch(fp string) {
 	r.mu.Unlock()
 }
 
-// predictAndPrefetch enumerates the completed request's sweep neighbors,
-// ranks them by the router's learned locality, and warms the top
-// PrefetchFanout through the fleet. Every failure path is silent — a
-// speculation that cannot run for free simply doesn't run.
+// predictAndPrefetch ranks the accepted request's sweep neighbors by the
+// router's learned locality and warms the top PrefetchFanout through the
+// fleet, skipping fingerprints already answerable at this tier or already
+// being speculated on.
 func (r *Router) predictAndPrefetch(prev service.Request, prevFP string) {
-	neighbors := prev.SweepNeighbors()
-	if len(neighbors) == 0 {
-		return
-	}
-	byFP := make(map[string]service.Request, len(neighbors))
-	fps := make([]string, len(neighbors))
-	for i, n := range neighbors {
-		nfp := n.Fingerprint()
-		fps[i] = nfp
-		byFP[nfp] = n
-	}
-	fanout := r.PrefetchFanout
-	if fanout <= 0 {
-		fanout = 3
-	}
-	issued := 0
-	for _, fp := range r.trace.Rank(prevFP, fps) {
-		if issued >= fanout {
-			return
+	service.PrefetchNeighbors(r.trace, prev, prevFP, r.PrefetchFanout, func(req service.Request, fp string) bool {
+		if r.Cache.Contains(fp) || !r.claimPrefetch(fp) {
+			return false
 		}
-		if r.Cache.Contains(fp) {
-			continue // already answerable at this tier
-		}
-		if !r.claimPrefetch(fp) {
-			continue
-		}
-		ok := r.prefetchOne(byFP[fp], fp)
-		r.releasePrefetch(fp)
-		if ok {
-			issued++
-		}
-	}
+		defer r.releasePrefetch(fp)
+		return r.prefetchOne(req, fp)
+	})
 }
 
 // prefetchOne routes one speculative evaluation to the fingerprint's primary
@@ -162,7 +137,7 @@ func (r *Router) Trace() service.TraceInfo {
 }
 
 func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Trace())
+	service.WriteJSON(w, http.StatusOK, r.Trace())
 }
 
 // newRouterTrace builds the router's trace recorder (shared constructor so

@@ -2,12 +2,10 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -59,7 +57,8 @@ type Router struct {
 	// fleet. nil disables caching.
 	Cache *ResultCache
 	// SweepTTL / SweepHistory bound the async sweep-handle store (see
-	// jobs.Options); zero takes the store defaults. Set before serving.
+	// jobs.Options); zero takes the store defaults. Set before the first
+	// sweep.
 	SweepTTL     time.Duration
 	SweepHistory int
 	// Prefetch enables speculative cache warming: accepted demand
@@ -77,9 +76,7 @@ type Router struct {
 	trace        *prefetch.Trace[service.TracePoint]
 	prefetchBusy map[string]bool // fingerprints with an in-flight speculation; guarded by mu
 
-	sweepsOnce sync.Once
-	sweeps     *jobs.Store[service.SweepStatus]
-	sweepDone  map[string]chan struct{} // guarded by mu
+	sweeps *service.SweepEngine
 }
 
 // RouterCounters are the router's own counters (shard-side counters live in
@@ -138,7 +135,22 @@ type RouterStats struct {
 // NewRouter returns a router over the shard map (sweep legs re-dispatch up
 // to twice by default; set SweepRetries/LegTimeout before serving to tune).
 func NewRouter(m *Map) *Router {
-	return &Router{Map: m, SweepRetries: 2, PrefetchFanout: 3, start: time.Now(), trace: newRouterTrace()}
+	r := &Router{Map: m, SweepRetries: 2, start: time.Now(), trace: newRouterTrace()}
+	r.sweeps = &service.SweepEngine{
+		Dispatch: r.dispatchLeg,
+		// Fast-fail an empty fleet with the routing sentinel (503) rather
+		// than minting a handle whose every leg is doomed.
+		Admit: func() error {
+			if len(r.Map.Healthy()) == 0 {
+				return ErrNoShards
+			}
+			return nil
+		},
+		Retention: func() jobs.Options {
+			return jobs.Options{TTL: r.SweepTTL, MaxEntries: r.SweepHistory}
+		},
+	}
+	return r
 }
 
 func (r *Router) count(fn func(*RouterCounters)) {
@@ -164,13 +176,24 @@ func forwardStatus(err error) int {
 	return http.StatusBadGateway
 }
 
-// relayRetryAfter copies a shard's Retry-After hint through the router, so a
-// shed (429) or backpressure (503) answer keeps its retry-eligibility signal
-// across the tier. Must run before the status line is written.
-func relayRetryAfter(w http.ResponseWriter, err error) {
+// writeRouteError renders a routing failure. No admitting shard is 503; a
+// router-side shed (deadline budget spent walking the chain) keeps the 429
+// contract the shards answer with; a shard's own answer passes through with
+// its Retry-After hint intact, so end-client retry budgets see the same
+// signal either way.
+func writeRouteError(w http.ResponseWriter, err error) {
+	var shed *service.ShedError
 	var se *client.StatusError
-	if errors.As(err, &se) && se.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt(int64((se.RetryAfter+time.Second-1)/time.Second), 10))
+	switch {
+	case errors.Is(err, ErrNoShards):
+		service.WriteError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.As(err, &shed):
+		service.WriteSubmitError(w, err)
+	default:
+		if errors.As(err, &se) && se.RetryAfter > 0 {
+			service.SetRetryAfter(w, se.RetryAfter)
+		}
+		service.WriteError(w, forwardStatus(err), err.Error())
 	}
 }
 
@@ -184,38 +207,13 @@ func drainingAnswer(err error) bool {
 		strings.Contains(se.Message, "draining")
 }
 
-// requestDeadline converts a request's relative deadline budget to the
-// absolute admission deadline (zero when the request carries none). Computed
-// once where the router takes ownership of the request, then threaded —
-// recomputing it per retry would silently restart the budget.
-func requestDeadline(req service.Request, now time.Time) time.Time {
-	if req.DeadlineMS <= 0 {
-		return time.Time{}
-	}
-	return now.Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
 // Handler returns the router's HTTP API.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", r.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id...}", r.handleJob)
-	mux.HandleFunc("POST /v1/sweeps", r.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps", r.handleSweepList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", r.handleSweepStatus)
+	r.sweeps.Routes(mux, writeRouteError)
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /v1/trace", r.handleTrace)
 	mux.HandleFunc("GET /v1/shards", r.handleShards)
@@ -314,15 +312,13 @@ func (r *Router) submitRouted(ctx context.Context, req service.Request, deadline
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var jr service.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if err := service.DecodeBody(w, req, &jr); err != nil {
+		service.WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	norm, err := jr.Normalize()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		service.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	fp := norm.Fingerprint()
@@ -335,30 +331,20 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// not this step was warm.
 	if j, ok := r.cachedJob(fp); ok {
 		r.maybePrefetch(norm, fp)
-		writeJSON(w, http.StatusOK, j)
+		service.WriteJSON(w, http.StatusOK, j)
 		return
 	}
-	j, _, coalesced, err := r.submitRouted(req.Context(), jr, requestDeadline(norm, time.Now()))
+	j, _, coalesced, err := r.submitRouted(req.Context(), jr, norm.Deadline(time.Now()))
 	if err == nil {
 		r.maybePrefetch(norm, fp)
 	}
-	var shed *service.ShedError
 	switch {
-	case errors.Is(err, ErrNoShards):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-	case errors.As(err, &shed):
-		// Router-side shed (deadline budget spent walking the chain): same
-		// 429 contract the shards answer with.
-		service.WriteSubmitError(w, err)
 	case err != nil:
-		// A shard's own answer passes through with its Retry-After hint
-		// intact, so end-client retry budgets see the same signal either way.
-		relayRetryAfter(w, err)
-		writeJSON(w, forwardStatus(err), errorBody{Error: err.Error()})
+		writeRouteError(w, err)
 	case coalesced:
-		writeJSON(w, http.StatusOK, j)
+		service.WriteJSON(w, http.StatusOK, j)
 	default:
-		writeJSON(w, http.StatusAccepted, j)
+		service.WriteJSON(w, http.StatusAccepted, j)
 	}
 }
 
@@ -389,23 +375,23 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		if !found {
 			// Cache-hit job IDs are only ever minted from live entries, so a
 			// miss here means LRU/flush eviction: gone, not unknown.
-			writeJSON(w, http.StatusGone, errorBody{Error: "cached result " + id + " evicted"})
+			service.WriteError(w, http.StatusGone, "cached result "+id+" evicted")
 			return
 		}
-		writeJSON(w, http.StatusOK, service.Job{
+		service.WriteJSON(w, http.StatusOK, service.Job{
 			ID: id, Fingerprint: fp, State: service.StateDone, Result: res,
 		})
 		return
 	}
 	shardAddr, rest, ok := strings.Cut(id, "/")
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{
-			Error: fmt.Sprintf("router job IDs are <shard-addr>/<job>, got %q", id)})
+		service.WriteError(w, http.StatusNotFound,
+			fmt.Sprintf("router job IDs are <shard-addr>/<job>, got %q", id))
 		return
 	}
 	b, ok := r.Map.BackendByAddr(shardAddr)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown shard " + shardAddr})
+		service.WriteError(w, http.StatusNotFound, "unknown shard "+shardAddr)
 		return
 	}
 	start := time.Now()
@@ -415,7 +401,7 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		if connectionError(err) {
 			b.MarkFailed(err)
 		}
-		writeJSON(w, forwardStatus(err), errorBody{Error: err.Error()})
+		service.WriteError(w, forwardStatus(err), err.Error())
 		return
 	}
 	if j.State == service.StateDone && j.Result != nil {
@@ -424,7 +410,7 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		r.Cache.Put(j.Fingerprint, j.Result)
 	}
 	j.ID = b.Addr + "/" + j.ID
-	writeJSON(w, http.StatusOK, j)
+	service.WriteJSON(w, http.StatusOK, j)
 }
 
 func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
@@ -442,7 +428,7 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 			out = append(out, s)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // legRetryable classifies a sweep-leg failure. Transport failures and the
@@ -569,62 +555,6 @@ func (r *Router) runLeg(ctx context.Context, part service.Request, deadline time
 	return nil, lastRef, lastErr
 }
 
-func (r *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
-	var jr service.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
-	}
-	// Pre-validate so bad requests stay 400 on both the async and the
-	// blocking flow; later failures are execution-side.
-	if _, _, err := service.ExpandSweep(jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	if req.URL.Query().Get("wait") != "" {
-		// Synchronous compatibility flow: block until the merge.
-		res, err := r.Sweep(req.Context(), jr)
-		switch {
-		case errors.Is(err, ErrNoShards):
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		case err != nil:
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusOK, res)
-		}
-		return
-	}
-	st, err := r.StartSweep(jr)
-	switch {
-	case errors.Is(err, ErrNoShards):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusAccepted, st)
-	}
-}
-
-func (r *Router) handleSweepList(w http.ResponseWriter, req *http.Request) {
-	out := r.Sweeps()
-	if out == nil {
-		out = []service.SweepSummary{}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (r *Router) handleSweepStatus(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	st, err := r.LookupSweep(id)
-	if err != nil {
-		writeJSON(w, service.SweepLookupStatus(err), errorBody{Error: "sweep " + id + ": " + err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
 // Stats aggregates the fleet view: per-shard stats (with queue occupancy
 // gauges) under the router's counters, plus the flattened fleet sums.
 func (r *Router) Stats(ctx context.Context) RouterStats {
@@ -701,22 +631,8 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 	}
 	// Sweep-handle gauges: the router's own async handles (scattered sweeps
 	// live at this tier) on top of any direct-to-shard handles.
-	if r.sweeps != nil {
-		r.sweeps.Each(func(id string, st service.SweepStatus) {
-			switch st.State {
-			case service.StateRunning:
-				agg.SweepsRunning++
-			case service.StateDone:
-				agg.SweepsDone++
-			case service.StateFailed, service.StateExpired:
-				agg.SweepsFailed++
-			}
-			if st.State.Terminal() {
-				agg.SweepsRetained++
-			}
-		})
-		agg.SweepsEvicted += r.sweeps.Evicted()
-	}
+	r.sweeps.AddGauges(agg)
+	out.Router.SweepsRouted = r.sweeps.Merged()
 	out.ResultCache = r.Cache.Stats()
 	for _, st := range statuses {
 		if st.Healthy {
@@ -729,11 +645,11 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Stats(req.Context()))
+	service.WriteJSON(w, http.StatusOK, r.Stats(req.Context()))
 }
 
 func (r *Router) handleShards(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Map.Statuses())
+	service.WriteJSON(w, http.StatusOK, r.Map.Statuses())
 }
 
 // addShardRequest is the POST /v1/shards payload.
@@ -743,10 +659,8 @@ type addShardRequest struct {
 
 func (r *Router) handleAddShard(w http.ResponseWriter, req *http.Request) {
 	var ar addShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ar); err != nil || ar.Addr == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body must be {\"addr\": \"host:port\"}"})
+	if err := service.DecodeBody(w, req, &ar); err != nil || ar.Addr == "" {
+		service.WriteError(w, http.StatusBadRequest, "body must be {\"addr\": \"host:port\"}")
 		return
 	}
 	// Probe before admitting: an unreachable address (typo, daemon not up
@@ -754,15 +668,15 @@ func (r *Router) handleAddShard(w http.ResponseWriter, req *http.Request) {
 	// rather than admitted as a healthy routing target that every ~1/Nth
 	// submission then has to fail over from.
 	if err := r.Map.ProbeAddr(req.Context(), ar.Addr); err != nil {
-		writeJSON(w, http.StatusBadGateway, errorBody{
-			Error: fmt.Sprintf("shard %s failed its join probe: %v", ar.Addr, err)})
+		service.WriteError(w, http.StatusBadGateway,
+			fmt.Sprintf("shard %s failed its join probe: %v", ar.Addr, err))
 		return
 	}
 	if _, err := r.Map.Add(ar.Addr); err != nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		service.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, r.Map.Statuses())
+	service.WriteJSON(w, http.StatusCreated, r.Map.Statuses())
 }
 
 // InheritorReport is one survivor's share of a drained shard's slice.
@@ -890,18 +804,16 @@ func (r *Router) Drain(ctx context.Context, addr string) (DrainReport, error) {
 // dead shard's slice re-warms on demand via failover.
 func (r *Router) handleRemoveShard(w http.ResponseWriter, req *http.Request) {
 	var ar addShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ar); err != nil || ar.Addr == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body must be {\"addr\": \"host:port\"}"})
+	if err := service.DecodeBody(w, req, &ar); err != nil || ar.Addr == "" {
+		service.WriteError(w, http.StatusBadRequest, "body must be {\"addr\": \"host:port\"}")
 		return
 	}
 	rep, err := r.Drain(req.Context(), ar.Addr)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		service.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	service.WriteJSON(w, http.StatusOK, rep)
 }
 
 // handleHealth reports the router healthy while at least one shard is
@@ -909,8 +821,8 @@ func (r *Router) handleRemoveShard(w http.ResponseWriter, req *http.Request) {
 // health checks compose through the tier.
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 	if len(r.Map.Healthy()) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy shards"})
+		service.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy shards"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
