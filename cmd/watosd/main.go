@@ -89,7 +89,7 @@ func main() {
 	jobs := flag.Int("jobs", 1, "number of jobs running concurrently")
 	backlog := flag.Int("backlog", 64, "queued-job backlog bound (submissions beyond it get HTTP 503)")
 	classBudget := flag.String("class-budget", "", "per-priority-class backlog caps, e.g. background=8,sweep-leg=32,interactive=0 (0 = uncapped; over-budget submissions get HTTP 429 + Retry-After)")
-	history := flag.Int("history", 1024, "retained terminal job records (oldest evicted first)")
+	history := flag.Int("history", 1024, "retained job records (earliest finished evicted first; queued and running jobs never are)")
 	historyTTL := flag.Duration("history-ttl", time.Hour, "terminal job records expire after this age; polling them returns HTTP 410 (negative = never)")
 	sweepTTL := flag.Duration("sweep-ttl", 15*time.Minute, "terminal async sweep handles expire after this age (negative = never)")
 	sweepHistory := flag.Int("sweep-history", 256, "retained async sweep handles (oldest finished evicted first)")

@@ -1,6 +1,6 @@
 // Package jobs provides the durable-handle half of the async job subsystem
 // shared by watosd and watos-router: a generic, bounded store of pollable
-// handles (async sweeps today; any submit-then-poll workload tomorrow).
+// handles (watosd's job records and both tiers' async sweep handles).
 //
 // A handle outlives the HTTP request that created it — POST returns 202
 // plus an ID, GET polls the handle until it goes terminal — so the store,
@@ -13,9 +13,15 @@
 // never issued (ErrUnknown → HTTP 404). A poller therefore learns "your
 // result existed and aged out — resubmit" rather than retrying a 404
 // forever.
+//
+// The store also owns waiting: every handle carries a done channel that the
+// Update taking it terminal closes, and Wait blocks on it. A waiter holds
+// the handle itself, so it still gets the final record if the handle is
+// evicted after going terminal.
 package jobs
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"strings"
@@ -54,7 +60,8 @@ type Options struct {
 type entry[T Handle] struct {
 	v        T
 	created  time.Time
-	finished time.Time // zero while live
+	finished time.Time     // zero while live
+	done     chan struct{} // closed when the handle goes terminal
 }
 
 // Store is a bounded, concurrency-safe map of durable handles. All payload
@@ -104,9 +111,10 @@ func (s *Store[T]) Create(build func(id string) T) (string, T) {
 	defer s.mu.Unlock()
 	s.seq++
 	id := s.opts.Prefix + "-" + strconv.FormatUint(s.seq, 10)
-	e := &entry[T]{v: build(id), created: s.now()}
+	e := &entry[T]{v: build(id), created: s.now(), done: make(chan struct{})}
 	if e.v.Terminal() {
 		e.finished = e.created
+		close(e.done)
 	}
 	s.entries[id] = e
 	s.order = append(s.order, id)
@@ -128,7 +136,8 @@ func (s *Store[T]) Get(id string) (T, error) {
 }
 
 // Update mutates the handle under the store lock. A mutation that takes the
-// handle terminal stamps the retention clock and triggers eviction.
+// handle terminal stamps the retention clock, wakes the handle's waiters and
+// triggers eviction.
 func (s *Store[T]) Update(id string, fn func(v *T)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -139,9 +148,32 @@ func (s *Store[T]) Update(id string, fn func(v *T)) error {
 	fn(&e.v)
 	if e.v.Terminal() && e.finished.IsZero() {
 		e.finished = s.now()
+		close(e.done)
 		s.evictLocked()
 	}
 	return nil
+}
+
+// Wait blocks until the handle goes terminal or ctx ends, and returns a copy
+// of the terminal handle. An ID that is already evicted or was never issued
+// answers ErrGone or ErrUnknown at once; a handle evicted while the waiter
+// blocks still answers with its final state.
+func (s *Store[T]) Wait(ctx context.Context, id string) (T, error) {
+	var zero T
+	s.mu.Lock()
+	e, err := s.lookupLocked(id)
+	s.mu.Unlock()
+	if err != nil {
+		return zero, err
+	}
+	select {
+	case <-e.done:
+	case <-ctx.Done():
+		return zero, ctx.Err()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.clone(e.v), nil
 }
 
 // Each calls fn with a copy of every retained handle, oldest first.

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -97,26 +98,33 @@ func TestStoreMaxEntriesEvictsOldestFinished(t *testing.T) {
 	s, clock := newTestStore(Options{MaxEntries: 2})
 	a := mustCreate(t, s)
 	b := mustCreate(t, s)
-	c := mustCreate(t, s) // over cap, but all live: nothing evictable
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d with 3 live handles and cap 2, want 3 (live never evicted)", s.Len())
-	}
-	// b finishes first, then a: the cap must claim b (earliest finished)
-	// even though a was issued first.
+	// b finishes first, then a; both still fit under the cap.
 	finish(t, s, b)
 	*clock = clock.Add(time.Second)
 	finish(t, s, a)
+	// c takes the store over its cap: the cap must claim b (earliest
+	// finished) even though a was issued first.
+	c := mustCreate(t, s)
 	if _, err := s.Get(b); !errors.Is(err, ErrGone) {
 		t.Errorf("earliest-finished handle b: err = %v, want ErrGone", err)
 	}
 	if _, err := s.Get(a); err != nil {
 		t.Errorf("later-finished handle a evicted: %v", err)
 	}
-	if _, err := s.Get(c); err != nil {
-		t.Errorf("live handle c evicted: %v", err)
+	// d claims the last terminal handle (a); with c, d and e all live the
+	// cap is exceeded rather than evict one of them.
+	d := mustCreate(t, s)
+	e := mustCreate(t, s)
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d with 3 live handles and cap 2, want 3 (live never evicted)", s.Len())
 	}
-	if s.Evicted() != 1 {
-		t.Errorf("Evicted = %d, want 1", s.Evicted())
+	for _, id := range []string{c, d, e} {
+		if _, err := s.Get(id); err != nil {
+			t.Errorf("live handle %s evicted: %v", id, err)
+		}
+	}
+	if s.Evicted() != 2 {
+		t.Errorf("Evicted = %d, want 2", s.Evicted())
 	}
 }
 
@@ -190,5 +198,113 @@ func TestStoreConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 	if h, _ := s.Get(id); h.Legs[0] != 1600 {
 		t.Errorf("Legs[0] = %d after 1600 updates, want 1600", h.Legs[0])
+	}
+}
+
+// blockedProbe is a context that reports when Wait has looked the handle up
+// and is about to block: Wait reads Done only after its lookup.
+type blockedProbe struct {
+	context.Context
+	once    sync.Once
+	blocked chan struct{}
+}
+
+func newBlockedProbe(ctx context.Context) *blockedProbe {
+	return &blockedProbe{Context: ctx, blocked: make(chan struct{})}
+}
+
+func (p *blockedProbe) Done() <-chan struct{} {
+	p.once.Do(func() { close(p.blocked) })
+	return p.Context.Done()
+}
+
+type waitResult struct {
+	h   handle
+	err error
+}
+
+// startWait runs Wait in the background and returns once it is blocked.
+func startWait(s *Store[handle], ctx context.Context, id string) <-chan waitResult {
+	probe := newBlockedProbe(ctx)
+	out := make(chan waitResult, 1)
+	go func() {
+		h, err := s.Wait(probe, id)
+		out <- waitResult{h, err}
+	}()
+	<-probe.blocked
+	return out
+}
+
+// TestStoreWait checks Wait blocks until the handle goes terminal, returns
+// the terminal copy, and returns at once for a handle already terminal.
+func TestStoreWait(t *testing.T) {
+	s, _ := newTestStore(Options{Prefix: "swp"})
+	id := mustCreate(t, s)
+	got := startWait(s, context.Background(), id)
+	select {
+	case r := <-got:
+		t.Fatalf("Wait returned %+v, %v before the handle went terminal", r.h, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	finish(t, s, id)
+	select {
+	case r := <-got:
+		if r.err != nil || r.h.State != "done" {
+			t.Errorf("Wait = %+v, %v; want the done handle", r.h, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not wake when the handle went terminal")
+	}
+	if h, err := s.Wait(context.Background(), id); err != nil || h.State != "done" {
+		t.Errorf("Wait on a terminal handle = %+v, %v", h, err)
+	}
+}
+
+// TestStoreWaitCancel checks Wait on a live handle returns ctx.Err() when
+// its context ends.
+func TestStoreWaitCancel(t *testing.T) {
+	s, _ := newTestStore(Options{})
+	id := mustCreate(t, s)
+	ctx, cancel := context.WithCancel(context.Background())
+	got := startWait(s, ctx, id)
+	cancel()
+	select {
+	case r := <-got:
+		if !errors.Is(r.err, context.Canceled) {
+			t.Errorf("cancelled Wait err = %v, want context.Canceled", r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait ignored its cancelled context")
+	}
+	if h, _ := s.Get(id); h.State != "running" {
+		t.Errorf("cancelled Wait touched the handle: state %q", h.State)
+	}
+}
+
+// TestStoreWaitOutlivesEviction checks a waiter still gets the final record
+// when the handle is evicted by the same Update that took it terminal, and
+// that Wait answers ErrGone and ErrUnknown at once for evicted and
+// never-issued IDs.
+func TestStoreWaitOutlivesEviction(t *testing.T) {
+	s, _ := newTestStore(Options{Prefix: "swp", MaxEntries: 1})
+	a := mustCreate(t, s)
+	mustCreate(t, s) // a live second handle keeps the store over its cap
+	got := startWait(s, context.Background(), a)
+	finish(t, s, a) // terminal and, over the cap, evicted in one Update
+	if _, err := s.Get(a); !errors.Is(err, ErrGone) {
+		t.Fatalf("finished handle over the cap: err = %v, want ErrGone", err)
+	}
+	select {
+	case r := <-got:
+		if r.err != nil || r.h.State != "done" || r.h.ID != a {
+			t.Errorf("waiter on the evicted handle = %+v, %v; want its done record", r.h, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter on the evicted handle never woke")
+	}
+	for id, want := range map[string]error{a: ErrGone, "swp-99": ErrUnknown, "job-1": ErrUnknown} {
+		if _, err := s.Wait(context.Background(), id); !errors.Is(err, want) {
+			t.Errorf("Wait(%s) err = %v, want %v", id, err, want)
+		}
 	}
 }

@@ -25,11 +25,11 @@ var (
 // before lower ones: an interactive request never waits behind a bulk
 // sweep's backlog. The zero value is Prefetch — the lowest class — so that
 // forgetting to set a class on speculative work keeps it out of everyone
-// else's way; the plain Submit/TrySubmit entry points default to
-// Interactive, preserving the pre-priority behaviour for callers that never
-// mention classes. Every class above Prefetch is demand work: somebody
-// asked for it. Prefetch is the queue's own guess, and demand arrival
-// evicts it (see Task.Preempt).
+// else's way; the plain TrySubmit entry point defaults to Interactive,
+// preserving the pre-priority behaviour for callers that never mention
+// classes. Every class above Prefetch is demand work: somebody asked for
+// it. Prefetch is the queue's own guess, and demand arrival evicts it (see
+// Task.Preempt).
 type Class uint8
 
 const (
@@ -97,6 +97,7 @@ type Ticket struct {
 	deadline time.Time
 	expire   func()
 	preempt  func()
+	after    func()
 }
 
 // Task is the full-fidelity submission form: a function plus its scheduling
@@ -120,6 +121,12 @@ type Task struct {
 	// they are never silently dropped, since their owner could not observe
 	// it.
 	Preempt func()
+	// After, when set, runs on the worker once Fn has returned and the
+	// queue has retired the task: the in-flight count is already
+	// decremented and the duration folded into the wait estimate. An owner
+	// that publishes completion from After never shows a finished task as
+	// still in flight.
+	After func()
 }
 
 // Queue is a long-lived bounded priority job queue: a fixed set of workers
@@ -139,7 +146,6 @@ type Task struct {
 type Queue struct {
 	mu         sync.Mutex
 	notEmpty   sync.Cond // workers wait here for tasks
-	notFull    sync.Cond // blocking Submits wait here for backlog space
 	heap       []*Ticket
 	byClass    [NumClasses]int
 	budgets    [NumClasses]int // per-class backlog caps; 0 = uncapped
@@ -168,7 +174,6 @@ func NewQueue(workers, backlog int) *Queue {
 	}
 	q := &Queue{backlog: backlog, nworkers: workers, done: make(chan struct{})}
 	q.notEmpty.L = &q.mu
-	q.notFull.L = &q.mu
 	q.workers.Add(workers)
 	for i := 0; i < workers; i++ {
 		go q.worker()
@@ -198,7 +203,6 @@ func (q *Queue) worker() {
 	for {
 		for len(q.heap) == 0 && !q.closed {
 			q.waiting++
-			q.notFull.Signal() // an idle worker is admission capacity
 			q.notEmpty.Wait()
 			q.waiting--
 		}
@@ -207,7 +211,6 @@ func (q *Queue) worker() {
 			return
 		}
 		t := q.popLocked()
-		q.notFull.Signal()
 		if q.discard {
 			continue
 		}
@@ -236,6 +239,11 @@ func (q *Queue) worker() {
 		if t.class > Prefetch {
 			q.observeLocked(elapsed)
 		}
+		if t.after != nil {
+			q.mu.Unlock()
+			t.after()
+			q.mu.Lock()
+		}
 	}
 }
 
@@ -257,7 +265,7 @@ func (q *Queue) hasSpaceLocked() bool { return len(q.heap) < q.backlog+q.waiting
 func (q *Queue) pushLocked(t Task) *Ticket {
 	q.seq++
 	tk := &Ticket{fn: t.Fn, class: t.Class, crit: t.Crit, seq: q.seq,
-		index: len(q.heap), deadline: t.Deadline, expire: t.Expire, preempt: t.Preempt}
+		index: len(q.heap), deadline: t.Deadline, expire: t.Expire, preempt: t.Preempt, after: t.After}
 	q.heap = append(q.heap, tk)
 	q.byClass[tk.class]++
 	q.up(tk.index)
@@ -282,15 +290,14 @@ func (q *Queue) preemptPrefetchLocked() {
 	}
 	for _, t := range evicted {
 		q.removeLocked(t.index)
-		q.notFull.Signal()
 		go t.preempt()
 	}
 }
 
 // TrySubmit enqueues fn at Interactive priority without blocking. It reports
 // false when the queue is closed or the backlog is full — the bounded-queue
-// backpressure signal the service turns into a 503. It never blocks, even
-// while other submitters are waiting or the queue is closing.
+// backpressure signal the service turns into a 503. Admission never blocks:
+// a caller that must get a task in retries.
 func (q *Queue) TrySubmit(fn func()) bool { return q.TrySubmitClass(fn, Interactive, 0) != nil }
 
 // TrySubmitClass is TrySubmit with an explicit class and criticality; it
@@ -323,33 +330,6 @@ func (q *Queue) TrySubmitTask(t Task) (*Ticket, error) {
 	return q.pushLocked(t), nil
 }
 
-// Submit enqueues fn at Interactive priority, blocking while the backlog is
-// full. It reports false when the queue is closed — including when Close is
-// called while the submission is still waiting for backlog space. A true
-// result means enqueued, not executed: CloseDiscard drops
-// accepted-but-unstarted tasks by design (a submission racing CloseDiscard
-// may land in the discarded backlog), so callers needing completion
-// guarantees must track their tasks themselves, as the evaluation service
-// does with its job records.
-func (q *Queue) Submit(fn func()) bool { return q.SubmitClass(fn, Interactive, 0) != nil }
-
-// SubmitClass is Submit with an explicit class and criticality; it returns
-// the accepted task's Ticket, or nil when the queue closed while waiting.
-func (q *Queue) SubmitClass(fn func(), class Class, crit int) *Ticket {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if class > Prefetch {
-		q.preemptPrefetchLocked()
-	}
-	for !q.closed && !q.hasSpaceLocked() {
-		q.notFull.Wait()
-	}
-	if q.closed {
-		return nil
-	}
-	return q.pushLocked(Task{Fn: fn, Class: class, Crit: crit})
-}
-
 // Cancel removes a still-queued task from the backlog without executing it,
 // freeing its admission slot. It reports false once the task has been handed
 // to a worker (or already cancelled) — in-flight work is never interrupted.
@@ -365,7 +345,6 @@ func (q *Queue) Cancel(t *Ticket) bool {
 		return false
 	}
 	q.removeLocked(t.index)
-	q.notFull.Signal()
 	return true
 }
 
@@ -476,15 +455,6 @@ func (q *Queue) InFlight() int {
 	return q.inflight
 }
 
-// InFlightByClass returns the executing-task count per priority class. Its
-// use is the prefetch lane's idle gate: demand in-flight is
-// InFlight() - InFlightByClass()[Prefetch].
-func (q *Queue) InFlightByClass() [NumClasses]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.inflightBy
-}
-
 // IdleForPrefetch reports whether a speculative task may be admitted under
 // the prefetch gate: no demand work queued (speculative backlog doesn't
 // count against itself) and fewer than maxInflight demand tasks executing.
@@ -503,10 +473,9 @@ func (q *Queue) IdleForPrefetch(maxInflight int) bool {
 	return demandQueued == 0 && demandInflight < maxInflight
 }
 
-// Close stops accepting new tasks (waking any Submit blocked on a full
-// backlog), drains the already-accepted backlog in priority order and waits
-// for running tasks to finish. It is idempotent (also with respect to
-// CloseDiscard).
+// Close stops accepting new tasks, drains the already-accepted backlog in
+// priority order and waits for running tasks to finish. It is idempotent
+// (also with respect to CloseDiscard).
 func (q *Queue) Close() { q.close(false) }
 
 // CloseDiscard stops accepting new tasks and waits only for the tasks
@@ -540,7 +509,6 @@ func (q *Queue) close(discard bool) {
 	}
 	close(q.done) // observable shutdown signal; discard is set before it
 	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
 	q.mu.Unlock()
 	q.workers.Wait()
 }

@@ -7,6 +7,20 @@ import (
 	"time"
 )
 
+// mustSubmit retries TrySubmit until the queue accepts fn: admission never
+// blocks, so a producer that outruns the workers backs off and retries.
+func mustSubmit(t *testing.T, q *Queue, fn func()) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !q.TrySubmit(fn) {
+		if time.Now().After(deadline) {
+			t.Error("TrySubmit refused for 10s on an open queue")
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestQueueRunsAllTasks submits tasks from many goroutines and checks every
 // one executes exactly once before Close returns.
 func TestQueueRunsAllTasks(t *testing.T) {
@@ -18,9 +32,7 @@ func TestQueueRunsAllTasks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !q.Submit(func() { ran.Add(1) }) {
-				t.Error("Submit returned false on an open queue")
-			}
+			mustSubmit(t, q, func() { ran.Add(1) })
 		}()
 	}
 	wg.Wait()
@@ -60,14 +72,13 @@ func TestQueueClose(t *testing.T) {
 	q := NewQueue(2, 8)
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {
-		q.Submit(func() { time.Sleep(time.Millisecond); ran.Add(1) })
+		if !q.TrySubmit(func() { time.Sleep(time.Millisecond); ran.Add(1) }) {
+			t.Fatal("TrySubmit refused below the backlog bound")
+		}
 	}
 	q.Close()
 	if got := ran.Load(); got != 8 {
 		t.Errorf("Close returned with %d/8 tasks run", got)
-	}
-	if q.Submit(func() { ran.Add(1) }) {
-		t.Error("Submit accepted a task after Close")
 	}
 	if q.TrySubmit(func() { ran.Add(1) }) {
 		t.Error("TrySubmit accepted a task after Close")
@@ -75,48 +86,6 @@ func TestQueueClose(t *testing.T) {
 	q.Close() // idempotent
 	if got := ran.Load(); got != 8 {
 		t.Errorf("late submissions ran: %d tasks total, want 8", got)
-	}
-}
-
-// TestQueueCloseWakesBlockedSubmit checks a Submit waiting on a full
-// backlog returns false when the queue closes instead of deadlocking Close,
-// and that TrySubmit stays non-blocking throughout.
-func TestQueueCloseWakesBlockedSubmit(t *testing.T) {
-	q := NewQueue(1, 1)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var ran atomic.Int64
-	q.TrySubmit(func() { close(started); <-release; ran.Add(1) })
-	<-started
-	q.TrySubmit(func() { ran.Add(1) }) // fills the backlog
-
-	submitRes := make(chan bool)
-	go func() {
-		submitRes <- q.Submit(func() { ran.Add(1) }) // blocks: backlog full
-	}()
-	// TrySubmit must refuse immediately even with a Submit waiting.
-	if q.TrySubmit(func() {}) {
-		t.Error("TrySubmit accepted beyond the backlog bound while a Submit waits")
-	}
-
-	closed := make(chan struct{})
-	go func() { q.Close(); close(closed) }()
-	select {
-	case ok := <-submitRes:
-		if ok {
-			t.Error("blocked Submit reported success after Close")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked Submit did not wake on Close")
-	}
-	close(release) // let the worker drain the accepted backlog
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after the backlog drained")
-	}
-	if got := ran.Load(); got != 2 {
-		t.Errorf("ran %d accepted tasks, want 2 (blocked task must not run)", got)
 	}
 }
 
@@ -153,6 +122,39 @@ func TestQueueCloseDiscard(t *testing.T) {
 		t.Errorf("ran %d tasks, want 1 (running finishes, backlog discarded)", got)
 	}
 	q.Close() // idempotent across both close flavours
+}
+
+// TestQueueAfterSeesTaskRetired checks the After hook runs once the queue
+// has retired the task: the in-flight count is back to zero and the task's
+// duration is already folded into the wait estimate, so an owner that
+// publishes completion from After never shows a finished task in flight.
+func TestQueueAfterSeesTaskRetired(t *testing.T) {
+	q := NewQueue(1, 4)
+	defer q.Close()
+	type seen struct {
+		inflight int
+		avg      time.Duration
+	}
+	got := make(chan seen, 1)
+	_, err := q.TrySubmitTask(Task{
+		Fn:    func() { time.Sleep(time.Millisecond) },
+		Class: Interactive,
+		After: func() { got <- seen{q.InFlight(), q.AvgTaskDuration()} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case s := <-got:
+		if s.inflight != 0 {
+			t.Errorf("InFlight = %d inside After, want 0", s.inflight)
+		}
+		if s.avg <= 0 {
+			t.Errorf("AvgTaskDuration = %v inside After, want the task folded in", s.avg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("After never ran")
+	}
 }
 
 // TestQueueInFlight checks the occupancy gauges: InFlight counts executing
@@ -257,12 +259,12 @@ func TestQueuePriorityConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				k := key{Class(uint8((g + i) % int(NumClasses))), (g * i) % 5}
-				if q.SubmitClass(func() {
+				if q.TrySubmitClass(func() {
 					mu.Lock()
 					got = append(got, k)
 					mu.Unlock()
 				}, k.class, k.crit) == nil {
-					t.Error("SubmitClass refused on an open queue")
+					t.Error("TrySubmitClass refused below the backlog bound")
 				}
 			}
 		}(g)
@@ -386,9 +388,7 @@ func TestQueueClassNames(t *testing.T) {
 func TestQueueDefaultWidth(t *testing.T) {
 	q := NewQueue(0, -1)
 	done := make(chan struct{})
-	if !q.Submit(func() { close(done) }) {
-		t.Fatal("Submit refused on default-width queue")
-	}
+	mustSubmit(t, q, func() { close(done) }) // backlog 0: waits for a parked worker
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

@@ -178,8 +178,6 @@ type SweepEngine struct {
 
 	once   sync.Once
 	store  *jobs.Store[SweepStatus]
-	mu     sync.Mutex
-	done   map[string]chan struct{} // closed when a handle goes terminal
 	merged atomic.Uint64
 }
 
@@ -192,7 +190,6 @@ func (e *SweepEngine) handles() *jobs.Store[SweepStatus] {
 		}
 		opts.Prefix = "swp"
 		e.store = jobs.NewStore(opts, cloneSweepStatus)
-		e.done = make(map[string]chan struct{})
 	})
 	return e.store
 }
@@ -235,9 +232,6 @@ func (e *SweepEngine) Start(req Request) (SweepStatus, error) {
 			Deadline:    deadline,
 		}
 	})
-	e.mu.Lock()
-	e.done[id] = make(chan struct{})
-	e.mu.Unlock()
 
 	for _, i := range sweepDispatchOrder(legs) {
 		part := parts[i]
@@ -267,12 +261,13 @@ func (e *SweepEngine) Start(req Request) (SweepStatus, error) {
 
 // fold records a leg report in the handle. A non-terminal report only
 // publishes the leg's job; a terminal one completes the leg, and the last
-// leg of a still-running sweep triggers the merge. Degraded legs are
+// leg of a still-running sweep triggers the merge. The Update that takes
+// the handle terminal wakes its waiters. Degraded legs are
 // terminal without failing the sweep; when any of them carries no result,
 // the merge runs through MergeSweepDegraded, whose marker rows are never
 // byte-identical to a healthy sweep.
 func (e *SweepEngine) fold(id string, idx int, leg SweepLeg) {
-	var complete, degraded, terminal bool
+	var complete, degraded bool
 	var results []*Result
 	var configs, degradedErrs []string
 	err := e.store.Update(id, func(st *SweepStatus) {
@@ -307,7 +302,6 @@ func (e *SweepEngine) fold(id string, idx int, leg SweepLeg) {
 			}
 			st.FinishedAt = time.Now()
 		}
-		terminal = st.State.Terminal()
 		if st.State == StateRunning && st.Completed == st.Total {
 			complete = true
 			results = make([]*Result, st.Total)
@@ -322,38 +316,32 @@ func (e *SweepEngine) fold(id string, idx int, leg SweepLeg) {
 			}
 		}
 	})
-	if err != nil {
-		return // handle evicted mid-flight; nothing to fold into
+	if err != nil || !complete {
+		return // an evicted handle has nothing to fold into
 	}
-	if complete {
-		var merged *Result
-		var mergeErr error
-		if degraded {
-			merged, mergeErr = MergeSweepDegraded(results, configs, degradedErrs)
+	var merged *Result
+	var mergeErr error
+	if degraded {
+		merged, mergeErr = MergeSweepDegraded(results, configs, degradedErrs)
+	} else {
+		merged, mergeErr = MergeSweep(results)
+	}
+	e.store.Update(id, func(st *SweepStatus) {
+		if mergeErr != nil {
+			st.State = StateFailed
+			st.Error = mergeErr.Error()
 		} else {
-			merged, mergeErr = MergeSweep(results)
+			st.State = StateDone
+			st.Result = merged
 		}
-		e.store.Update(id, func(st *SweepStatus) {
-			if mergeErr != nil {
-				st.State = StateFailed
-				st.Error = mergeErr.Error()
-			} else {
-				st.State = StateDone
-				st.Result = merged
-			}
-			st.FinishedAt = time.Now()
-		})
-		if mergeErr == nil {
-			e.merged.Add(1)
-		}
-		terminal = true
-	}
-	if terminal {
-		e.release(id)
+		st.FinishedAt = time.Now()
+	})
+	if mergeErr == nil {
+		e.merged.Add(1)
 	}
 }
 
-// fail marks the handle failed (if still running) and releases waiters.
+// fail marks the handle failed if it is still running.
 func (e *SweepEngine) fail(id, msg string) {
 	e.store.Update(id, func(st *SweepStatus) {
 		if st.State == StateRunning {
@@ -362,17 +350,6 @@ func (e *SweepEngine) fail(id, msg string) {
 			st.FinishedAt = time.Now()
 		}
 	})
-	e.release(id)
-}
-
-// release closes the handle's done channel, waking waiters.
-func (e *SweepEngine) release(id string) {
-	e.mu.Lock()
-	if ch, ok := e.done[id]; ok {
-		close(ch)
-		delete(e.done, id)
-	}
-	e.mu.Unlock()
 }
 
 // Lookup returns a snapshot of a sweep handle: jobs.ErrGone for an evicted
@@ -383,18 +360,7 @@ func (e *SweepEngine) Lookup(id string) (SweepStatus, error) {
 
 // Wait blocks until the handle goes terminal or ctx ends.
 func (e *SweepEngine) Wait(ctx context.Context, id string) (SweepStatus, error) {
-	store := e.handles()
-	e.mu.Lock()
-	ch := e.done[id]
-	e.mu.Unlock()
-	if ch != nil {
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return SweepStatus{}, ctx.Err()
-		}
-	}
-	return store.Get(id)
+	return e.handles().Wait(ctx, id)
 }
 
 // Sweep is the synchronous facade: Start, Wait for the merge, and render
@@ -495,22 +461,9 @@ func (e *SweepEngine) Routes(mux *http.ServeMux, refused func(http.ResponseWrite
 		id := r.PathValue("id")
 		st, err := e.Lookup(id)
 		if err != nil {
-			WriteError(w, SweepLookupStatus(err), "sweep "+id+": "+err.Error())
+			WriteError(w, LookupStatus(err), "sweep "+id+": "+err.Error())
 			return
 		}
 		WriteJSON(w, http.StatusOK, st)
 	})
-}
-
-// SweepLookupStatus converts the handle-store sentinels into the HTTP
-// statuses GET /v1/sweeps/{id} answers on both tiers: 410 for evicted, 404
-// for never issued.
-func SweepLookupStatus(err error) int {
-	switch {
-	case errors.Is(err, jobs.ErrGone):
-		return 410
-	case errors.Is(err, jobs.ErrUnknown):
-		return 404
-	}
-	return 500
 }

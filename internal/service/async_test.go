@@ -128,9 +128,9 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 	}
 	// Every leg started after the interactive job finished.
 	for _, leg := range final.Legs {
-		j, ok := s.Job(leg.JobID)
-		if !ok {
-			t.Fatalf("leg job %s missing", leg.JobID)
+		j, err := s.Job(leg.JobID)
+		if err != nil {
+			t.Fatalf("leg job %s: %v", leg.JobID, err)
 		}
 		if j.StartedAt.Before(ijDone.FinishedAt) {
 			t.Errorf("leg %s started %v, before the interactive job finished %v",
@@ -232,8 +232,8 @@ func TestSweepHandleEviction(t *testing.T) {
 	if _, err := s.sweeps.Lookup("swp-1"); !errors.Is(err, jobs.ErrGone) {
 		t.Errorf("evicted handle: err = %v, want ErrGone", err)
 	}
-	if got := SweepLookupStatus(jobs.ErrGone); got != 410 {
-		t.Errorf("SweepLookupStatus(ErrGone) = %d, want 410", got)
+	if got := LookupStatus(jobs.ErrGone); got != 410 {
+		t.Errorf("LookupStatus(ErrGone) = %d, want 410", got)
 	}
 	if _, err := s.sweeps.Lookup("swp-2"); err != nil {
 		t.Errorf("retained handle: %v", err)
@@ -247,10 +247,11 @@ func TestSweepHandleEviction(t *testing.T) {
 	}
 }
 
-// TestJobGone pins the 404-vs-410 distinction on the job store: evicted IDs
-// are gone, never-issued IDs are unknown.
-func TestJobGone(t *testing.T) {
-	s := NewServer(Options{EvalWorkers: 1, History: 2, HistoryGrace: -1}, nil)
+// TestJobEvictedVsUnknown pins the 404-vs-410 distinction on the job
+// store and on GET /v1/jobs/{id}: evicted IDs are gone (410), never-issued
+// IDs are unknown (404).
+func TestJobEvictedVsUnknown(t *testing.T) {
+	s := NewServer(Options{EvalWorkers: 1, History: 2}, nil)
 	defer s.Close()
 	var ids []string
 	for seed := int64(1); seed <= 4; seed++ {
@@ -266,30 +267,35 @@ func TestJobGone(t *testing.T) {
 		ids = append(ids, j.ID)
 	}
 	for _, id := range ids[:2] {
-		if _, ok := s.Job(id); ok {
-			t.Fatalf("job %s not evicted with History=2", id)
-		}
-		if !s.JobGone(id) {
-			t.Errorf("JobGone(%s) = false for an evicted job", id)
+		if _, err := s.Job(id); !errors.Is(err, jobs.ErrGone) {
+			t.Errorf("Job(%s) err = %v for an evicted job, want ErrGone", id, err)
 		}
 	}
 	for _, id := range []string{"job-999", "swp-1", "garbage", "job-x"} {
-		if s.JobGone(id) {
-			t.Errorf("JobGone(%s) = true for a never-issued ID", id)
+		if _, err := s.Job(id); !errors.Is(err, jobs.ErrUnknown) {
+			t.Errorf("Job(%s) err = %v for a never-issued ID, want ErrUnknown", id, err)
 		}
 	}
-	if s.JobGone(ids[3]) {
-		t.Error("JobGone reported a live job as gone")
+	if _, err := s.Job(ids[3]); err != nil {
+		t.Errorf("live record %s: %v", ids[3], err)
 	}
 	if st := s.Stats(); st.JobsEvicted != 2 {
 		t.Errorf("JobsEvicted = %d, want 2", st.JobsEvicted)
+	}
+	h := s.Handler()
+	for id, want := range map[string]int{ids[0]: http.StatusGone, "job-999": http.StatusNotFound, ids[3]: http.StatusOK} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil))
+		if rec.Code != want {
+			t.Errorf("GET /v1/jobs/%s = %d (%s), want %d", id, rec.Code, strings.TrimSpace(rec.Body.String()), want)
+		}
 	}
 }
 
 // TestHistoryTTLExpiry checks terminal job records expire by age even when
 // the History cap is far from reached.
 func TestHistoryTTLExpiry(t *testing.T) {
-	s := NewServer(Options{EvalWorkers: 1, HistoryTTL: time.Nanosecond, HistoryGrace: -1}, nil)
+	s := NewServer(Options{EvalWorkers: 1, HistoryTTL: time.Nanosecond}, nil)
 	defer s.Close()
 	j, _, err := s.Submit(testRequest())
 	if err != nil {
@@ -309,11 +315,8 @@ func TestHistoryTTLExpiry(t *testing.T) {
 	if _, err := s.Wait(j2.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Job(j.ID); ok {
-		t.Error("TTL-expired job still retrievable")
-	}
-	if !s.JobGone(j.ID) {
-		t.Error("TTL-expired job not reported gone")
+	if _, err := s.Job(j.ID); !errors.Is(err, jobs.ErrGone) {
+		t.Errorf("TTL-expired job: err = %v, want ErrGone", err)
 	}
 }
 

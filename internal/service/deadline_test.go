@@ -246,7 +246,7 @@ func TestSweepMixedLegExpiry(t *testing.T) {
 	var expired string
 	for i := len(st.Legs) - 1; i >= 0; i-- {
 		s.mu.Lock()
-		j := s.jobs[st.Legs[i].JobID]
+		j := s.inflight[st.Legs[i].Fingerprint]
 		s.mu.Unlock()
 		if j != nil && s.queue.Cancel(j.ticket) {
 			s.expire(j)
@@ -353,7 +353,7 @@ func TestSweepPriorityHonored(t *testing.T) {
 func hotStLegs(s *Server, st SweepStatus) []Job {
 	out := make([]Job, 0, len(st.Legs))
 	for _, leg := range st.Legs {
-		if j, ok := s.Job(leg.JobID); ok {
+		if j, err := s.Job(leg.JobID); err == nil {
 			out = append(out, j)
 		}
 	}

@@ -79,8 +79,8 @@ func TestCloseGracefulRunsBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		j, ok := s.Job(id)
-		if !ok || j.State != StateDone {
+		j, err := s.Job(id)
+		if err != nil || j.State != StateDone {
 			t.Errorf("job %s after graceful close: state %s (%s), want done", id, j.State, j.Error)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // API surface (all JSON):
@@ -15,7 +17,8 @@ import (
 //	                    400 on a bad request, 503 when the backlog is full
 //	GET  /v1/jobs       list job summaries in submission order
 //	GET  /v1/jobs/{id}  one job, including its Result when done; 410 once
-//	                    the record has been evicted from history
+//	                    the record has been evicted from history, 404 for
+//	                    an ID never issued
 //	POST /v1/sweeps     scatter a sweep Request into prioritized
 //	                    per-architecture legs; async by default — 202 +
 //	                    SweepStatus handle, poll GET /v1/sweeps/{id} for
@@ -23,7 +26,8 @@ import (
 //	                    answers 200 + SweepResult (the pre-async contract).
 //	GET  /v1/sweeps     list sweep-handle summaries
 //	GET  /v1/sweeps/{id} one sweep handle, legs filling in as they
-//	                    complete; 410 once the handle has been evicted
+//	                    complete; 410 once the handle has been evicted, 404
+//	                    for an ID never issued
 //	GET  /v1/stats      Stats: job counters, dedup rate, per-priority queue
 //	                    occupancy gauges, sweep-handle gauges, cache
 //	                    statistics
@@ -118,6 +122,20 @@ func WriteSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
+// LookupStatus converts the handle-store sentinels into the HTTP status a
+// handle lookup answers on both tiers, for GET /v1/jobs/{id} and GET
+// /v1/sweeps/{id} alike: 410 for an evicted handle, 404 for one never
+// issued.
+func LookupStatus(err error) int {
+	switch {
+	case errors.Is(err, jobs.ErrGone):
+		return http.StatusGone
+	case errors.Is(err, jobs.ErrUnknown):
+		return http.StatusNotFound
+	}
+	return http.StatusInternalServerError
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	if err := DecodeBody(w, r, &req); err != nil {
@@ -141,13 +159,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := s.Job(id)
-	if !ok {
-		if s.JobGone(id) {
-			WriteError(w, http.StatusGone, "job "+id+" evicted from history")
-			return
-		}
-		WriteError(w, http.StatusNotFound, "unknown job "+id)
+	j, err := s.Job(id)
+	if err != nil {
+		WriteError(w, LookupStatus(err), "job "+id+": "+err.Error())
 		return
 	}
 	WriteJSON(w, http.StatusOK, j)

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cliutil"
@@ -129,7 +128,8 @@ func (s *Server) submitPrefetchLocked(norm Request, fp string, now time.Time) (J
 		// first, or a duplicate prediction). Piggyback without touching
 		// the demand coalescing counters, and never promote — speculation
 		// raises nothing.
-		return j.Job, true, nil
+		rec, err := s.records.Get(j.id)
+		return rec, true, err
 	}
 	if _, warm := s.warmed[fp]; warm {
 		return Job{}, false, ErrBusy // already warm: nothing to gain
@@ -137,31 +137,14 @@ func (s *Server) submitPrefetchLocked(norm Request, fp string, now time.Time) (J
 	if !s.queue.IdleForPrefetch(s.opts.JobWorkers) {
 		return Job{}, false, ErrBusy // demand is using the capacity
 	}
-	s.seq++
-	j := &job{
-		Job: Job{
-			ID:          fmt.Sprintf("job-%d", s.seq),
-			Fingerprint: fp,
-			State:       StateQueued,
-			Request:     norm,
-			SubmittedAt: now,
-		},
-		done: make(chan struct{}),
-	}
-	var err error
-	j.ticket, err = s.queue.TrySubmitTask(pool.Task{
-		Fn:      func() { s.run(j) },
-		Class:   pool.Prefetch,
-		Preempt: func() { s.cancelPrefetch(j) },
-	})
+	// Speculation carries no deadline: demand arrival, not a budget, is
+	// what cancels it.
+	rec, err := s.enqueueLocked(norm, fp, now, time.Time{})
 	if err != nil {
 		return Job{}, false, ErrBusy
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.inflight[fp] = j
 	s.stats.PrefetchIssued++
-	return j.Job, false, nil
+	return rec, false, nil
 }
 
 // cancelPrefetch marks a queued speculative job cancelled after the queue
@@ -172,16 +155,14 @@ func (s *Server) submitPrefetchLocked(norm Request, fp string, now time.Time) (J
 func (s *Server) cancelPrefetch(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.State != StateQueued {
+	if !s.queuedLocked(j) {
 		return
 	}
-	j.State = StateCancelled
-	j.Error = "prefetch cancelled: demand work arrived"
-	j.FinishedAt = time.Now()
 	s.stats.PrefetchCancelled++
-	delete(s.inflight, j.Fingerprint)
-	close(j.done)
-	s.evictHistoryLocked()
+	s.finishLocked(j, func(r *Job) {
+		r.State = StateCancelled
+		r.Error = "prefetch cancelled: demand work arrived"
+	})
 }
 
 // markWarmedLocked records a completed execution in the warm-fingerprint

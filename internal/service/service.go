@@ -31,9 +31,9 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -258,6 +258,10 @@ type Job struct {
 	Error      string    `json:"error,omitempty"`
 }
 
+// Terminal reports whether the job has finished — the jobs.Handle contract
+// that starts the record's retention clock and wakes its waiters.
+func (j Job) Terminal() bool { return j.State.Terminal() }
+
 // Summary is the listing form of a job (no result payload).
 type Summary struct {
 	ID          string    `json:"id"`
@@ -378,19 +382,14 @@ type Options struct {
 	// rather than ErrBusy: background work is given the smallest budget so
 	// it sheds first, interactive the largest so it sheds last.
 	ClassBudgets [pool.NumClasses]int
-	// History bounds the retained terminal (done/failed) job records
-	// (default 1024). A resident daemon would otherwise grow without
-	// bound: every completed job pins its full canonical exploration
-	// record (~130 KB per single-architecture search). The oldest
-	// terminal jobs are evicted first; queued and running jobs are never
-	// evicted.
+	// History bounds the retained job records (default 1024). A resident
+	// daemon would otherwise grow without bound: every completed job pins
+	// its full canonical exploration record (~130 KB per
+	// single-architecture search). Past the bound the earliest-finished
+	// records are evicted first, so a fresh result outlives every record
+	// that finished before it; queued and running jobs are never evicted
+	// (the bound is exceeded instead).
 	History int
-	// HistoryGrace exempts freshly finished jobs from history eviction
-	// (default 1 minute; negative = no grace) so a submitter polling for
-	// its result cannot lose a completed job to a burst of later
-	// completions. The History bound is therefore only enforced for
-	// records older than the grace period.
-	HistoryGrace time.Duration
 	// HistoryTTL additionally expires terminal job records by age
 	// (default 1 hour; negative = no TTL): a long-lived daemon with light
 	// traffic should not pin hours-old exploration records just because
@@ -453,10 +452,10 @@ func retryAfterHint(wait time.Duration) time.Duration {
 	return wait.Round(time.Second)
 }
 
-// job is the internal record; all fields are guarded by Server.mu.
+// job is the scheduling state of a queued or running job; its record lives
+// in the Server's store. All fields are guarded by Server.mu.
 type job struct {
-	Job
-	done chan struct{}
+	id, fp string
 	// ticket is the job's queue position while queued — the Promote
 	// handle an interactive duplicate uses to drag a queued sweep leg up
 	// to its own urgency. Inert once the job starts.
@@ -465,22 +464,21 @@ type job struct {
 	// stopped when the job starts running or a coalescing submitter
 	// extends the deadline.
 	expireTimer *time.Timer
+	running     bool // a worker took the job: no deadline or preemption applies now
 }
 
 // Server is the evaluation service.
 type Server struct {
-	opts   Options
-	pred   predictor.Predictor
-	queue  *pool.Queue
-	start  time.Time
-	sweeps *SweepEngine
-	trace  *prefetch.Trace[TracePoint]
+	opts    Options
+	pred    predictor.Predictor
+	queue   *pool.Queue
+	start   time.Time
+	records *jobs.Store[Job]
+	sweeps  *SweepEngine
+	trace   *prefetch.Trace[TracePoint]
 
 	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string        // submission order, for listings
 	inflight map[string]*job // fingerprint → queued/running job
-	seq      int
 	stats    Stats
 	draining bool
 	// warmed tracks fingerprints executed to completion on this daemon and
@@ -533,9 +531,6 @@ func NewServer(opts Options, pred predictor.Predictor) *Server {
 	if opts.History <= 0 {
 		opts.History = 1024
 	}
-	if opts.HistoryGrace == 0 {
-		opts.HistoryGrace = time.Minute
-	}
 	if opts.HistoryTTL == 0 {
 		opts.HistoryTTL = time.Hour
 	}
@@ -544,8 +539,8 @@ func NewServer(opts Options, pred predictor.Predictor) *Server {
 		pred:     pred,
 		queue:    pool.NewQueue(opts.JobWorkers, opts.Backlog),
 		start:    time.Now(),
+		records:  jobs.NewStore[Job](jobs.Options{Prefix: "job", TTL: opts.HistoryTTL, MaxEntries: opts.History}, nil),
 		trace:    prefetch.NewTrace[TracePoint](opts.TraceCapacity),
-		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
 		warmed:   make(map[string]*warmRecord),
 	}
@@ -595,7 +590,6 @@ func (s *Server) Submit(req Request) (Job, bool, error) {
 	// the predictor would learn its own guesses.
 	s.trace.Observe(fp, now, norm.TracePoint())
 	if j, ok := s.inflight[fp]; ok {
-		j.Coalesced++
 		s.stats.JobsCoalesced++
 		// Priority-inversion avoidance: an interactive duplicate of a
 		// queued sweep leg must not inherit the leg's bulk priority — the
@@ -603,11 +597,13 @@ func (s *Server) Submit(req Request) (Job, bool, error) {
 		// waiting user is served at interactive urgency while the sweep
 		// still gets the shared result.
 		s.queue.Promote(j.ticket, norm.class(), norm.Criticality)
-		// Deadline extension mirrors Promote (raise-only): a duplicate with
-		// a later deadline — or none — must not lose the shared result to
-		// the first submitter's tighter budget.
-		s.extendDeadlineLocked(j, deadline)
-		return j.Job, true, nil
+		return s.updateLocked(j, func(r *Job) {
+			r.Coalesced++
+			// Deadline extension mirrors Promote (raise-only): a duplicate
+			// with a later deadline — or none — must not lose the shared
+			// result to the first submitter's tighter budget.
+			s.extendDeadlineLocked(j, r, deadline)
+		}), true, nil
 	}
 	// Warm-hit attribution: this fingerprint has already been executed to
 	// completion here, so the job about to run will be served from the warm
@@ -626,28 +622,7 @@ func (s *Server) Submit(req Request) (Job, bool, error) {
 			}
 		}
 	}
-	s.seq++
-	j := &job{
-		Job: Job{
-			ID:          fmt.Sprintf("job-%d", s.seq),
-			Fingerprint: fp,
-			State:       StateQueued,
-			Request:     norm,
-			SubmittedAt: now,
-			Deadline:    deadline,
-		},
-		done: make(chan struct{}),
-	}
-	// Reserve the queue slot before the job becomes visible: TrySubmitTask
-	// is non-blocking, so holding the lock here is safe, and a rejection
-	// leaves no half-registered state behind.
-	j.ticket, err = s.queue.TrySubmitTask(pool.Task{
-		Fn:       func() { s.run(j) },
-		Class:    norm.class(),
-		Crit:     norm.Criticality,
-		Deadline: deadline,
-		Expire:   func() { s.expire(j) },
-	})
+	rec, err := s.enqueueLocked(norm, fp, now, deadline)
 	if err != nil {
 		if errors.Is(err, pool.ErrClassOverBudget) {
 			s.stats.JobsShed++
@@ -659,47 +634,106 @@ func (s *Server) Submit(req Request) (Job, bool, error) {
 		s.stats.JobsRejected++
 		return Job{}, false, ErrBusy
 	}
+	s.stats.JobsSubmitted++
+	return rec, false, nil
+}
+
+// enqueueLocked is the one job-creation path of Submit and
+// submitPrefetchLocked. It reserves the queue slot before the job exists:
+// TrySubmitTask never blocks, so holding s.mu here is safe, and a refusal
+// leaves nothing behind. Only then does the job get its record and ID.
+// Every task callback takes s.mu, so none can see the job half-registered.
+func (s *Server) enqueueLocked(norm Request, fp string, now, deadline time.Time) (Job, error) {
+	j := &job{fp: fp}
+	var settle func()
+	task := pool.Task{
+		Fn: func() { settle = s.run(j) },
+		// The queue retires the task before After runs, so the job is
+		// published terminal only once it no longer counts as in flight.
+		After: func() {
+			if settle != nil {
+				settle()
+			}
+		},
+		Class:    norm.class(),
+		Crit:     norm.Criticality,
+		Deadline: deadline,
+		Expire:   func() { s.expire(j) },
+	}
+	if task.Class == pool.Prefetch {
+		task.Preempt = func() { s.cancelPrefetch(j) }
+	}
+	var err error
+	if j.ticket, err = s.queue.TrySubmitTask(task); err != nil {
+		return Job{}, err
+	}
+	var rec Job
+	j.id, rec = s.records.Create(func(id string) Job {
+		return Job{ID: id, Fingerprint: fp, State: StateQueued, Request: norm, SubmittedAt: now, Deadline: deadline}
+	})
+	s.inflight[fp] = j
+	s.armLocked(j, deadline)
+	return rec, nil
+}
+
+// updateLocked mutates a live job's record and returns the updated copy.
+func (s *Server) updateLocked(j *job, fn func(*Job)) Job {
+	var out Job
+	s.records.Update(j.id, func(r *Job) {
+		fn(r)
+		out = *r
+	})
+	return out
+}
+
+// queuedLocked reports whether j is still waiting in the queue: neither
+// running nor terminal.
+func (s *Server) queuedLocked(j *job) bool { return s.inflight[j.fp] == j && !j.running }
+
+// armLocked (re)starts the job's cancel-while-queued timer for deadline; a
+// zero deadline just stops it. At the deadline the timer pulls the job out
+// of the backlog (if a worker has not taken it, it never executes) and
+// reports deadline_exceeded promptly — a waiting client must not discover
+// the expiry only when a worker finally reaches the slot.
+func (s *Server) armLocked(j *job, deadline time.Time) {
+	if j.expireTimer != nil {
+		j.expireTimer.Stop()
+		j.expireTimer = nil
+	}
 	if !deadline.IsZero() {
-		// Cancel-while-queued: at the deadline, pull the job out of the
-		// backlog (if a worker has not taken it, it never executes) and
-		// report deadline_exceeded promptly — a waiting client must not
-		// discover the expiry only when a worker finally reaches the slot.
 		j.expireTimer = time.AfterFunc(time.Until(deadline), func() {
 			if s.queue.Cancel(j.ticket) {
 				s.expire(j)
 			}
 		})
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.inflight[fp] = j
-	s.stats.JobsSubmitted++
-	return j.Job, false, nil
 }
 
-// extendDeadlineLocked raises (or clears) a queued job's deadline to a later
-// coalescing submitter's budget. Zero newDeadline means the duplicate has no
-// deadline: the job's own is cleared, since at least one waiter is patient.
-func (s *Server) extendDeadlineLocked(j *job, newDeadline time.Time) {
-	if j.State != StateQueued || j.Deadline.IsZero() {
+// extendDeadlineLocked raises (or clears) a queued job's deadline, held in
+// its record r, to a later coalescing submitter's budget. Zero newDeadline
+// means the duplicate has no deadline: the job's own is cleared, since at
+// least one waiter is patient.
+func (s *Server) extendDeadlineLocked(j *job, r *Job, newDeadline time.Time) {
+	if j.running || r.Deadline.IsZero() {
 		return // running jobs finish regardless; no deadline to extend
 	}
-	if !newDeadline.IsZero() && !newDeadline.After(j.Deadline) {
+	if !newDeadline.IsZero() && !newDeadline.After(r.Deadline) {
 		return
 	}
-	if j.expireTimer != nil {
-		j.expireTimer.Stop()
-		j.expireTimer = nil
-	}
-	j.Deadline = newDeadline
+	r.Deadline = newDeadline
 	s.queue.SetDeadline(j.ticket, newDeadline)
-	if !newDeadline.IsZero() {
-		j.expireTimer = time.AfterFunc(time.Until(newDeadline), func() {
-			if s.queue.Cancel(j.ticket) {
-				s.expire(j)
-			}
-		})
-	}
+	s.armLocked(j, newDeadline)
+}
+
+// finishLocked takes a queued or running job terminal: its scheduling state
+// ends, and the record's terminal Update wakes its waiters.
+func (s *Server) finishLocked(j *job, fn func(*Job)) {
+	s.armLocked(j, time.Time{})
+	delete(s.inflight, j.fp)
+	s.records.Update(j.id, func(r *Job) {
+		fn(r)
+		r.FinishedAt = time.Now()
+	})
 }
 
 // expire marks a still-queued job deadline_exceeded. It is reached from the
@@ -709,109 +743,72 @@ func (s *Server) extendDeadlineLocked(j *job, newDeadline time.Time) {
 func (s *Server) expire(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.State != StateQueued {
+	if !s.queuedLocked(j) {
 		return
 	}
-	if j.expireTimer != nil {
-		j.expireTimer.Stop()
-		j.expireTimer = nil
-	}
-	j.State = StateExpired
-	j.Error = fmt.Sprintf("deadline exceeded: %dms budget elapsed while queued", j.Request.DeadlineMS)
-	j.FinishedAt = time.Now()
 	s.stats.JobsExpired++
-	delete(s.inflight, j.Fingerprint)
-	close(j.done)
-	s.evictHistoryLocked()
+	s.finishLocked(j, func(r *Job) {
+		r.State = StateExpired
+		r.Error = fmt.Sprintf("deadline exceeded: %dms budget elapsed while queued", r.Request.DeadlineMS)
+	})
 }
 
-// run executes one job on a queue worker.
-func (s *Server) run(j *job) {
+// run is the job's queue task. It executes the job, unless the job lost the
+// dispatch race to its deadline, and returns the step that settles it (nil
+// when the job did not run) for the task's After hook.
+func (s *Server) run(j *job) (settle func()) {
 	s.mu.Lock()
-	if j.State != StateQueued { // expired in the dispatch race; never execute
+	if !s.queuedLocked(j) { // expired in the dispatch race; never execute
 		s.mu.Unlock()
-		return
+		return nil
 	}
-	if j.expireTimer != nil {
-		// Once running, the job finishes regardless of deadline: the work
-		// is not abandonable mid-simulation, and its result warms the
-		// shared caches either way. Deadline enforcement on in-flight work
-		// is the caller's side (the router abandons expired legs).
-		j.expireTimer.Stop()
-		j.expireTimer = nil
-	}
-	j.State = StateRunning
-	j.StartedAt = time.Now()
-	req := j.Request
+	// Once running, the job finishes regardless of deadline: the work is
+	// not abandonable mid-simulation, and its result warms the shared
+	// caches either way. Deadline enforcement on in-flight work is the
+	// caller's side (the router abandons expired legs).
+	s.armLocked(j, time.Time{})
+	j.running = true
+	req := s.updateLocked(j, func(r *Job) {
+		r.State = StateRunning
+		r.StartedAt = time.Now()
+	}).Request
 	s.mu.Unlock()
 
 	res, err := s.execute(req)
+	return func() { s.settle(j, req, res, err) }
+}
 
+// settle publishes a finished execution: the terminal record, the counters,
+// the warm table and, after demand work, the next prefetch prediction.
+func (s *Server) settle(j *job, req Request, res *Result, err error) {
 	speculative := req.class() == pool.Prefetch
 	s.mu.Lock()
-	j.FinishedAt = time.Now()
-	if err != nil {
-		j.State = StateFailed
-		j.Error = err.Error()
-		// A failed speculation (e.g. an infeasible predicted neighbor) is
-		// not a demand fault; it stays out of JobsFailed.
-		if !speculative {
-			s.stats.JobsFailed++
+	s.finishLocked(j, func(r *Job) {
+		if err != nil {
+			r.State, r.Error = StateFailed, err.Error()
+		} else {
+			r.State, r.Result = StateDone, res
 		}
-	} else {
-		j.State = StateDone
-		j.Result = res
-		if !speculative {
-			s.stats.JobsDone++
-		}
-		s.markWarmedLocked(j.Fingerprint, speculative)
+	})
+	switch {
+	case speculative:
+		// Speculation stays out of the demand counters; a failed one (e.g.
+		// an infeasible predicted neighbor) is not a demand fault.
+	case err != nil:
+		s.stats.JobsFailed++
+	default:
+		s.stats.JobsDone++
 	}
-	delete(s.inflight, j.Fingerprint)
-	close(j.done)
-	s.evictHistoryLocked()
+	if err == nil {
+		s.markWarmedLocked(j.fp, speculative)
+	}
 	prefetchNext := err == nil && !speculative && s.opts.Prefetch && !s.draining
 	s.mu.Unlock()
 	if prefetchNext {
 		// Prediction rides its own goroutine: it submits into the queue,
 		// and this worker slot should go back to draining demand work.
-		go s.predictAndPrefetch(req, j.Fingerprint)
+		go s.predictAndPrefetch(req, j.fp)
 	}
-}
-
-// evictHistoryLocked bounds the retained terminal job records two ways: the
-// History cap drops the oldest beyond the bound, and HistoryTTL expires any
-// terminal record by age regardless of the cap. Jobs still inside the grace
-// window are spared from the cap (so in-flight result polls cannot 404 on a
-// just-completed job), but not from the much longer TTL. Callers must hold
-// s.mu.
-func (s *Server) evictHistoryLocked() {
-	now := time.Now()
-	expired := func(j *job) bool {
-		return s.opts.HistoryTTL > 0 && j.State.Terminal() && now.Sub(j.FinishedAt) >= s.opts.HistoryTTL
-	}
-	evictable := func(j *job) bool {
-		return j.State.Terminal() && (s.opts.HistoryGrace < 0 || now.Sub(j.FinishedAt) >= s.opts.HistoryGrace)
-	}
-	excess := -s.opts.History
-	for _, id := range s.order {
-		if j := s.jobs[id]; evictable(j) && !expired(j) {
-			excess++
-		}
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if expired(j) || (excess > 0 && evictable(j)) {
-			if !expired(j) {
-				excess--
-			}
-			delete(s.jobs, id)
-			s.stats.JobsEvicted++
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
 }
 
 // execute runs the co-exploration exactly as the watos CLI does in-process.
@@ -905,45 +902,15 @@ func Canonical(res *core.ExploreResult) string {
 	return b.String()
 }
 
-// Job returns a snapshot of one job.
-func (s *Server) Job(id string) (Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return Job{}, false
-	}
-	return j.Job, true
-}
+// Job returns a snapshot of one job: jobs.ErrGone once its record has been
+// evicted from history (HTTP 410), jobs.ErrUnknown for an ID this daemon
+// never issued (404).
+func (s *Server) Job(id string) (Job, error) { return s.records.Get(id) }
 
-// JobGone reports whether a missing job ID was once issued and has been
-// evicted from history — the 404-vs-410 distinction. Job IDs are issued
-// from the monotonic sequence ("job-<n>"), so any parseable ordinal at or
-// below the current sequence was real.
-func (s *Server) JobGone(id string) bool {
-	n, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return false
-	}
-	v, err := strconv.ParseUint(n, 10, 64)
-	if err != nil || v < 1 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, live := s.jobs[id]; live {
-		return false
-	}
-	return v <= uint64(s.seq)
-}
-
-// Jobs lists all jobs in submission order.
+// Jobs lists the retained jobs in submission order.
 func (s *Server) Jobs() []Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Summary, 0, len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id]
+	out := []Summary{}
+	s.records.Each(func(_ string, j Job) {
 		out = append(out, Summary{
 			ID:          j.ID,
 			Fingerprint: j.Fingerprint,
@@ -953,22 +920,13 @@ func (s *Server) Jobs() []Summary {
 			Coalesced:   j.Coalesced,
 			SubmittedAt: j.SubmittedAt,
 		})
-	}
+	})
 	return out
 }
 
 // Wait blocks until the job reaches a terminal state and returns it.
 func (s *Server) Wait(id string) (Job, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return Job{}, fmt.Errorf("service: unknown job %q", id)
-	}
-	<-j.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.Job, nil
+	return s.records.Wait(context.Background(), id)
 }
 
 // BeginDrain flips the daemon into draining: new submissions are rejected
@@ -994,15 +952,15 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
 	st.Draining = s.draining
-	for _, id := range s.order {
-		switch s.jobs[id].State {
-		case StateQueued:
-			st.JobsPending++
-		case StateRunning:
+	for _, j := range s.inflight {
+		if j.running {
 			st.JobsRunning++
+		} else {
+			st.JobsPending++
 		}
 	}
 	s.mu.Unlock()
+	st.JobsEvicted = s.records.Evicted()
 	st.QueueDepth = s.queue.Depth()
 	st.JobsInFlight = s.queue.InFlight()
 	depths := s.queue.ClassDepths()
@@ -1034,25 +992,15 @@ func (s *Server) Stats() Stats {
 // path is configured.
 func (s *Server) Close() error {
 	s.queue.CloseDiscard()
-	// CloseDiscard has joined the workers, so no run() is in flight: any
-	// non-terminal job left is a dropped backlog entry.
+	// CloseDiscard has joined the workers, so no job is running or
+	// settling: every job still in flight is a dropped backlog entry.
 	s.mu.Lock()
-	now := time.Now()
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.State.Terminal() {
-			continue
-		}
-		if j.expireTimer != nil {
-			j.expireTimer.Stop()
-			j.expireTimer = nil
-		}
-		j.State = StateFailed
-		j.Error = "service: daemon shut down before the job ran"
-		j.FinishedAt = now
-		delete(s.inflight, j.Fingerprint)
-		close(j.done)
+	for _, j := range s.inflight {
 		s.stats.JobsFailed++
+		s.finishLocked(j, func(r *Job) {
+			r.State = StateFailed
+			r.Error = "service: daemon shut down before the job ran"
+		})
 	}
 	s.mu.Unlock()
 	if s.opts.SnapshotPath == "" {

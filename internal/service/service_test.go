@@ -2,11 +2,13 @@ package service
 
 import (
 	"encoding/gob"
+	"errors"
 	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/jobs"
 	"repro/internal/model"
 	"repro/internal/predictor"
 	"repro/internal/sched"
@@ -338,7 +340,7 @@ func TestCanonicalMultiArch(t *testing.T) {
 // TestHistoryEviction checks a resident server bounds its terminal job
 // records: the oldest done jobs are evicted, live ones stay listed.
 func TestHistoryEviction(t *testing.T) {
-	s := NewServer(Options{EvalWorkers: 1, History: 2, HistoryGrace: -1}, nil)
+	s := NewServer(Options{EvalWorkers: 1, History: 2}, nil)
 	defer s.Close()
 	var ids []string
 	for seed := int64(1); seed <= 4; seed++ {
@@ -353,44 +355,53 @@ func TestHistoryEviction(t *testing.T) {
 		}
 		ids = append(ids, j.ID)
 	}
-	jobs := s.Jobs()
-	if len(jobs) != 2 {
-		t.Fatalf("listing holds %d jobs with History=2, want 2", len(jobs))
+	listed := s.Jobs()
+	if len(listed) != 2 {
+		t.Fatalf("listing holds %d jobs with History=2, want 2", len(listed))
 	}
-	if jobs[0].ID != ids[2] || jobs[1].ID != ids[3] {
+	if listed[0].ID != ids[2] || listed[1].ID != ids[3] {
 		t.Errorf("retained jobs = %s, %s; want the two newest (%s, %s)",
-			jobs[0].ID, jobs[1].ID, ids[2], ids[3])
+			listed[0].ID, listed[1].ID, ids[2], ids[3])
 	}
 	for _, id := range ids[:2] {
-		if _, ok := s.Job(id); ok {
-			t.Errorf("evicted job %s still retrievable", id)
+		if _, err := s.Job(id); !errors.Is(err, jobs.ErrGone) {
+			t.Errorf("evicted job %s: err = %v, want ErrGone", id, err)
 		}
 	}
 }
 
-// TestHistoryGraceProtectsFreshJobs checks the grace window: jobs that just
-// finished stay retrievable beyond the History bound, so a submitter's poll
-// loop can never lose a completed result to a completion burst.
-func TestHistoryGraceProtectsFreshJobs(t *testing.T) {
-	s := NewServer(Options{EvalWorkers: 1, History: 1}, nil) // default 1-minute grace
+// TestHistoryEvictsEarliestFinished checks History evicts by finish time,
+// not submission time: a background job submitted first but finished last
+// is the fresh result and survives, while the two interactive jobs that
+// overtook it and finished earlier are evicted.
+func TestHistoryEvictsEarliestFinished(t *testing.T) {
+	s := NewServer(Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 8, History: 1}, nil)
 	defer s.Close()
-	var ids []string
-	for seed := int64(1); seed <= 3; seed++ {
+	release := occupyWorker(t, s)
+	defer release()
+	submit := func(seed int64, priority string) Job {
+		t.Helper()
 		req := testRequest()
-		req.Seed = seed
+		req.Seed, req.Priority = seed, priority
 		j, _, err := s.Submit(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Wait(j.ID); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, j.ID)
+		return j
 	}
-	for _, id := range ids {
-		j, ok := s.Job(id)
-		if !ok || j.State != StateDone {
-			t.Errorf("fresh job %s evicted inside the grace window", id)
+	bg := submit(1, "background")
+	early := []Job{submit(2, "interactive"), submit(3, "interactive")}
+	release()
+	last, err := s.Wait(bg.ID)
+	if err != nil || last.State != StateDone {
+		t.Fatalf("background job: %v (%s %s)", err, last.State, last.Error)
+	}
+	if got, err := s.Job(bg.ID); err != nil || got.State != StateDone {
+		t.Errorf("last-finished job %s: %v (%s), want retained and done", bg.ID, err, got.State)
+	}
+	for _, j := range early {
+		if _, err := s.Job(j.ID); !errors.Is(err, jobs.ErrGone) {
+			t.Errorf("earlier-finished job %s: err = %v, want ErrGone", j.ID, err)
 		}
 	}
 }

@@ -164,8 +164,8 @@ func (s *Server) Sweep(req Request) (SweepResult, error) {
 }
 
 // dispatchLeg is the daemon's LegDispatcher: the leg is an ordinary job on
-// this daemon's queue, and one goroutine per leg waits on the job's done
-// channel — the only wake signal, so no polling — to fold it in. The
+// this daemon's queue, and one goroutine per leg blocks in the job store's
+// Wait — the only wake signal, so no polling — to fold it in. The
 // leg's own DeadlineMS budget is admitted by Submit, as for any job.
 func (s *Server) dispatchLeg(part Request, _ time.Time, fold func(SweepLeg)) error {
 	j, coalesced, err := s.Submit(part)
