@@ -57,10 +57,24 @@ func SplitLayers(totalLayers, pp int) ([]int, error) {
 	return out, nil
 }
 
+// StageExtraParams returns the out-of-backbone parameters stage s of a
+// pp-stage pipeline holds — the extraParams of ModelPPerDie: the embedding
+// plus EmbeddingParams on the first stage, the LM head on the last.
+func StageExtraParams(spec model.Spec, s, pp int) float64 {
+	extra := 0.0
+	if s == 0 {
+		extra += float64(spec.Vocab*spec.Hidden) + spec.EmbeddingParams
+	}
+	if s == pp-1 && spec.Vocab > 0 {
+		extra += float64(spec.Vocab * spec.Hidden)
+	}
+	return extra
+}
+
 // ModelPPerDie returns the per-die resident bytes of weights+grads+optimizer
 // for a stage holding `layers` of the model across tp dies. The embedding
 // and LM head are charged to the first and last stages respectively by the
-// caller via extraParams.
+// caller via extraParams (StageExtraParams).
 func ModelPPerDie(spec model.Spec, layers, tp int, extraParams float64) float64 {
 	layerParams := spec.EffectiveParams() / float64(spec.Layers)
 	if spec.Vocab > 0 {
@@ -102,18 +116,11 @@ func PipelineProfile(spec model.Spec, w model.Workload, tp, pp int) ([]Breakdown
 	n := w.MicroBatches()
 	out := make([]Breakdown, pp)
 	for s := 0; s < pp; s++ {
-		extra := 0.0
-		if s == 0 {
-			extra += float64(spec.Vocab*spec.Hidden) + spec.EmbeddingParams
-		}
-		if s == pp-1 && spec.Vocab > 0 {
-			extra += float64(spec.Vocab * spec.Hidden)
-		}
 		out[s] = StageBreakdown(spec, g, StagePlan{
 			Layers:   layers[s],
 			TP:       tp,
 			Retained: pipeline.RetainedMicroBatches(pp, n, s),
-		}, extra)
+		}, StageExtraParams(spec, s, pp))
 	}
 	return out, nil
 }

@@ -202,24 +202,3 @@ func TestLinkSetDirtyTracking(t *testing.T) {
 		t.Fatal("TrackDirty(nil) must stop recording")
 	}
 }
-
-// TestDenseLoadAccounting checks the dense AddLoad/MaxLinkTime path matches
-// the documented semantics after ResetLoad.
-func TestDenseLoadAccounting(t *testing.T) {
-	m := New(hw.Config3())
-	path := m.XYPath(DieID{X: 0, Y: 0}, DieID{X: 2, Y: 0})
-	m.AddLoad(path, 4e12)
-	if got := m.LinkLoad(path[0]); got != 4e12 {
-		t.Fatalf("LinkLoad = %g, want 4e12", got)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		m.AddLoad(path, 1)
-		_ = m.MaxLinkTime()
-	}); allocs > 0 {
-		t.Errorf("dense load accounting allocates %.0f objects per call, want 0", allocs)
-	}
-	m.ResetLoad()
-	if m.MaxLinkTime() != 0 {
-		t.Error("MaxLinkTime should be 0 after ResetLoad")
-	}
-}

@@ -1,15 +1,19 @@
 // Package mesh models the wafer-level interconnect of the WATOS hardware
 // template: a 2D mesh of dies joined by D2D links (Fig 3), with XY routing,
-// shortest-path enumeration, per-link load accounting for congestion, the
-// conflict factor γ of Eq 2, the mesh-switch hybrid topology of §VI-E, and
-// the link/die fault model of §VI-D.
+// shortest-path enumeration, the conflict factor γ of Eq 2, the mesh-switch
+// hybrid topology of §VI-E, and the link/die fault model of §VI-D.
 //
 // Every die and directed link carries a stable small-integer ID assigned at
-// New() (DieIndex/LinkIndex), load accounting runs on dense []float64
-// vectors instead of map[Link]float64, and shortest paths are interned once
-// per mesh so the hot path of the evaluator performs no per-call map
-// operations or path allocations. Paths returned by XYPath/YXPath/
-// ShortestPaths are shared, read-only slices — callers must not modify them.
+// New() (DieIndex/LinkIndex), fault-adjusted bandwidths live in a dense
+// per-link table, and shortest paths are interned once per mesh so the hot
+// path of the evaluator performs no per-call map operations or path
+// allocations. Paths returned by XYPath/YXPath/ShortestPaths are shared,
+// read-only slices — callers must not modify them.
+//
+// The fault injectors (InjectLinkFault, InjectDieFault,
+// InjectRandomLinkFaults, InjectRandomDieFaults) are the only methods that
+// change a Mesh after New, and sched.Search never calls them: the mesh a
+// search builds stays exactly as New made it.
 package mesh
 
 import (
@@ -78,7 +82,7 @@ type pathEntry struct {
 }
 
 // Mesh is a wafer's interconnect state: topology, per-link bandwidth and
-// accumulated load, and fault status.
+// fault status.
 type Mesh struct {
 	Cols, Rows int // die grid (X, Y)
 	// LinkBandwidth is the healthy per-direction link bandwidth, B/s.
@@ -100,12 +104,9 @@ type Mesh struct {
 	effBW     []float64 // per-link effective bandwidth (fault-adjusted)
 	deadDense []bool    // per-die dead flag
 
-	load         []float64 // dense per-link accumulated bytes
-	overflowLoad map[Link]float64
-	switchLoad   float64
-	linkFaults   map[Link]float64 // degradation in [0,1]; 1 = dead
-	dieFaults    map[DieID]float64
-	deadDies     map[DieID]bool
+	linkFaults map[Link]float64 // degradation in [0,1]; 1 = dead
+	dieFaults  map[DieID]float64
+	deadDies   map[DieID]bool
 
 	paths []pathEntry // interned all-pairs routes (nil above maxInternedDies)
 
@@ -179,7 +180,6 @@ func (m *Mesh) buildTopology() {
 			}
 		}
 	}
-	m.load = make([]float64, len(m.links))
 	m.effBW = make([]float64, len(m.links))
 	m.deadDense = make([]bool, m.nDies)
 }
@@ -544,81 +544,11 @@ func (m *Mesh) effectiveLinkBandwidthSlow(l Link) float64 {
 	if m.deadDies[l.From] || m.deadDies[l.To] {
 		return 0
 	}
-	deg := m.linkFaults[l] + m.linkFaults[l.Reverse()]*0 // direction-specific
+	deg := m.linkFaults[l] // direction-specific
 	if deg >= 1 {
 		return 0
 	}
 	return m.LinkBandwidth * (1 - deg)
-}
-
-// AddLoad accumulates bytes of traffic on every link of the path.
-func (m *Mesh) AddLoad(path []Link, bytes float64) {
-	for _, l := range path {
-		if i := m.LinkIndex(l); i >= 0 {
-			m.load[i] += bytes
-			continue
-		}
-		if m.overflowLoad == nil {
-			m.overflowLoad = map[Link]float64{}
-		}
-		m.overflowLoad[l] += bytes
-	}
-}
-
-// AddSwitchLoad accumulates traffic crossing the switch network.
-func (m *Mesh) AddSwitchLoad(bytes float64) { m.switchLoad += bytes }
-
-// ResetLoad clears accumulated traffic.
-func (m *Mesh) ResetLoad() {
-	for i := range m.load {
-		m.load[i] = 0
-	}
-	m.overflowLoad = nil
-	m.switchLoad = 0
-}
-
-// LinkLoad returns accumulated bytes on a link.
-func (m *Mesh) LinkLoad(l Link) float64 {
-	if i := m.LinkIndex(l); i >= 0 {
-		return m.load[i]
-	}
-	return m.overflowLoad[l]
-}
-
-// MaxLinkTime returns the serialisation time of the most-loaded link given
-// the accumulated traffic — the congestion bound used by the evaluator.
-func (m *Mesh) MaxLinkTime() float64 {
-	var worst float64
-	for i, b := range m.load {
-		bw := m.effBW[i]
-		if bw <= 0 {
-			if b > 0 {
-				return math.Inf(1)
-			}
-			continue
-		}
-		if t := b / bw; t > worst {
-			worst = t
-		}
-	}
-	for l, b := range m.overflowLoad {
-		bw := m.effectiveLinkBandwidthSlow(l)
-		if bw <= 0 {
-			if b > 0 {
-				return math.Inf(1)
-			}
-			continue
-		}
-		if t := b / bw; t > worst {
-			worst = t
-		}
-	}
-	if m.switchLoad > 0 && m.SwitchBandwidth > 0 {
-		if t := m.switchLoad / m.SwitchBandwidth; t > worst {
-			worst = t
-		}
-	}
-	return worst
 }
 
 // TransferTime returns the α–β time to move bytes along a path assuming the
@@ -764,50 +694,6 @@ func (m *Mesh) PathConflicts(path []Link, occupied *LinkSet) int {
 		}
 	}
 	return n
-}
-
-// Utilization returns per-link utilisation = load/(busiest-link load), and
-// the mean utilisation across loaded links, for the Fig 5b / Fig 17 reports.
-func (m *Mesh) Utilization() (perLink map[Link]float64, mean float64) {
-	perLink = map[Link]float64{}
-	var peak float64
-	for _, b := range m.load {
-		if b > peak {
-			peak = b
-		}
-	}
-	for _, b := range m.overflowLoad {
-		if b > peak {
-			peak = b
-		}
-	}
-	if peak == 0 {
-		return perLink, 0
-	}
-	var sum float64
-	for i, b := range m.load {
-		if b == 0 {
-			continue
-		}
-		u := b / peak
-		perLink[m.links[i]] = u
-		sum += u
-	}
-	for l, b := range m.overflowLoad {
-		if b == 0 {
-			continue
-		}
-		u := b / peak
-		perLink[l] = u
-		sum += u
-	}
-	// Mean over all physical mesh links, counting idle links as zero:
-	// link under-utilisation (Fig 5b) shows up as a low mean.
-	total := 2 * (m.Cols*(m.Rows-1) + m.Rows*(m.Cols-1))
-	if total == 0 {
-		return perLink, 0
-	}
-	return perLink, sum / float64(total)
 }
 
 func abs(a int) int {

@@ -60,24 +60,6 @@ func TestShortestPathsEnumeration(t *testing.T) {
 	}
 }
 
-func TestLoadAndCongestion(t *testing.T) {
-	m := testMesh()
-	path := m.XYPath(DieID{0, 0}, DieID{2, 0})
-	m.AddLoad(path, 4e12) // 4 TB over 4 TB/s links => 1 s
-	if got := m.MaxLinkTime(); math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("max link time = %v s, want 1", got)
-	}
-	// A second transfer sharing one link doubles that link's time.
-	m.AddLoad(m.XYPath(DieID{0, 0}, DieID{1, 0}), 4e12)
-	if got := m.MaxLinkTime(); math.Abs(got-2.0) > 1e-9 {
-		t.Errorf("max link time after contention = %v s, want 2", got)
-	}
-	m.ResetLoad()
-	if m.MaxLinkTime() != 0 {
-		t.Error("reset should clear load")
-	}
-}
-
 func TestTransferTime(t *testing.T) {
 	m := testMesh()
 	path := m.XYPath(DieID{0, 0}, DieID{3, 0})
@@ -206,26 +188,6 @@ func TestMeshSwitchGrouping(t *testing.T) {
 	}
 	if m.InSameGroup(DieID{0, 0}, DieID{0, 1}) {
 		t.Error("different rows should be in different groups")
-	}
-	m.AddSwitchLoad(1.6e12)
-	if got := m.MaxLinkTime(); math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("switch time = %v, want 1 s", got)
-	}
-}
-
-func TestUtilizationMean(t *testing.T) {
-	m := testMesh()
-	_, mean := m.Utilization()
-	if mean != 0 {
-		t.Errorf("idle mesh mean utilization = %v, want 0", mean)
-	}
-	m.AddLoad(m.XYPath(DieID{0, 0}, DieID{6, 0}), 1e12)
-	per, mean := m.Utilization()
-	if len(per) != 6 {
-		t.Errorf("loaded links = %d, want 6", len(per))
-	}
-	if mean <= 0 || mean >= 1 {
-		t.Errorf("mean utilization = %v, want in (0,1)", mean)
 	}
 }
 

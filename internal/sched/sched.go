@@ -516,13 +516,7 @@ func buildRecomputePlan(cfg engine.Config, m *mesh.Mesh, opts Options) ([]recomp
 		for i := range options {
 			options[i].CkptBytesPerMB *= float64(cfg.TP)
 		}
-		extra := 0.0
-		if s == 0 {
-			extra += float64(cfg.Spec.Vocab*cfg.Spec.Hidden) + cfg.Spec.EmbeddingParams
-		}
-		if s == cfg.PP-1 && cfg.Spec.Vocab > 0 {
-			extra += float64(cfg.Spec.Vocab * cfg.Spec.Hidden)
-		}
+		extra := memory.StageExtraParams(cfg.Spec, s, cfg.PP)
 		profiles[s] = recompute.StageProfile{
 			Options:     options,
 			Retained:    pipeline.RetainedMicroBatches(cfg.PP, n, s),
@@ -564,14 +558,7 @@ func localCapacity(cfg engine.Config, m *mesh.Mesh, pl *placement.Placement) fun
 		if layers == nil || s >= len(layers) {
 			return 0
 		}
-		extra := 0.0
-		if s == 0 {
-			extra += float64(cfg.Spec.Vocab*cfg.Spec.Hidden) + cfg.Spec.EmbeddingParams
-		}
-		if s == cfg.PP-1 && cfg.Spec.Vocab > 0 {
-			extra += float64(cfg.Spec.Vocab * cfg.Spec.Hidden)
-		}
-		modelP := memory.ModelPPerDie(cfg.Spec, layers[s], cfg.TP, extra) * float64(cfg.TP)
+		modelP := memory.ModelPPerDie(cfg.Spec, layers[s], cfg.TP, memory.StageExtraParams(cfg.Spec, s, cfg.PP)) * float64(cfg.TP)
 		c := cfg.Wafer.DieDRAM()*float64(cfg.TP) - modelP
 		if c < 0 {
 			return 0

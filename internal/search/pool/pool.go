@@ -7,6 +7,11 @@
 // Determinism contract: Run/Map execute fn(i) for every i in [0, n) exactly
 // once and collect results by index, so the output of a parallel run is
 // byte-identical to a sequential one as long as fn(i) depends only on i.
+//
+// Queue is the long-lived counterpart: a plain bounded priority queue that
+// admits, orders and runs tasks. It has no lifecycle of its own beyond
+// close — no deadlines, no preemption. Whether queued work still runs is
+// its owner's decision, expressed by Cancel and by a Task.Fn that declines.
 package pool
 
 import (

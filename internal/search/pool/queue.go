@@ -28,14 +28,14 @@ var (
 // else's way; the plain TrySubmit entry point defaults to Interactive,
 // preserving the pre-priority behaviour for callers that never mention
 // classes. Every class above Prefetch is demand work: somebody asked for
-// it. Prefetch is the queue's own guess, and demand arrival evicts it (see
-// Task.Preempt).
+// it. Prefetch is a guess: it sorts last, stays out of the wait estimate and
+// is admitted only through IdleForPrefetch. Evicting queued speculation when
+// demand arrives is its owner's call (Cancel), not the queue's.
 type Class uint8
 
 const (
 	// Prefetch is speculative cache warming: work nobody asked for yet,
-	// admitted only into idle capacity and evicted the moment demand
-	// work arrives.
+	// admitted only into idle capacity.
 	Prefetch Class = iota
 	// Background is idle-capacity demand work: bulk jobs a caller did
 	// submit but is content to wait for.
@@ -83,50 +83,33 @@ func ParseClass(s string) (Class, bool) {
 }
 
 // Ticket identifies a task accepted into the backlog. It is the handle for
-// Promote: raising a queued task's priority in place, which is how an
-// interactive submission coalescing onto an already-queued sweep leg drags
-// that leg up to interactive urgency instead of waiting behind the sweep
-// (priority-inversion avoidance). A Ticket is inert once its task has been
-// handed to a worker.
+// Cancel and for Promote: raising a queued task's priority in place, which
+// is how an interactive submission coalescing onto an already-queued sweep
+// leg drags that leg up to interactive urgency instead of waiting behind
+// the sweep (priority-inversion avoidance). A Ticket is inert once its task
+// has been handed to a worker.
 type Ticket struct {
-	fn       func()
-	class    Class
-	crit     int
-	seq      uint64
-	index    int // position in the heap; -1 once dequeued
-	deadline time.Time
-	expire   func()
-	preempt  func()
-	after    func()
+	fn    func() func()
+	class Class
+	crit  int
+	seq   uint64
+	index int // position in the heap; -1 once dequeued
 }
 
 // Task is the full-fidelity submission form: a function plus its scheduling
-// class, criticality, and optionally an absolute deadline. A task whose
-// deadline has passed by the time a worker reaches it is never executed —
-// the worker calls Expire instead (cancelled-while-queued), so capacity is
-// not wasted on work whose caller has already given up. Expire must be
-// non-nil for the deadline to be enforced at dispatch, so a dropped task is
-// always observable by its owner.
+// class and criticality. The queue only orders, admits and runs tasks; the
+// task's owner alone decides whether queued work still runs.
 type Task struct {
-	Fn       func()
-	Class    Class
-	Crit     int
-	Deadline time.Time // zero = no deadline
-	Expire   func()    // called (off-lock) instead of Fn when Deadline passed
-	// Preempt marks a Prefetch-class task as evict-on-demand: the moment a
-	// demand-class (> Prefetch) submission is admitted, every queued
-	// prefetch task carrying a Preempt callback is removed unexecuted and
-	// Preempt is invoked on its own goroutine (the submitter may hold
-	// arbitrary locks). Prefetch tasks without Preempt merely sort last —
-	// they are never silently dropped, since their owner could not observe
-	// it.
-	Preempt func()
-	// After, when set, runs on the worker once Fn has returned and the
-	// queue has retired the task: the in-flight count is already
-	// decremented and the duration folded into the wait estimate. An owner
-	// that publishes completion from After never shows a finished task as
-	// still in flight.
-	After func()
+	// Fn runs on a worker and returns the step that publishes its outcome,
+	// or nil when its owner declines the dispatch (the work was stopped
+	// while queued). The worker runs the returned step once it has retired
+	// the task — the in-flight count decremented and the duration folded
+	// into the wait estimate — so an owner that publishes completion there
+	// never shows a finished task as still in flight. A declined dispatch
+	// never executed and adds no duration sample.
+	Fn    func() (after func())
+	Class Class
+	Crit  int
 }
 
 // Queue is a long-lived bounded priority job queue: a fixed set of workers
@@ -214,24 +197,18 @@ func (q *Queue) worker() {
 		if q.discard {
 			continue
 		}
-		// Deadline discipline: a task that expired while queued is never
-		// executed — its owner is notified instead, and the worker moves
-		// straight on to work that can still meet its deadline.
-		if t.expire != nil && !t.deadline.IsZero() && !time.Now().Before(t.deadline) {
-			q.mu.Unlock()
-			t.expire()
-			q.mu.Lock()
-			continue
-		}
 		q.inflight++
 		q.inflightBy[t.class]++
 		q.mu.Unlock()
 		start := time.Now()
-		t.fn()
+		after := t.fn()
 		elapsed := time.Since(start)
 		q.mu.Lock()
 		q.inflight--
 		q.inflightBy[t.class]--
+		if after == nil {
+			continue // declined: nothing ran, so no duration sample
+		}
 		// Prefetch executions are invisible to the wait estimate: they run
 		// only into idle capacity, and folding their durations (or counting
 		// them as occupancy) into the EWMA would let speculative work shed
@@ -239,11 +216,9 @@ func (q *Queue) worker() {
 		if t.class > Prefetch {
 			q.observeLocked(elapsed)
 		}
-		if t.after != nil {
-			q.mu.Unlock()
-			t.after()
-			q.mu.Lock()
-		}
+		q.mu.Unlock()
+		after()
+		q.mu.Lock()
 	}
 }
 
@@ -264,34 +239,12 @@ func (q *Queue) hasSpaceLocked() bool { return len(q.heap) < q.backlog+q.waiting
 
 func (q *Queue) pushLocked(t Task) *Ticket {
 	q.seq++
-	tk := &Ticket{fn: t.Fn, class: t.Class, crit: t.Crit, seq: q.seq,
-		index: len(q.heap), deadline: t.Deadline, expire: t.Expire, preempt: t.Preempt, after: t.After}
+	tk := &Ticket{fn: t.Fn, class: t.Class, crit: t.Crit, seq: q.seq, index: len(q.heap)}
 	q.heap = append(q.heap, tk)
 	q.byClass[tk.class]++
 	q.up(tk.index)
 	q.notEmpty.Signal()
 	return tk
-}
-
-// preemptPrefetchLocked evicts every queued prefetch task that opted into
-// demand preemption (Task.Preempt non-nil), freeing its backlog slot before
-// the demand submission is admitted — so a backlog full of speculative work
-// can never refuse real work. Callbacks run on their own goroutines: the
-// submitter holds q.mu here, and typically its own service lock above it.
-func (q *Queue) preemptPrefetchLocked() {
-	if q.byClass[Prefetch] == 0 {
-		return
-	}
-	var evicted []*Ticket
-	for _, t := range q.heap {
-		if t.class == Prefetch && t.preempt != nil {
-			evicted = append(evicted, t)
-		}
-	}
-	for _, t := range evicted {
-		q.removeLocked(t.index)
-		go t.preempt()
-	}
 }
 
 // TrySubmit enqueues fn at Interactive priority without blocking. It reports
@@ -303,9 +256,12 @@ func (q *Queue) TrySubmit(fn func()) bool { return q.TrySubmitClass(fn, Interact
 // TrySubmitClass is TrySubmit with an explicit class and criticality; it
 // returns the accepted task's Ticket, or nil on backpressure/closed.
 func (q *Queue) TrySubmitClass(fn func(), class Class, crit int) *Ticket {
-	tk, _ := q.TrySubmitTask(Task{Fn: fn, Class: class, Crit: crit})
+	tk, _ := q.TrySubmitTask(Task{Fn: func() func() { fn(); return nop }, Class: class, Crit: crit})
 	return tk
 }
+
+// nop is the publish step of a task that has nothing to publish.
+func nop() {}
 
 // TrySubmitTask is the non-blocking admission point with full diagnostics:
 // it returns the accepted task's Ticket, or a typed error saying why the
@@ -317,9 +273,6 @@ func (q *Queue) TrySubmitTask(t Task) (*Ticket, error) {
 	defer q.mu.Unlock()
 	if q.closed {
 		return nil, ErrQueueClosed
-	}
-	if t.Class > Prefetch {
-		q.preemptPrefetchLocked()
 	}
 	if b := q.budgets[t.Class]; b > 0 && q.waiting == 0 && q.byClass[t.Class] >= b {
 		return nil, ErrClassOverBudget
@@ -333,8 +286,9 @@ func (q *Queue) TrySubmitTask(t Task) (*Ticket, error) {
 // Cancel removes a still-queued task from the backlog without executing it,
 // freeing its admission slot. It reports false once the task has been handed
 // to a worker (or already cancelled) — in-flight work is never interrupted.
-// This is how a deadline timer cancels an expired job while it is still
-// queued, promptly and without leaking backlog capacity.
+// This is how a task's owner stops queued work (an expired deadline,
+// speculation evicted by demand) promptly and without leaking backlog
+// capacity.
 func (q *Queue) Cancel(t *Ticket) bool {
 	if t == nil {
 		return false
@@ -345,23 +299,6 @@ func (q *Queue) Cancel(t *Ticket) bool {
 		return false
 	}
 	q.removeLocked(t.index)
-	return true
-}
-
-// SetDeadline replaces a queued task's deadline in place (zero clears it),
-// reporting false once the task has been handed to a worker. A coalescing
-// duplicate with a later — or no — deadline extends the queued task's
-// budget this way, the deadline analogue of Promote.
-func (q *Queue) SetDeadline(t *Ticket, deadline time.Time) bool {
-	if t == nil {
-		return false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if t.index < 0 {
-		return false
-	}
-	t.deadline = deadline
 	return true
 }
 
@@ -381,8 +318,8 @@ func (q *Queue) EstimatedWait(class Class, crit int) time.Duration {
 	}
 	probe := Ticket{class: class, crit: crit, seq: q.seq + 1}
 	// In-flight prefetch is not occupancy from a demand arrival's point of
-	// view: it only ever started because the queue was idle, and demand
-	// admission has already evicted whatever speculative backlog remained.
+	// view: it only ever started because the queue was idle, and the owner
+	// evicts queued speculation when demand arrives.
 	ahead := q.inflight - q.inflightBy[Prefetch]
 	for _, t := range q.heap {
 		if before(t, &probe) {
@@ -457,20 +394,15 @@ func (q *Queue) InFlight() int {
 
 // IdleForPrefetch reports whether a speculative task may be admitted under
 // the prefetch gate: no demand work queued (speculative backlog doesn't
-// count against itself) and fewer than maxInflight demand tasks executing.
-// maxInflight <= 0 means "any idle worker", i.e. demand in-flight below the
-// worker count. The answer is advisory — demand may arrive between the
-// check and the submit — which is safe because admitted prefetch tasks are
-// evicted again the moment demand shows up.
-func (q *Queue) IdleForPrefetch(maxInflight int) bool {
+// count against itself) and a worker free of demand work. The answer is
+// advisory — demand may arrive between the check and the submit — which is
+// safe because the owner evicts queued speculation when demand shows up.
+func (q *Queue) IdleForPrefetch() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if maxInflight <= 0 || maxInflight > q.nworkers {
-		maxInflight = q.nworkers
-	}
 	demandQueued := len(q.heap) - q.byClass[Prefetch]
 	demandInflight := q.inflight - q.inflightBy[Prefetch]
-	return demandQueued == 0 && demandInflight < maxInflight
+	return demandQueued == 0 && demandInflight < q.nworkers
 }
 
 // Close stops accepting new tasks, drains the already-accepted backlog in

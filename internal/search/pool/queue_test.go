@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// plain wraps fn as a Task.Fn that never declines: it executes fn and
+// returns a publish step with nothing to publish.
+func plain(fn func()) func() func() {
+	return func() func() { fn(); return func() {} }
+}
+
 // mustSubmit retries TrySubmit until the queue accepts fn: admission never
 // blocks, so a producer that outruns the workers backs off and retries.
 func mustSubmit(t *testing.T, q *Queue, fn func()) {
@@ -124,10 +130,11 @@ func TestQueueCloseDiscard(t *testing.T) {
 	q.Close() // idempotent across both close flavours
 }
 
-// TestQueueAfterSeesTaskRetired checks the After hook runs once the queue
-// has retired the task: the in-flight count is back to zero and the task's
-// duration is already folded into the wait estimate, so an owner that
-// publishes completion from After never shows a finished task in flight.
+// TestQueueAfterSeesTaskRetired checks the publish step Fn returns runs once
+// the queue has retired the task: the in-flight count is back to zero and
+// the task's duration is already folded into the wait estimate, so an owner
+// that publishes completion from that step never shows a finished task in
+// flight.
 func TestQueueAfterSeesTaskRetired(t *testing.T) {
 	q := NewQueue(1, 4)
 	defer q.Close()
@@ -137,9 +144,11 @@ func TestQueueAfterSeesTaskRetired(t *testing.T) {
 	}
 	got := make(chan seen, 1)
 	_, err := q.TrySubmitTask(Task{
-		Fn:    func() { time.Sleep(time.Millisecond) },
+		Fn: func() func() {
+			time.Sleep(time.Millisecond)
+			return func() { got <- seen{q.InFlight(), q.AvgTaskDuration()} }
+		},
 		Class: Interactive,
-		After: func() { got <- seen{q.InFlight(), q.AvgTaskDuration()} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,13 +156,13 @@ func TestQueueAfterSeesTaskRetired(t *testing.T) {
 	select {
 	case s := <-got:
 		if s.inflight != 0 {
-			t.Errorf("InFlight = %d inside After, want 0", s.inflight)
+			t.Errorf("InFlight = %d inside the publish step, want 0", s.inflight)
 		}
 		if s.avg <= 0 {
-			t.Errorf("AvgTaskDuration = %v inside After, want the task folded in", s.avg)
+			t.Errorf("AvgTaskDuration = %v inside the publish step, want the task folded in", s.avg)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("After never ran")
+		t.Fatal("the publish step never ran")
 	}
 }
 
@@ -409,13 +418,13 @@ func TestQueueClassBudget(t *testing.T) {
 		t.Fatal("first TrySubmit refused")
 	}
 	<-started // the single worker is now busy
-	if _, err := q.TrySubmitTask(Task{Fn: func() {}, Class: Background}); err != nil {
+	if _, err := q.TrySubmitTask(Task{Fn: plain(func() {}), Class: Background}); err != nil {
 		t.Fatalf("background within budget refused: %v", err)
 	}
-	if _, err := q.TrySubmitTask(Task{Fn: func() {}, Class: Background}); err != ErrClassOverBudget {
+	if _, err := q.TrySubmitTask(Task{Fn: plain(func() {}), Class: Background}); err != ErrClassOverBudget {
 		t.Errorf("background beyond budget: err = %v, want ErrClassOverBudget", err)
 	}
-	if _, err := q.TrySubmitTask(Task{Fn: func() {}, Class: Interactive}); err != nil {
+	if _, err := q.TrySubmitTask(Task{Fn: plain(func() {}), Class: Interactive}); err != nil {
 		t.Errorf("interactive refused while only background is over budget: %v", err)
 	}
 	close(release)
@@ -432,7 +441,7 @@ func TestQueueClassBudgetIdleBypass(t *testing.T) {
 	// Give the worker time to park so the direct-handoff slot exists.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tk, err := q.TrySubmitTask(Task{Fn: func() { close(done) }, Class: Background})
+		tk, err := q.TrySubmitTask(Task{Fn: plain(func() { close(done) }), Class: Background})
 		if tk != nil {
 			break
 		}
@@ -452,18 +461,18 @@ func TestQueueCancel(t *testing.T) {
 	q := NewQueue(1, 1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	first, err := q.TrySubmitTask(Task{Fn: func() { close(started); <-release }, Class: Interactive})
+	first, err := q.TrySubmitTask(Task{Fn: plain(func() { close(started); <-release }), Class: Interactive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	var ran atomic.Bool
-	second, err := q.TrySubmitTask(Task{Fn: func() { ran.Store(true) }, Class: Interactive})
+	second, err := q.TrySubmitTask(Task{Fn: plain(func() { ran.Store(true) }), Class: Interactive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Backlog is now full (bound 1).
-	if _, err := q.TrySubmitTask(Task{Fn: func() {}}); err != ErrQueueFull {
+	if _, err := q.TrySubmitTask(Task{Fn: plain(func() {})}); err != ErrQueueFull {
 		t.Fatalf("expected ErrQueueFull with full backlog, got %v", err)
 	}
 	if !q.Cancel(second) {
@@ -476,7 +485,7 @@ func TestQueueCancel(t *testing.T) {
 		t.Error("Cancel succeeded on an in-flight task")
 	}
 	// The cancelled task's slot is free again: the backlog admits a new task.
-	if _, err := q.TrySubmitTask(Task{Fn: func() {}}); err != nil {
+	if _, err := q.TrySubmitTask(Task{Fn: plain(func() {})}); err != nil {
 		t.Fatalf("slot leaked: admission refused after Cancel: %v", err)
 	}
 	close(release)
@@ -486,26 +495,33 @@ func TestQueueCancel(t *testing.T) {
 	}
 }
 
-// TestQueueDeadlineExpiredAtDispatch checks a queued task whose deadline
-// passes before a worker reaches it is never executed: Expire runs instead,
-// and the worker slot moves on to live work.
+// TestQueueDeadlineExpiredAtDispatch checks the queue side of expiry at
+// dispatch: the queue knows no deadlines, so the task's owner checks its own
+// and declines (Fn returns nil). A declined task publishes nothing, adds no
+// duration sample to the wait estimate, and the worker moves on to live
+// work.
 func TestQueueDeadlineExpiredAtDispatch(t *testing.T) {
 	q := NewQueue(1, 4)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	q.TrySubmit(func() { close(started); <-release })
+	q.TrySubmitTask(Task{Fn: func() func() { close(started); <-release; return nil }, Class: Interactive})
 	<-started
-	var ran, expired atomic.Bool
+	var ran, published atomic.Bool
+	deadline := time.Now().Add(10 * time.Millisecond)
 	next := make(chan struct{})
 	if _, err := q.TrySubmitTask(Task{
-		Fn:       func() { ran.Store(true) },
-		Class:    Interactive,
-		Deadline: time.Now().Add(10 * time.Millisecond),
-		Expire:   func() { expired.Store(true) },
+		Fn: func() func() {
+			if !time.Now().Before(deadline) {
+				return nil // expired while queued: decline
+			}
+			ran.Store(true)
+			return func() { published.Store(true) }
+		},
+		Class: Interactive,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	q.TrySubmit(func() { close(next) })
+	q.TrySubmitTask(Task{Fn: func() func() { close(next); return nil }, Class: Interactive})
 	time.Sleep(30 * time.Millisecond) // let the deadline lapse while queued
 	close(release)
 	select {
@@ -513,13 +529,13 @@ func TestQueueDeadlineExpiredAtDispatch(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("follow-up task never ran")
 	}
-	if ran.Load() {
+	q.Close()
+	if ran.Load() || published.Load() {
 		t.Error("expired task executed")
 	}
-	if !expired.Load() {
-		t.Error("Expire callback not invoked for expired task")
+	if avg := q.AvgTaskDuration(); avg != 0 {
+		t.Errorf("AvgTaskDuration = %v after declined dispatches only, want 0", avg)
 	}
-	q.Close()
 }
 
 // TestQueueEstimatedWait checks the wait estimate is zero on an idle queue,
@@ -543,7 +559,7 @@ func TestQueueEstimatedWait(t *testing.T) {
 	q.TrySubmit(func() { close(started); <-release })
 	<-started
 	for i := 0; i < 4; i++ {
-		if _, err := q.TrySubmitTask(Task{Fn: func() {}, Class: Background}); err != nil {
+		if _, err := q.TrySubmitTask(Task{Fn: plain(func() {}), Class: Background}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -559,83 +575,10 @@ func TestQueueEstimatedWait(t *testing.T) {
 	q.Close()
 }
 
-// TestQueuePrefetchPreemptedByDemand checks the prefetch eviction contract:
-// queued prefetch tasks carrying a Preempt callback are removed unexecuted
-// the moment a demand-class submission is admitted, each callback fires
-// exactly once, and the demand task runs.
-func TestQueuePrefetchPreemptedByDemand(t *testing.T) {
-	q := NewQueue(1, 8)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	q.TrySubmit(func() { close(started); <-release })
-	<-started // worker busy: everything below queues
-	var ran, preempted atomic.Int32
-	fired := make(chan struct{}, 3)
-	for i := 0; i < 3; i++ {
-		if _, err := q.TrySubmitTask(Task{
-			Fn:      func() { ran.Add(1) },
-			Class:   Prefetch,
-			Preempt: func() { preempted.Add(1); fired <- struct{}{} },
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := q.ClassDepths(); d[Prefetch] != 3 {
-		t.Fatalf("prefetch depth = %d, want 3", d[Prefetch])
-	}
-	demandDone := make(chan struct{})
-	if _, err := q.TrySubmitTask(Task{Fn: func() { close(demandDone) }, Class: Background}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		select {
-		case <-fired:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of 3 preempt callbacks fired", i)
-		}
-	}
-	if d := q.ClassDepths(); d[Prefetch] != 0 {
-		t.Errorf("prefetch depth after demand arrival = %d, want 0", d[Prefetch])
-	}
-	close(release)
-	<-demandDone
-	q.Close()
-	if ran.Load() != 0 {
-		t.Errorf("%d preempted prefetch tasks executed", ran.Load())
-	}
-	if preempted.Load() != 3 {
-		t.Errorf("preempt callbacks fired %d times, want 3", preempted.Load())
-	}
-}
-
-// TestQueuePrefetchEvictionMakesRoom checks a backlog saturated with
-// speculative work can never refuse demand work: eviction happens before
-// the space check, so the demand submission takes a freed slot instead of
-// ErrQueueFull.
-func TestQueuePrefetchEvictionMakesRoom(t *testing.T) {
-	q := NewQueue(1, 2)
-	release := make(chan struct{})
-	started := make(chan struct{})
-	q.TrySubmit(func() { close(started); <-release })
-	<-started
-	for i := 0; i < 2; i++ {
-		if _, err := q.TrySubmitTask(Task{Fn: func() {}, Class: Prefetch, Preempt: func() {}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if q.Depth() != 2 {
-		t.Fatalf("backlog depth = %d, want 2 (full)", q.Depth())
-	}
-	if _, err := q.TrySubmitTask(Task{Fn: func() {}, Class: Interactive}); err != nil {
-		t.Fatalf("demand refused behind a prefetch-only backlog: %v", err)
-	}
-	close(release)
-	q.Close()
-}
-
-// TestQueuePrefetchWithoutPreemptStaysQueued checks a prefetch task that
-// did not opt into eviction merely sorts last: demand arrival leaves it
-// queued, since dropping it would be unobservable by its owner.
+// TestQueuePrefetchWithoutPreemptStaysQueued checks the queue never drops a
+// prefetch task: it merely sorts last, and demand arrival leaves it queued.
+// Evicting speculation is its owner's call (Cancel), since a task the queue
+// dropped would be unobservable by its owner.
 func TestQueuePrefetchWithoutPreemptStaysQueued(t *testing.T) {
 	q := NewQueue(1, 8)
 	release := make(chan struct{})
@@ -643,19 +586,19 @@ func TestQueuePrefetchWithoutPreemptStaysQueued(t *testing.T) {
 	q.TrySubmit(func() { close(started); <-release })
 	<-started
 	var ran atomic.Bool
-	if _, err := q.TrySubmitTask(Task{Fn: func() { ran.Store(true) }, Class: Prefetch}); err != nil {
+	if _, err := q.TrySubmitTask(Task{Fn: plain(func() { ran.Store(true) }), Class: Prefetch}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.TrySubmitTask(Task{Fn: func() {}, Class: Interactive}); err != nil {
+	if _, err := q.TrySubmitTask(Task{Fn: plain(func() {}), Class: Interactive}); err != nil {
 		t.Fatal(err)
 	}
 	if d := q.ClassDepths(); d[Prefetch] != 1 {
-		t.Errorf("non-preemptible prefetch task evicted: depth = %d, want 1", d[Prefetch])
+		t.Errorf("queued prefetch task dropped on demand arrival: depth = %d, want 1", d[Prefetch])
 	}
 	close(release)
 	q.Close()
 	if !ran.Load() {
-		t.Error("non-preemptible prefetch task never executed before Close drained")
+		t.Error("queued prefetch task never executed before Close drained")
 	}
 }
 
@@ -664,14 +607,14 @@ func TestQueuePrefetchWithoutPreemptStaysQueued(t *testing.T) {
 // to in-flight prefetch (speculative work doesn't gate itself).
 func TestQueueIdleForPrefetch(t *testing.T) {
 	q := NewQueue(1, 8)
-	if !q.IdleForPrefetch(0) {
+	if !q.IdleForPrefetch() {
 		t.Error("idle queue reports not idle")
 	}
 	release := make(chan struct{})
 	started := make(chan struct{})
 	q.TrySubmit(func() { close(started); <-release })
 	<-started
-	if q.IdleForPrefetch(0) {
+	if q.IdleForPrefetch() {
 		t.Error("gate open with every worker on demand work")
 	}
 	close(release)
@@ -682,7 +625,7 @@ func TestQueueIdleForPrefetch(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := q.TrySubmitTask(Task{
-			Fn:    func() { close(pfStarted); <-pfRelease },
+			Fn:    plain(func() { close(pfStarted); <-pfRelease }),
 			Class: Prefetch,
 		}); err == nil {
 			break
@@ -693,7 +636,7 @@ func TestQueueIdleForPrefetch(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	<-pfStarted
-	if !q.IdleForPrefetch(0) {
+	if !q.IdleForPrefetch() {
 		t.Error("gate closed by in-flight prefetch work")
 	}
 	close(pfRelease)
@@ -717,7 +660,7 @@ func TestQueueEstimatedWaitIgnoresPrefetch(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := q.TrySubmitTask(Task{
-			Fn:    func() { close(pfStarted); <-pfRelease },
+			Fn:    plain(func() { close(pfStarted); <-pfRelease }),
 			Class: Prefetch,
 		}); err == nil {
 			break

@@ -148,11 +148,13 @@ func TestDeadlineInfeasibleShedAtAdmission(t *testing.T) {
 
 // TestDeadlineCoalesceExtends checks the raise-only deadline merge on
 // coalescing: a patient duplicate (no deadline) must clear the queued job's
-// deadline so the shared result is not lost to the first submitter's budget.
+// deadline so the shared result is not lost to the first submitter's budget
+// — also when it arrives at the deadline instant, racing the expiry timer.
 func TestDeadlineCoalesceExtends(t *testing.T) {
 	s := NewServer(Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 4}, nil)
 	defer s.Close()
 	release := occupyWorker(t, s)
+	defer release()
 
 	req := testRequest()
 	req.DeadlineMS = 60
@@ -165,14 +167,42 @@ func TestDeadlineCoalesceExtends(t *testing.T) {
 	if err != nil || !coalesced || j2.ID != j1.ID {
 		t.Fatalf("duplicate did not coalesce: %v %v %v", j2.ID, coalesced, err)
 	}
-	time.Sleep(100 * time.Millisecond) // past the original 60 ms budget
-	release()
-	got, err := s.Wait(j1.ID)
+
+	// At the deadline instant: s.mu is held across the deadline, with the
+	// duplicate already waiting for it, so the expiry timer fires during
+	// the hold. Whichever takes s.mu first, the deadline-free duplicate must
+	// not be handed deadline_exceeded.
+	late := testRequest()
+	late.Seed = 77
+	late.DeadlineMS = 40
+	j3, _, err := s.Submit(late)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateDone {
-		t.Fatalf("state = %q after patient duplicate coalesced, want done (err: %s)", got.State, got.Error)
+	late.DeadlineMS = 0
+	adopted := make(chan Job, 1)
+	s.mu.Lock()
+	go func() {
+		j, _, err := s.Submit(late)
+		if err != nil {
+			t.Error(err)
+		}
+		adopted <- j
+	}()
+	time.Sleep(time.Until(j3.Deadline) + 20*time.Millisecond)
+	s.mu.Unlock()
+	j4 := <-adopted
+
+	time.Sleep(time.Until(j1.Deadline) + 20*time.Millisecond) // past the original 60 ms budget
+	release()
+	for _, id := range []string{j1.ID, j4.ID} {
+		got, err := s.Wait(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != StateDone {
+			t.Fatalf("job %s state = %q after patient duplicate coalesced, want done (err: %s)", id, got.State, got.Error)
+		}
 	}
 }
 
@@ -242,17 +272,15 @@ func TestSweepMixedLegExpiry(t *testing.T) {
 	}
 	// With the worker blocked every leg is still queued; expire the
 	// lightest leg through the exact path its deadline timer takes
-	// (Cancel-then-expire), deterministic instead of racing real clocks.
+	// (stopLocked under s.mu), deterministic instead of racing real clocks.
 	var expired string
-	for i := len(st.Legs) - 1; i >= 0; i-- {
+	for i := len(st.Legs) - 1; i >= 0 && expired == ""; i-- {
 		s.mu.Lock()
-		j := s.inflight[st.Legs[i].Fingerprint]
-		s.mu.Unlock()
-		if j != nil && s.queue.Cancel(j.ticket) {
-			s.expire(j)
+		if j := s.inflight[st.Legs[i].Fingerprint]; j != nil && s.queuedLocked(j) {
+			s.stopLocked(j, StateExpired)
 			expired = st.Legs[i].Config
-			break
 		}
+		s.mu.Unlock()
 	}
 	if expired == "" {
 		t.Fatal("no queued leg could be expired")

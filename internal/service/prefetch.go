@@ -19,10 +19,10 @@ import (
 // evaluation it pre-empts — it IS the demand evaluation, run early.
 //
 // The lane never competes with demand work: admission requires an idle
-// queue (pool.Queue.IdleForPrefetch), queued speculation is evicted the
-// moment demand arrives (pool.Task.Preempt → StateCancelled), and the
-// class is excluded from admission budgets, estimated-wait shedding and
-// the demand job counters.
+// queue (pool.Queue.IdleForPrefetch), the submission that admits demand
+// work first stops every queued speculation no demand duplicate has adopted
+// (StateCancelled, see enqueueLocked), and the class is excluded from
+// admission budgets, estimated-wait shedding and the demand job counters.
 
 // TracePoint is the decoded coordinate form of a traced request — the
 // human-readable half of a trace entry on GET /v1/trace. The fingerprint
@@ -116,12 +116,12 @@ func (r Request) SweepNeighbors() []Request {
 }
 
 // submitPrefetchLocked is the speculative side entrance of Submit (s.mu
-// held, draining already refused): admission requires idle capacity, a
-// fingerprint not already warm or in flight, and the task carries the
-// Preempt callback that turns demand arrival into instant cancellation.
-// Speculative traffic is excluded from the demand counters (JobsSubmitted,
-// JobsCoalesced, JobsShed, est-wait shedding, class budgets) — its whole
-// budget discipline is "only when idle, never in the way".
+// held, draining already refused): admission requires idle capacity and a
+// fingerprint not already warm or in flight, and the next demand admission
+// cancels the job while it is still queued. Speculative traffic is excluded
+// from the demand counters (JobsSubmitted, JobsCoalesced, JobsShed,
+// est-wait shedding, class budgets) — its whole budget discipline is "only
+// when idle, never in the way".
 func (s *Server) submitPrefetchLocked(norm Request, fp string, now time.Time) (Job, bool, error) {
 	if j, ok := s.inflight[fp]; ok {
 		// The prediction is already being evaluated (demand got there
@@ -134,7 +134,7 @@ func (s *Server) submitPrefetchLocked(norm Request, fp string, now time.Time) (J
 	if _, warm := s.warmed[fp]; warm {
 		return Job{}, false, ErrBusy // already warm: nothing to gain
 	}
-	if !s.queue.IdleForPrefetch(s.opts.JobWorkers) {
+	if !s.queue.IdleForPrefetch() {
 		return Job{}, false, ErrBusy // demand is using the capacity
 	}
 	// Speculation carries no deadline: demand arrival, not a budget, is
@@ -145,24 +145,6 @@ func (s *Server) submitPrefetchLocked(norm Request, fp string, now time.Time) (J
 	}
 	s.stats.PrefetchIssued++
 	return rec, false, nil
-}
-
-// cancelPrefetch marks a queued speculative job cancelled after the queue
-// evicted it for arriving demand work. Runs on its own goroutine (queue
-// contract), so taking s.mu is safe. A job already dispatched or terminal
-// is left alone — in-flight speculation finishes and still warms the
-// caches.
-func (s *Server) cancelPrefetch(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.queuedLocked(j) {
-		return
-	}
-	s.stats.PrefetchCancelled++
-	s.finishLocked(j, func(r *Job) {
-		r.State = StateCancelled
-		r.Error = "prefetch cancelled: demand work arrived"
-	})
 }
 
 // markWarmedLocked records a completed execution in the warm-fingerprint

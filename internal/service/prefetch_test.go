@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
@@ -28,7 +29,7 @@ func occupyPrefetchLane(t *testing.T, s *Server) func() {
 	release := make(chan struct{})
 	blocked := make(chan struct{})
 	_, err := s.queue.TrySubmitTask(pool.Task{
-		Fn:    func() { close(blocked); <-release },
+		Fn:    func() func() { close(blocked); <-release; return func() {} },
 		Class: pool.Prefetch,
 	})
 	if err != nil {
@@ -164,52 +165,182 @@ func TestPrefetchWarmsNeighborByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPrefetchCancelledByDemand pins the preemption contract: a queued
-// speculative job is evicted the instant demand work arrives, lands in
-// StateCancelled (a terminal state pollers can observe), and is counted as
-// cancelled — while the demand job proceeds untouched.
+// TestPrefetchCancelledByDemand pins the preemption contract: the
+// submission that admits demand work stops every queued speculative job
+// first, each lands unexecuted in StateCancelled (a terminal state pollers
+// can observe) and is counted as cancelled, and the demand work proceeds
+// untouched.
 func TestPrefetchCancelledByDemand(t *testing.T) {
-	s := NewServer(Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 8}, nil)
+	// Every queued speculation is stopped, not just the next to dispatch,
+	// and a demand duplicate of a preempted fingerprint, sent at once, runs
+	// as a fresh job instead of adopting the cancelled one.
+	t.Run("preempts_queued_speculation", func(t *testing.T) {
+		s := NewServer(Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 8}, nil)
+		defer s.Close()
+		release := occupyPrefetchLane(t, s)
+		defer release()
+		specs := queueSpeculation(t, s, 3)
+
+		dj, _, err := s.Submit(testRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dup := specs[0].Request
+		dup.Priority = ""
+		dupJob, coalesced, err := s.Submit(dup)
+		if err != nil || coalesced || dupJob.ID == specs[0].ID {
+			t.Fatalf("demand duplicate of a preempted fingerprint: job %s coalesced=%v err=%v, want a fresh job", dupJob.ID, coalesced, err)
+		}
+		checkPreempted(t, s, specs)
+		release()
+		checkDemandDone(t, s, dj.ID, dupJob.ID)
+	})
+	// Preemption runs before the demand submission takes a backlog slot, so
+	// a backlog full of speculation still admits demand.
+	t.Run("full_backlog_admits_demand", func(t *testing.T) {
+		const backlog = 3
+		s := NewServer(Options{EvalWorkers: 1, JobWorkers: 1, Backlog: backlog}, nil)
+		defer s.Close()
+		release := occupyPrefetchLane(t, s)
+		defer release()
+		specs := queueSpeculation(t, s, backlog)
+
+		dj, _, err := s.Submit(testRequest())
+		if err != nil {
+			t.Fatalf("demand refused behind a backlog full of speculation: %v", err)
+		}
+		checkPreempted(t, s, specs)
+		release()
+		checkDemandDone(t, s, dj.ID)
+	})
+}
+
+// queueSpeculation queues n speculative jobs (Llama2-30B config3 at TP 1, 2,
+// 4, ...) behind a parked job worker and checks they are all still queued.
+func queueSpeculation(t *testing.T, s *Server, n int) []Job {
+	t.Helper()
+	var specs []Job
+	for tp := 1; len(specs) < n; tp *= 2 {
+		pj, coalesced, err := s.Submit(Request{Model: "Llama2-30B", Config: "config3", Batch: 64, Micro: 1, Seq: 2048,
+			FixedTP: tp, Priority: "prefetch"})
+		if err != nil || coalesced {
+			t.Fatalf("speculative submit TP=%d: %v (coalesced %v)", tp, err, coalesced)
+		}
+		specs = append(specs, pj)
+	}
+	if st := s.Stats(); st.PrefetchIssued != uint64(n) || st.QueuePrefetch != n || st.QueueDepth != n || st.JobsSubmitted != 0 {
+		t.Fatalf("after speculative submits: %+v, want prefetch_issued, queue_prefetch and queue_depth %d, jobs_submitted 0", st, n)
+	}
+	return specs
+}
+
+// checkPreempted checks every one of specs ended cancelled without running
+// and the counters saw each of them.
+func checkPreempted(t *testing.T, s *Server, specs []Job) {
+	t.Helper()
+	for _, pj := range specs {
+		got, err := s.Wait(pj.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != StateCancelled {
+			t.Fatalf("preempted speculation %s state = %s, want %s", got.Request.Fingerprint(), got.State, StateCancelled)
+		}
+		if got.Result != nil || !got.StartedAt.IsZero() {
+			t.Errorf("preempted speculation %s executed", got.Request.Fingerprint())
+		}
+	}
+	if st := s.Stats(); st.PrefetchCancelled != uint64(len(specs)) || st.QueuePrefetch != 0 {
+		t.Errorf("after preemption: prefetch_cancelled %d, queue_prefetch %d; want %d, 0",
+			st.PrefetchCancelled, st.QueuePrefetch, len(specs))
+	}
+}
+
+// checkDemandDone waits for the demand jobs ids and checks each ended done
+// and the demand counters saw only them.
+func checkDemandDone(t *testing.T, s *Server, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		if j, err := s.Wait(id); err != nil || j.State != StateDone {
+			t.Fatalf("demand job after preemption: %v (%s %s)", err, j.State, j.Error)
+		}
+	}
+	if st := s.Stats(); st.JobsDone != uint64(len(ids)) || st.JobsFailed != 0 {
+		t.Errorf("demand counters = done %d, failed %d; want %d, 0 (speculation must stay invisible)",
+			st.JobsDone, st.JobsFailed, len(ids))
+	}
+}
+
+// TestPrefetchSiblingThenSweepByteIdentical drives the lane-on path a Table
+// II sweep takes after a single-config job: the job's sibling-config
+// speculation is queued when the sweep of the same request arrives. Legs
+// that coalesce onto speculation adopt it as demand work, the first fresh
+// leg preempts the rest, and a leg whose speculation was preempted runs
+// fresh — the sweep ends done, byte-identical to a cold lane-off sweep.
+func TestPrefetchSiblingThenSweepByteIdentical(t *testing.T) {
+	resetSharedCaches()
+	s := NewServer(Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 16, Prefetch: true}, nil)
 	defer s.Close()
-	release := occupyPrefetchLane(t, s)
+	release := occupyWorker(t, s)
 	defer release()
 
-	spec := Request{Model: "Llama2-30B", Config: "config3", Batch: 64, Micro: 1, Seq: 2048,
-		FixedTP: 2, Priority: "prefetch"}
-	pj, coalesced, err := s.Submit(spec)
-	if err != nil || coalesced {
-		t.Fatalf("speculative submit: %v (coalesced %v)", err, coalesced)
-	}
-	if st := s.Stats(); st.PrefetchIssued != 1 || st.QueuePrefetch != 1 || st.JobsSubmitted != 0 {
-		t.Fatalf("after speculative submit: %+v, want prefetch_issued 1, queue_prefetch 1, jobs_submitted 0", st)
-	}
-
-	dj, _, err := s.Submit(testRequest())
+	one, err := (Request{Model: "Llama2-30B", Config: "config3", Seq: 2048}).Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Wait(pj.ID)
+	j, _, err := s.Submit(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateCancelled {
-		t.Fatalf("preempted speculation state = %s, want %s", got.State, StateCancelled)
+	// Park the worker on a prefetch-class task that dispatches right after
+	// the job, so the speculation its completion issues stays queued.
+	lane, laneStarted := make(chan struct{}), make(chan struct{})
+	defer close(lane)
+	if _, err := s.queue.TrySubmitTask(pool.Task{
+		Fn:    func() func() { close(laneStarted); <-lane; return func() {} },
+		Class: pool.Prefetch,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if !got.State.Terminal() {
-		t.Error("cancelled is not terminal")
-	}
-	if st := s.Stats(); st.PrefetchCancelled != 1 || st.QueuePrefetch != 0 {
-		t.Errorf("after preemption: prefetch_cancelled %d, queue_prefetch %d; want 1, 0",
-			st.PrefetchCancelled, st.QueuePrefetch)
-	}
-
 	release()
-	if dj, err = s.Wait(dj.ID); err != nil || dj.State != StateDone {
-		t.Fatalf("demand job after preemption: %v (%s %s)", err, dj.State, dj.Error)
+	if j, err = s.Wait(j.ID); err != nil || j.State != StateDone {
+		t.Fatalf("single-config job: %v (%s %s)", err, j.State, j.Error)
 	}
-	if st := s.Stats(); st.JobsDone != 1 || st.JobsFailed != 0 {
-		t.Errorf("demand counters = done %d, failed %d; want 1, 0 (speculation must stay invisible)",
-			st.JobsDone, st.JobsFailed)
+	<-laneStarted
+	siblings := min(3, len(one.SweepNeighbors())) // the default fanout
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if st := s.Stats(); st.PrefetchIssued == uint64(siblings) && st.QueuePrefetch == siblings {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sibling speculation never queued: %+v", s.Stats())
+		}
+	}
+
+	sweep := Request{Model: "Llama2-30B", Seq: 2048}
+	st, err := s.sweeps.Start(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane <- struct{}{}
+	final, err := s.sweeps.Wait(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("lane-on sweep after sibling speculation = %s (%s), want done", final.State, final.Error)
+	}
+
+	resetSharedCaches()
+	ref := NewServer(Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 16}, nil)
+	defer ref.Close()
+	want, err := ref.Sweep(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Result.Canonical != want.Result.Canonical {
+		t.Errorf("lane-on sweep canonical differs from a cold lane-off sweep (%d vs %d bytes)",
+			len(final.Result.Canonical), len(want.Result.Canonical))
 	}
 }
 

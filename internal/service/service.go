@@ -185,11 +185,12 @@ const (
 	// client should not treat it as a server fault, and a retry with a
 	// larger budget may well succeed.
 	StateExpired State = "deadline_exceeded"
-	// StateCancelled marks a speculative prefetch job evicted from the
-	// queue by demand arrival: it never executed, and nothing was lost —
-	// the work was the daemon's own guess. Distinct from both StateFailed
-	// (no fault) and StateExpired (no budget was exhausted); only
-	// prefetch-class jobs ever reach it.
+	// StateCancelled marks a queued speculative prefetch job that the job
+	// table stopped inside the submission admitting demand work: it never
+	// executed, and nothing was lost — the work was the daemon's own guess.
+	// Distinct from both StateFailed (no fault) and StateExpired (no budget
+	// was exhausted); only speculation no demand duplicate has adopted ever
+	// reaches it.
 	StateCancelled State = "cancelled"
 )
 
@@ -456,15 +457,20 @@ func retryAfterHint(wait time.Duration) time.Duration {
 // in the Server's store. All fields are guarded by Server.mu.
 type job struct {
 	id, fp string
+	// class is the highest class submitted for the job: a speculation a
+	// demand duplicate coalesced onto is demand work, never preempted.
+	class pool.Class
+	// deadline is the latest deadline across the coalesced submitters
+	// (zero = none); it stops the job only while it is queued.
+	deadline time.Time
 	// ticket is the job's queue position while queued — the Promote
 	// handle an interactive duplicate uses to drag a queued sweep leg up
-	// to its own urgency. Inert once the job starts.
+	// to its own urgency, and the Cancel handle stopLocked uses. Inert
+	// once the job starts.
 	ticket *pool.Ticket
-	// expireTimer fires at the job's deadline to cancel it while queued;
-	// stopped when the job starts running or a coalescing submitter
-	// extends the deadline.
+	// expireTimer fires at the deadline to stop the job while queued.
 	expireTimer *time.Timer
-	running     bool // a worker took the job: no deadline or preemption applies now
+	running     bool // a worker took the job: nothing stops it now
 }
 
 // Server is the evaluation service.
@@ -597,6 +603,7 @@ func (s *Server) Submit(req Request) (Job, bool, error) {
 		// waiting user is served at interactive urgency while the sweep
 		// still gets the shared result.
 		s.queue.Promote(j.ticket, norm.class(), norm.Criticality)
+		j.class = max(j.class, norm.class())
 		return s.updateLocked(j, func(r *Job) {
 			r.Coalesced++
 			// Deadline extension mirrors Promote (raise-only): a duplicate
@@ -639,30 +646,24 @@ func (s *Server) Submit(req Request) (Job, bool, error) {
 }
 
 // enqueueLocked is the one job-creation path of Submit and
-// submitPrefetchLocked. It reserves the queue slot before the job exists:
+// submitPrefetchLocked. Demand work first preempts every queued speculation
+// no demand duplicate has adopted, so a backlog full of guesses never
+// refuses it. It then reserves the queue slot before the job exists:
 // TrySubmitTask never blocks, so holding s.mu here is safe, and a refusal
 // leaves nothing behind. Only then does the job get its record and ID.
-// Every task callback takes s.mu, so none can see the job half-registered.
+// The task takes s.mu, so it cannot see the job half-registered.
 func (s *Server) enqueueLocked(norm Request, fp string, now, deadline time.Time) (Job, error) {
-	j := &job{fp: fp}
-	var settle func()
-	task := pool.Task{
-		Fn: func() { settle = s.run(j) },
-		// The queue retires the task before After runs, so the job is
-		// published terminal only once it no longer counts as in flight.
-		After: func() {
-			if settle != nil {
-				settle()
+	j := &job{fp: fp, class: norm.class(), deadline: deadline}
+	if j.class > pool.Prefetch {
+		for _, o := range s.inflight {
+			if o.class == pool.Prefetch && !o.running {
+				s.stopLocked(o, StateCancelled)
 			}
-		},
-		Class:    norm.class(),
-		Crit:     norm.Criticality,
-		Deadline: deadline,
-		Expire:   func() { s.expire(j) },
+		}
 	}
-	if task.Class == pool.Prefetch {
-		task.Preempt = func() { s.cancelPrefetch(j) }
-	}
+	// The queue retires the task before it runs the step Fn returns, so the
+	// job is published terminal only once it no longer counts as in flight.
+	task := pool.Task{Fn: func() func() { return s.run(j) }, Class: j.class, Crit: norm.Criticality}
 	var err error
 	if j.ticket, err = s.queue.TrySubmitTask(task); err != nil {
 		return Job{}, err
@@ -672,7 +673,7 @@ func (s *Server) enqueueLocked(norm Request, fp string, now, deadline time.Time)
 		return Job{ID: id, Fingerprint: fp, State: StateQueued, Request: norm, SubmittedAt: now, Deadline: deadline}
 	})
 	s.inflight[fp] = j
-	s.armLocked(j, deadline)
+	s.armLocked(j)
 	return rec, nil
 }
 
@@ -690,75 +691,94 @@ func (s *Server) updateLocked(j *job, fn func(*Job)) Job {
 // running nor terminal.
 func (s *Server) queuedLocked(j *job) bool { return s.inflight[j.fp] == j && !j.running }
 
-// armLocked (re)starts the job's cancel-while-queued timer for deadline; a
-// zero deadline just stops it. At the deadline the timer pulls the job out
-// of the backlog (if a worker has not taken it, it never executes) and
-// reports deadline_exceeded promptly — a waiting client must not discover
-// the expiry only when a worker finally reaches the slot.
-func (s *Server) armLocked(j *job, deadline time.Time) {
+// armLocked (re)starts the job's expiry timer for its deadline while it is
+// queued, and otherwise just stops it. The timer stops the job through the
+// same check dispatch makes, so a waiting client learns of the expiry
+// promptly, not only when a worker finally reaches the slot.
+func (s *Server) armLocked(j *job) {
 	if j.expireTimer != nil {
 		j.expireTimer.Stop()
 		j.expireTimer = nil
 	}
-	if !deadline.IsZero() {
-		j.expireTimer = time.AfterFunc(time.Until(deadline), func() {
-			if s.queue.Cancel(j.ticket) {
-				s.expire(j)
-			}
+	if s.queuedLocked(j) && !j.deadline.IsZero() {
+		j.expireTimer = time.AfterFunc(time.Until(j.deadline), func() {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			s.expireDueLocked(j)
 		})
 	}
 }
 
-// extendDeadlineLocked raises (or clears) a queued job's deadline, held in
-// its record r, to a later coalescing submitter's budget. Zero newDeadline
-// means the duplicate has no deadline: the job's own is cleared, since at
-// least one waiter is patient.
+// expireDueLocked stops a queued job whose deadline has passed, and reports
+// whether it did. It reads the deadline under s.mu, so a timer that fired
+// while a coalescing duplicate was extending or clearing the deadline finds
+// nothing due.
+func (s *Server) expireDueLocked(j *job) bool {
+	if !s.queuedLocked(j) || j.deadline.IsZero() || time.Now().Before(j.deadline) {
+		return false
+	}
+	s.stopLocked(j, StateExpired)
+	return true
+}
+
+// extendDeadlineLocked raises (or clears) a queued job's deadline, mirrored
+// in its record r, to a later coalescing submitter's budget. Zero
+// newDeadline means the duplicate has no deadline: the job's own is
+// cleared, since at least one waiter is patient.
 func (s *Server) extendDeadlineLocked(j *job, r *Job, newDeadline time.Time) {
-	if j.running || r.Deadline.IsZero() {
+	if j.running || j.deadline.IsZero() {
 		return // running jobs finish regardless; no deadline to extend
 	}
-	if !newDeadline.IsZero() && !newDeadline.After(r.Deadline) {
+	if !newDeadline.IsZero() && !newDeadline.After(j.deadline) {
 		return
 	}
-	r.Deadline = newDeadline
-	s.queue.SetDeadline(j.ticket, newDeadline)
-	s.armLocked(j, newDeadline)
+	j.deadline, r.Deadline = newDeadline, newDeadline
+	s.armLocked(j)
 }
 
 // finishLocked takes a queued or running job terminal: its scheduling state
 // ends, and the record's terminal Update wakes its waiters.
 func (s *Server) finishLocked(j *job, fn func(*Job)) {
-	s.armLocked(j, time.Time{})
 	delete(s.inflight, j.fp)
+	s.armLocked(j)
 	s.records.Update(j.id, func(r *Job) {
 		fn(r)
 		r.FinishedAt = time.Now()
 	})
 }
 
-// expire marks a still-queued job deadline_exceeded. It is reached from the
-// deadline timer (after winning the queue.Cancel race) and from the queue
-// worker finding the deadline past at dispatch; both mean the job never
-// executed. A lost race (the job already running or expired) is a no-op.
-func (s *Server) expire(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.queuedLocked(j) {
-		return
-	}
-	s.stats.JobsExpired++
+// stopLocked is the one place a job that never ran is stopped: deadline
+// expiry (timer and dispatch), demand preemption of queued speculation, and
+// shutdown. In one s.mu hold it pulls the ticket from the backlog (a no-op
+// once a worker popped it — run then declines) and writes the terminal
+// record with the state's counter and reason, so a coalescing submission
+// either adopts the job before the stop, and its deadline or class then
+// governs, or finds it gone.
+func (s *Server) stopLocked(j *job, state State) {
+	s.queue.Cancel(j.ticket)
 	s.finishLocked(j, func(r *Job) {
-		r.State = StateExpired
-		r.Error = fmt.Sprintf("deadline exceeded: %dms budget elapsed while queued", r.Request.DeadlineMS)
+		r.State = state
+		switch state {
+		case StateExpired:
+			s.stats.JobsExpired++
+			r.Error = fmt.Sprintf("deadline exceeded: %dms budget elapsed while queued", r.Request.DeadlineMS)
+		case StateCancelled:
+			s.stats.PrefetchCancelled++
+			r.Error = "prefetch cancelled: demand work arrived"
+		default:
+			s.stats.JobsFailed++
+			r.Error = "service: daemon shut down before the job ran"
+		}
 	})
 }
 
-// run is the job's queue task. It executes the job, unless the job lost the
-// dispatch race to its deadline, and returns the step that settles it (nil
-// when the job did not run) for the task's After hook.
+// run is the job's queue task. It executes the job unless the job table
+// stopped it or its deadline passed while it was queued, and returns the
+// step that settles it — nil when the job did not run, so the dispatch
+// adds no duration sample.
 func (s *Server) run(j *job) (settle func()) {
 	s.mu.Lock()
-	if !s.queuedLocked(j) { // expired in the dispatch race; never execute
+	if !s.queuedLocked(j) || s.expireDueLocked(j) {
 		s.mu.Unlock()
 		return nil
 	}
@@ -766,8 +786,8 @@ func (s *Server) run(j *job) (settle func()) {
 	// not abandonable mid-simulation, and its result warms the shared
 	// caches either way. Deadline enforcement on in-flight work is the
 	// caller's side (the router abandons expired legs).
-	s.armLocked(j, time.Time{})
 	j.running = true
+	s.armLocked(j)
 	req := s.updateLocked(j, func(r *Job) {
 		r.State = StateRunning
 		r.StartedAt = time.Now()
@@ -996,11 +1016,7 @@ func (s *Server) Close() error {
 	// settling: every job still in flight is a dropped backlog entry.
 	s.mu.Lock()
 	for _, j := range s.inflight {
-		s.stats.JobsFailed++
-		s.finishLocked(j, func(r *Job) {
-			r.State = StateFailed
-			r.Error = "service: daemon shut down before the job ran"
-		})
+		s.stopLocked(j, StateFailed)
 	}
 	s.mu.Unlock()
 	if s.opts.SnapshotPath == "" {

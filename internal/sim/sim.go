@@ -250,14 +250,7 @@ func memoryMap(cfg engine.Config, m *mesh.Mesh, strat Strategy, n int) (map[mesh
 		if s >= stagesToCharge {
 			break
 		}
-		extra := 0.0
-		if s == 0 {
-			extra += float64(cfg.Spec.Vocab*cfg.Spec.Hidden) + cfg.Spec.EmbeddingParams
-		}
-		if s == cfg.PP-1 && cfg.Spec.Vocab > 0 {
-			extra += float64(cfg.Spec.Vocab * cfg.Spec.Hidden)
-		}
-		modelP := memory.ModelPPerDie(cfg.Spec, layers[s], cfg.TP, extra)
+		modelP := memory.ModelPPerDie(cfg.Spec, layers[s], cfg.TP, memory.StageExtraParams(cfg.Spec, s, cfg.PP))
 		var ckptStage float64
 		if strat.Recompute != nil {
 			ckptStage = strat.Recompute.StageCkptBytes[s]

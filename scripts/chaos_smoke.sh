@@ -4,8 +4,8 @@
 #   1. the audited replica placement over 3 shards is within the greedy
 #      bound (recovery load spread over survivors, max spread <= 1),
 #   2. a scatter-gathered Table II sweep completes byte-identically to the
-#      in-process sweep while one shard is SIGKILLed mid-leg (`watos -canon`
-#      diff, cross-process),
+#      in-process sweep while one shard is SIGKILLed holding an accepted leg
+#      (`watos -canon` diff, cross-process),
 #   3. DELETE /v1/shards drains a survivor: its warm slice streams to the
 #      inheritor, which then serves the full sweep with zero cold cache
 #      misses (stats-delta assertion).
@@ -30,6 +30,20 @@ wait_healthy() {
     sleep 0.2
   done
   echo "endpoint on port $1 never became healthy" >&2
+  return 1
+}
+
+# wait_idle blocks until a daemon has no queued or running job.
+wait_idle() {
+  for _ in $(seq 1 600); do
+    curl -s "http://127.0.0.1:$1/v1/stats" | python3 -c "
+import json, sys
+s = json.load(sys.stdin)
+sys.exit(0 if s['queue_depth'] == 0 and s['jobs_in_flight'] == 0 else 1)
+" && return 0
+    sleep 0.1
+  done
+  echo "daemon on port $1 never went idle" >&2
   return 1
 }
 
@@ -59,13 +73,27 @@ echo "== baseline: in-process Table II sweep =="
 "$BIN/watos" -model Llama2-30B -seq 2048 -canon > "$WORK/local-sweep.txt"
 
 echo "== SIGKILL a shard mid-sweep =="
+# Hold every shard's single job worker first: a backlog of interactive GA
+# jobs on another model dispatches ahead of the sweep's sweep-leg-class
+# legs, so a leg a shard accepts stays queued there for seconds — far
+# longer than the poll below takes to catch it. Without the hold, a fast
+# host finishes the leg inside one poll interval and the kill finds
+# nothing to lose.
+for P in "$PORT_A" "$PORT_B" "$PORT_C"; do
+  for SEED in 1 2 3 4 5 6; do
+    curl -sf -X POST -H 'Content-Type: application/json' \
+      -d "{\"model\":\"GPT-175B\",\"ga\":true,\"seed\":$SEED}" \
+      "http://127.0.0.1:$P/v1/jobs" >/dev/null
+  done
+done
+
 "$BIN/watos" -model Llama2-30B -seq 2048 \
   -remote "127.0.0.1:$PORT_R" -canon > "$WORK/chaos-sweep.txt" &
 SWEEP_PID=$!
 
 # Kill the first shard caught with an accepted sweep leg — the worst
-# moment: the leg is accepted (queued or executing) and its result is about
-# to be lost with the process.
+# moment: the leg is accepted and its result is about to be lost with the
+# process.
 VICTIM_PORT=
 for _ in $(seq 1 400); do
   kill -0 "$SWEEP_PID" 2>/dev/null || break
@@ -73,7 +101,7 @@ for _ in $(seq 1 400); do
     if curl -s "http://127.0.0.1:$P/v1/jobs" 2>/dev/null | python3 -c "
 import json, sys
 jobs = json.load(sys.stdin)
-sys.exit(0 if any(j.get('state') in ('queued', 'running') for j in jobs) else 1)
+sys.exit(0 if any(j.get('model') == 'Llama2-30B' and j.get('state') in ('queued', 'running') for j in jobs) else 1)
 " 2>/dev/null; then
       VICTIM_PORT=$P
       break 2
@@ -115,6 +143,9 @@ for P in "$PORT_A" "$PORT_B" "$PORT_C"; do
 done
 DRAIN_PORT=${SURVIVORS[0]}
 KEEP_PORT=${SURVIVORS[1]}
+# The hold backlog must be gone before the zero-cold-miss check below.
+wait_idle "$DRAIN_PORT"
+wait_idle "$KEEP_PORT"
 
 # Re-warm through the router first: cache entries for legs that had already
 # finished on the SIGKILLed shard died with it, so one routed sweep over the
