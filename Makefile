@@ -28,12 +28,13 @@ bench:
 # Fast regression gate for the search inner loops: the zero-alloc
 # assertions of the scalar annealer swap path and the batched ScorerBatch
 # pass (the benchmarks only report allocs, they don't fail on them) plus
-# one iteration of each annealer/batch/placement/GA benchmark, so a broken
-# or allocating hot path fails in seconds without waiting for the full
-# bench run.
+# one iteration of each annealer/batch/placement/GA benchmark and of the
+# cold single-worker search (BenchmarkSearchSequential, where GCMR and
+# BuildOptions run), so a broken or allocating hot path fails in seconds
+# without waiting for the full bench run.
 bench-smoke:
 	go test -run 'TestScorerSwapZeroAlloc|TestScorerBatchZeroAlloc' -count=1 ./internal/placement
-	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkAnnealSwapBatch|BenchmarkOptimizePlacement|BenchmarkGAGeneration' -benchtime=1x -benchmem .
+	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkAnnealSwapBatch|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkSearchSequential$$' -benchtime=1x -benchmem .
 
 # Compare two recorded perf trajectories (ns/op + allocs/op ratios, with a
 # regression threshold). Usage:

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -114,6 +115,37 @@ func TestPathInterningSharedAndAllocationFree(t *testing.T) {
 		_ = m.ShortestPaths(a, b)
 	}); allocs > 0 {
 		t.Errorf("interned path lookups allocate %.0f objects per call, want 0", allocs)
+	}
+}
+
+// TestInternedPathsMatchFreshBuild checks, on every Table II wafer and on
+// mesh-switch, that each arena-carved route and ID list equals a freshly
+// built one and has cap == len, so an append never reaches its neighbour.
+func TestInternedPathsMatchFreshBuild(t *testing.T) {
+	for _, w := range append(hw.TableII(), hw.Config3MeshSwitch()) {
+		m := New(w)
+		for ai := 0; ai < m.Dies(); ai++ {
+			for bi := 0; bi < m.Dies(); bi++ {
+				a, b := m.DieAt(ai), m.DieAt(bi)
+				xy, yx := m.buildXYPath(a, b), m.buildYXPath(a, b)
+				sp, spID := [][]Link{xy}, [][]int32{m.buildPathIDs(xy)}
+				if a.X != b.X && a.Y != b.Y {
+					sp, spID = append(sp, yx), append(spID, m.buildPathIDs(yx))
+				}
+				got := []any{m.XYPath(a, b), m.YXPath(a, b), m.XYPathIDs(a, b), m.XYPathIDsAt(ai, bi),
+					m.ShortestPaths(a, b), m.ShortestPathIDs(a, b), m.ShortestPathIDsAt(ai, bi)}
+				want := []any{xy, yx, spID[0], spID[0], sp, spID, spID}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %v→%v: interned %v, want %v", w.Name, a, b, got, want)
+				}
+				e := m.pathAt(a, b)
+				for _, c := range []int{cap(e.xy) - len(e.xy), cap(e.yx) - len(e.yx), cap(e.xyID) - len(e.xyID), cap(e.yxID) - len(e.yxID)} {
+					if c != 0 {
+						t.Fatalf("%s %v→%v: interned slice has %d spare capacity", w.Name, a, b, c)
+					}
+				}
+			}
+		}
 	}
 }
 

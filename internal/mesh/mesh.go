@@ -201,15 +201,37 @@ func (m *Mesh) internPaths() {
 	m.xyHops = make([]int16, m.nDies*m.nDies)
 	maskArena := make([]uint64, m.nDies*m.nDies*2*m.maskWords)
 	m.maskArena = maskArena
+	// The XY and YX routes of a pair have Hops(a, b) links each. Carve the
+	// routes and their ID lists out of two arenas sized by the summed hop
+	// count; every carved slice has cap == len, so a caller's append
+	// reallocates instead of overwriting the next route.
+	var hops int
+	for ai := 0; ai < m.nDies; ai++ {
+		for bi := 0; bi < m.nDies; bi++ {
+			hops += m.Hops(m.DieAt(ai), m.DieAt(bi))
+		}
+	}
+	linkArena := make([]Link, 0, 2*hops)
+	idArena := make([]int32, 0, 2*hops)
 	for ai := 0; ai < m.nDies; ai++ {
 		a := m.DieAt(ai)
 		for bi := 0; bi < m.nDies; bi++ {
 			b := m.DieAt(bi)
 			e := &m.paths[ai*m.nDies+bi]
-			e.xy = m.buildXYPath(a, b)
-			e.yx = m.buildYXPath(a, b)
-			e.xyID = m.buildPathIDs(e.xy)
-			e.yxID = m.buildPathIDs(e.yx)
+			if a != b {
+				from := len(linkArena)
+				linkArena = appendXYPath(linkArena, a, b)
+				e.xy = carve(linkArena, from)
+				from = len(linkArena)
+				linkArena = appendYXPath(linkArena, a, b)
+				e.yx = carve(linkArena, from)
+				from = len(idArena)
+				idArena = m.appendPathIDs(idArena, e.xy)
+				e.xyID = carve(idArena, from)
+				from = len(idArena)
+				idArena = m.appendPathIDs(idArena, e.yx)
+				e.yxID = carve(idArena, from)
+			}
 			e.sp[0] = e.xy
 			e.spID[0] = e.xyID
 			e.spLen = 1
@@ -238,15 +260,22 @@ func (m *Mesh) internPaths() {
 	}
 }
 
+// carve returns arena[from:] with its capacity clipped to its length.
+func carve[T any](arena []T, from int) []T { return arena[from:len(arena):len(arena)] }
+
 // buildPathIDs maps a route to its dense link IDs. Every link of an
 // on-mesh route has an ID, so the slice length equals the hop count.
 func (m *Mesh) buildPathIDs(path []Link) []int32 {
 	if len(path) == 0 {
 		return nil
 	}
-	ids := make([]int32, len(path))
-	for i, l := range path {
-		ids[i] = int32(m.LinkIndex(l))
+	return m.appendPathIDs(make([]int32, 0, len(path)), path)
+}
+
+// appendPathIDs appends the dense link IDs of a route to ids.
+func (m *Mesh) appendPathIDs(ids []int32, path []Link) []int32 {
+	for _, l := range path {
+		ids = append(ids, int32(m.LinkIndex(l)))
 	}
 	return ids
 }
@@ -349,7 +378,11 @@ func (m *Mesh) buildXYPath(a, b DieID) []Link {
 	if hops == 0 {
 		return nil
 	}
-	path := make([]Link, 0, hops)
+	return appendXYPath(make([]Link, 0, hops), a, b)
+}
+
+// appendXYPath appends the dimension-ordered route from a to b to path.
+func appendXYPath(path []Link, a, b DieID) []Link {
 	cur := a
 	for cur.X != b.X {
 		next := cur
@@ -376,9 +409,17 @@ func (m *Mesh) buildXYPath(a, b DieID) []Link {
 
 // buildYXPath allocates the Y-then-X route.
 func (m *Mesh) buildYXPath(a, b DieID) []Link {
+	hops := m.Hops(a, b)
+	if hops == 0 {
+		return nil
+	}
+	return appendYXPath(make([]Link, 0, hops), a, b)
+}
+
+// appendYXPath appends the Y-then-X route from a to b to path.
+func appendYXPath(path []Link, a, b DieID) []Link {
 	mid := DieID{X: a.X, Y: b.Y}
-	p := m.buildXYPath(a, mid)
-	return append(p, m.buildXYPath(mid, b)...)
+	return appendXYPath(appendXYPath(path, a, mid), mid, b)
 }
 
 // pathAt returns the interned routes of an ordered pair, or nil when the

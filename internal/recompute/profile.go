@@ -27,29 +27,33 @@ func BuildOptions(g *opgraph.LayerGraph, cost func(opgraph.Op) OpCost, layers in
 		return nil, fmt.Errorf("recompute: stage has no layers")
 	}
 	boundary := g.BoundaryBytes()
-	var raw []Option
+	// Price each recomputable operator once; a subset that touches any
+	// other operator is not a choice.
+	extraOf := make([]float64, len(ops))
+	fixed, subsets := 0, 1<<len(ops)
+	for i, op := range ops {
+		if !op.Recomputable {
+			fixed |= 1 << i
+			subsets >>= 1
+			continue
+		}
+		c := cost(op)
+		extraOf[i] = c.Latency + c.CommTime
+	}
+	raw := make([]Option, 0, subsets)
 	for mask := 0; mask < 1<<len(ops); mask++ {
-		valid := true
+		if mask&fixed != 0 {
+			continue
+		}
 		var ckpt, extra float64
-		var recomputed []int
 		for i, op := range ops {
 			if mask&(1<<i) != 0 {
-				if !op.Recomputable {
-					valid = false
-					break
-				}
-				c := cost(op)
-				extra += c.Latency + c.CommTime
-				recomputed = append(recomputed, i)
+				extra += extraOf[i]
 			} else {
 				ckpt += op.CheckpointBytes
 			}
 		}
-		if !valid {
-			continue
-		}
 		raw = append(raw, Option{
-			RecomputedOps:  recomputed,
 			CkptBytesPerMB: (ckpt + boundary) * float64(layers),
 			ExtraBwdTime:   extra * float64(layers),
 		})

@@ -8,18 +8,17 @@
 package recompute
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Option is one point on a stage's recomputation pareto frontier: which
-// operators to recompute, the per-micro-batch checkpoint bytes retained, and
-// the extra backward time incurred.
+// Option is one point on a stage's recomputation pareto frontier: the
+// per-micro-batch checkpoint bytes retained and the extra backward time
+// incurred by recomputing the rest.
 type Option struct {
-	// RecomputedOps lists the recomputed operator indices of the layer
-	// graph (empty = full checkpointing, "Type 0" of Fig 7).
-	RecomputedOps []int
 	// CkptBytesPerMB is the per-die checkpoint footprint of ONE
 	// micro-batch across the whole stage (layers × retained ops +
 	// boundary).
@@ -63,11 +62,11 @@ func ParetoFront(opts []Option) []Option {
 	sorted := append([]Option(nil), opts...)
 	// Skyline scan: ascending memory; an option survives only if its time
 	// beats every option that already uses less memory.
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].CkptBytesPerMB != sorted[j].CkptBytesPerMB {
-			return sorted[i].CkptBytesPerMB < sorted[j].CkptBytesPerMB
+	slices.SortFunc(sorted, func(a, b Option) int {
+		if c := cmp.Compare(a.CkptBytesPerMB, b.CkptBytesPerMB); c != 0 {
+			return c
 		}
-		return sorted[i].ExtraBwdTime < sorted[j].ExtraBwdTime
+		return cmp.Compare(a.ExtraBwdTime, b.ExtraBwdTime)
 	})
 	var asc []Option
 	bestTime := math.Inf(1)
@@ -117,9 +116,73 @@ type Plan struct {
 // budgetQuanta controls the DP memory discretisation.
 const budgetQuanta = 256
 
+// inf marks a DP cell no option can fill within its budget.
+const inf = math.MaxFloat64
+
+// bestOption solves one DP cell: the option of a stage, with budget needs q
+// and stage times st, that minimises max(tail[m−q(i)], st(i)), and that
+// minimum. It returns (inf, -1) when no option fits m quanta with a
+// feasible tail. Ties go to the lowest index, the option with the least
+// recomputation.
+//
+// Along a front q is non-increasing and st non-decreasing, and tail is
+// non-increasing in budget, so the options that fit form a suffix on which
+// tail(i) = tail[m−q(i)] is non-increasing. max(tail, st) then falls while
+// tail dominates and rises once st does; three binary searches find the
+// suffix, the crossing k (the first i with st(i) ≥ tail(i)), and, when the
+// minimum is tail(k−1), the first option of tail(k−1)'s plateau.
+func bestOption(q []int, st, tail []float64, m int) (float64, int32) {
+	n := len(q)
+	lo, hi := 0, n
+	for lo < hi {
+		if h := (lo + hi) / 2; q[h] <= m {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	first := lo
+	for hi = n; lo < hi; {
+		if h := (lo + hi) / 2; st[h] >= tail[m-q[h]] {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	k := lo
+	switch {
+	case k < n && (k == first || st[k] < tail[m-q[k-1]]):
+		// st(k) lies below every earlier option's tail.
+		if st[k] >= inf {
+			return inf, -1
+		}
+		return st[k], int32(k)
+	case k > first:
+		// tail(k−1) ≤ st(k): the plateau's first option wins.
+		best := tail[m-q[k-1]]
+		if best >= inf {
+			return inf, -1
+		}
+		for lo, hi = first, k-1; lo < hi; {
+			if h := (lo + hi) / 2; tail[m-q[h]] <= best {
+				hi = h
+			} else {
+				lo = h + 1
+			}
+		}
+		return best, int32(lo)
+	}
+	return inf, -1
+}
+
 // GCMR runs Alg 2: distribute the global checkpoint budget across stages to
 // minimise the bottleneck stage time, then pair overflowing Senders with
 // spare-capacity Helpers.
+//
+// Each stage's Options must be a front as ParetoFront returns it: memory
+// non-increasing and time non-decreasing along the slice. The DP relies on
+// that order to find each budget cell's optimum by binary search, so a plan
+// costs O(p·257·log n) for p stages of at most n options.
 func GCMR(profiles []StageProfile) (*Plan, error) {
 	p := len(profiles)
 	if p == 0 {
@@ -147,52 +210,40 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 	if quantum <= 0 {
 		return nil, fmt.Errorf("recompute: no checkpoint budget")
 	}
-	need := func(o Option, prof StageProfile) int {
-		return int(math.Ceil(o.CkptBytesPerMB * float64(prof.Retained) / quantum))
+	// Every option's budget need q (in quanta) and stage time st, once per
+	// call; stage t's options sit at [off[t], off[t+1]).
+	off := make([]int, p+1)
+	for t, prof := range profiles {
+		off[t+1] = off[t] + len(prof.Options)
 	}
-	stageTime := func(prof StageProfile, o Option) float64 {
-		return prof.FwdTime + prof.BwdTime + o.ExtraBwdTime
+	q := make([]int, off[p])
+	st := make([]float64, off[p])
+	for t := range profiles {
+		prof := &profiles[t]
+		for i := range prof.Options {
+			o := &prof.Options[i]
+			q[off[t]+i] = int(math.Ceil(o.CkptBytesPerMB * float64(prof.Retained) / quantum))
+			st[off[t]+i] = prof.FwdTime + prof.BwdTime + o.ExtraBwdTime
+		}
 	}
 
 	// DP from the last stage backwards (Alg 2 lines 2–5):
 	// T[t][m] = minimal achievable bottleneck time for stages t..p−1 given
-	// m quanta of budget.
-	const inf = math.MaxFloat64
-	T := make([][]float64, p+1)
-	choice := make([][]int, p)
-	for t := range T {
-		T[t] = make([]float64, budgetQuanta+1)
-	}
-	for m := 0; m <= budgetQuanta; m++ {
-		T[p][m] = 0
-	}
+	// m quanta of budget. Only rows t and t+1 are live; choice keeps every
+	// row for the extraction.
+	const cells = budgetQuanta + 1
+	choice := make([]int32, p*cells)
+	next := make([]float64, cells) // T[p] = 0
+	cur := make([]float64, cells)
 	for t := p - 1; t >= 0; t-- {
-		choice[t] = make([]int, budgetQuanta+1)
-		for m := 0; m <= budgetQuanta; m++ {
-			best := inf
-			bestOpt := -1
-			for oi, o := range profiles[t].Options {
-				q := need(o, profiles[t])
-				if q > m {
-					continue
-				}
-				tail := T[t+1][m-q]
-				if tail >= inf {
-					continue
-				}
-				tmax := math.Max(tail, stageTime(profiles[t], o))
-				// Tie-break toward less recomputation (options are
-				// sorted by descending memory, ascending time).
-				if tmax < best {
-					best = tmax
-					bestOpt = oi
-				}
-			}
-			T[t][m] = best
-			choice[t][m] = bestOpt
+		qs, sts := q[off[t]:off[t+1]], st[off[t]:off[t+1]]
+		row := choice[t*cells : (t+1)*cells]
+		for m := range cells {
+			cur[m], row[m] = bestOption(qs, sts, next, m)
 		}
+		cur, next = next, cur
 	}
-	if T[0][budgetQuanta] >= inf {
+	if next[budgetQuanta] >= inf {
 		return nil, fmt.Errorf("recompute: no feasible recomputation plan")
 	}
 
@@ -201,11 +252,11 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 		Choice:         make([]int, p),
 		StageCkptBytes: make([]float64, p),
 		ExtraBwd:       make([]float64, p),
-		MaxStageTime:   T[0][budgetQuanta],
+		MaxStageTime:   next[budgetQuanta],
 	}
 	m := budgetQuanta
 	for t := 0; t < p; t++ {
-		oi := choice[t][m]
+		oi := int(choice[t*cells+m])
 		if oi < 0 {
 			return nil, fmt.Errorf("recompute: extraction failed at stage %d", t)
 		}
@@ -213,7 +264,7 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 		plan.Choice[t] = oi
 		plan.StageCkptBytes[t] = o.CkptBytesPerMB * float64(profiles[t].Retained)
 		plan.ExtraBwd[t] = o.ExtraBwdTime
-		m -= need(o, profiles[t])
+		m -= q[off[t]+oi]
 	}
 
 	// Sender/Helper identification and pairing (Alg 2 lines 9–14).

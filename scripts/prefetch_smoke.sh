@@ -14,7 +14,7 @@ set -euo pipefail
 
 BIN=$(mktemp -d)
 WORK=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$BIN" "$WORK"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; wait; rm -rf "$BIN" "$WORK"' EXIT
 
 go build -o "$BIN/watosd" ./cmd/watosd
 
@@ -33,6 +33,13 @@ wait_healthy() {
 submit() { # submit <port> <json-body> -> job id
   curl -s -H 'Content-Type: application/json' -d "$2" \
     "http://127.0.0.1:$1/v1/jobs" | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'
+}
+
+post() { # post <port> <json-body> <reply-file>
+  curl -s -H 'Content-Type: application/json' -d "$2" "http://127.0.0.1:$1/v1/jobs" > "$3"
+}
+id_of() { # id_of <reply-file> -> job id
+  python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$1"
 }
 
 wait_done() { # wait_done <port> <job-id> -> writes job json to $WORK/job.json
@@ -113,16 +120,26 @@ echo "== 3. a demand burst preempts queued speculation =="
 # prefetch-class GA job holds the single worker, a second prefetch-class job
 # sits queued behind it, and the demand burst must cancel the queued one
 # instantly — state cancelled, counted, and the burst itself completes.
-IDP1=$(submit "$PORT_B" '{"ga":true,"batch":96,"seed":1,"priority":"prefetch"}')
-IDP2=$(submit "$PORT_B" '{"ga":true,"batch":97,"seed":2,"priority":"prefetch"}')
-if [ "$(stat_of "$PORT_B" queue_prefetch)" -lt 1 ]; then
+# Every request from the first speculation to the burst is a bare curl
+# whose reply is parsed only after the burst is sent: a python3 start per
+# request stretched that window to about the length of the GA job itself.
+post "$PORT_B" '{"ga":true,"batch":96,"seed":1,"priority":"prefetch"}' "$WORK/p1.json"
+post "$PORT_B" '{"ga":true,"batch":97,"seed":2,"priority":"prefetch"}' "$WORK/p2.json"
+curl -s "http://127.0.0.1:$PORT_B/v1/stats" > "$WORK/stats.json"
+for i in 1 2 3; do
+  post "$PORT_B" "{\"config\":\"config3\",\"seed\":$((40 + i))}" "$WORK/burst$i.json"
+done
+IDP1=$(id_of "$WORK/p1.json")
+IDP2=$(id_of "$WORK/p2.json")
+QUEUED=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["queue_prefetch"])' "$WORK/stats.json")
+if [ "$QUEUED" -lt 1 ]; then
   echo "second speculation did not queue behind the running one" >&2
   exit 1
 fi
 
 BURST_IDS=
 for i in 1 2 3; do
-  BURST_IDS="$BURST_IDS $(submit "$PORT_B" "{\"config\":\"config3\",\"seed\":$((40 + i))}")"
+  BURST_IDS="$BURST_IDS $(id_of "$WORK/burst$i.json")"
 done
 STATE2=$(curl -s "http://127.0.0.1:$PORT_B/v1/jobs/$IDP2" | \
   python3 -c 'import json,sys; print(json.load(sys.stdin).get("state",""))')
