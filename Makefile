@@ -21,20 +21,22 @@ race:
 # lane on vs off, failing the run unless prefetch wins the hit rate) —
 # plus the speedups vs the recorded PR-1..PR-9 baselines, the in-run
 # PR3-era annealer full-re-evaluation baseline, and the in-run scalar
-# references of the batched annealer and GA paths).
+# reference of the speculative batched annealer).
 bench:
 	go run ./cmd/bench -out BENCH_pr10.json
 
 # Fast regression gate for the search inner loops: the zero-alloc
 # assertions of the scalar annealer swap path and the batched ScorerBatch
 # pass (the benchmarks only report allocs, they don't fail on them) plus
-# one iteration of each annealer/batch/placement/GA benchmark and of the
-# cold single-worker search (BenchmarkSearchSequential, where GCMR and
-# BuildOptions run), so a broken or allocating hot path fails in seconds
-# without waiting for the full bench run.
+# one iteration of each annealer/batch/placement/GA benchmark, of mesh
+# construction on every Table II wafer and mesh-switch (BenchmarkMeshNew,
+# which every search pays once) and of the cold single-worker search
+# (BenchmarkSearchSequential, where GCMR and BuildOptions run), so a broken
+# or allocating hot path fails in seconds without waiting for the full
+# bench run.
 bench-smoke:
 	go test -run 'TestScorerSwapZeroAlloc|TestScorerBatchZeroAlloc' -count=1 ./internal/placement
-	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkAnnealSwapBatch|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkSearchSequential$$' -benchtime=1x -benchmem .
+	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkAnnealSwapBatch|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkMeshNew|BenchmarkSearchSequential$$' -benchtime=1x -benchmem .
 
 # Compare two recorded perf trajectories (ns/op + allocs/op ratios, with a
 # regression threshold). Usage:

@@ -408,10 +408,10 @@ func BenchmarkOptimizePlacement(b *testing.B) {
 	}
 }
 
-// benchGAGeneration is the §IV-D GA inner loop — one generation of
+// BenchmarkGAGeneration is the §IV-D GA inner loop — one generation of
 // mutation, component-cached fitness scoring and selection — via a
 // fixed-generation Optimize run divided by the generation count.
-func benchGAGeneration(b *testing.B, placementBatch int) {
+func BenchmarkGAGeneration(b *testing.B) {
 	const gens = 16
 	prob, seed, err := benchutil.GAProblem()
 	if err != nil {
@@ -422,7 +422,6 @@ func benchGAGeneration(b *testing.B, placementBatch int) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ga.Optimize(prob, seed, ga.Options{
 			Population: 24, Generations: gens, Omega: 0.5, Seed: int64(i), Workers: 1,
-			PlacementBatch: placementBatch,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -432,12 +431,18 @@ func benchGAGeneration(b *testing.B, placementBatch int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*gens), "ns/generation")
 }
 
-// BenchmarkGAGeneration compares the batched placement-cost leg (the
-// default: one ScorerBatch pass per chunk of one-transposition genomes)
-// against the scalar per-leg evaluation.
-func BenchmarkGAGeneration(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { benchGAGeneration(b, 0) })
-	b.Run("scalar", func(b *testing.B) { benchGAGeneration(b, 1) })
+// BenchmarkMeshNew measures building a wafer's mesh — dense die and link
+// IDs, the interned route table and its bitmasks — which every sched.Search
+// pays once, on each Table II wafer and on mesh-switch.
+func BenchmarkMeshNew(b *testing.B) {
+	for _, w := range append(hw.TableII(), hw.Config3MeshSwitch()) {
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				mesh.New(w)
+			}
+		})
+	}
 }
 
 // BenchmarkPredictor measures lookup-table hit latency (§IV-F "negligible

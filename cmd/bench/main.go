@@ -932,9 +932,7 @@ func prefetchReplay(name string, prefetchOn bool, trail []service.Request, pred 
 
 // gaGenerationBench runs a fixed-generation GA optimize and reports
 // per-generation cost (total metrics divided by the generation count).
-// placementBatch 0 is the batched default (one ScorerBatch pass per chunk
-// of one-transposition genomes); 1 forces the scalar per-leg evaluation.
-func gaGenerationBench(name string, placementBatch int, fail func(error)) entry {
+func gaGenerationBench(name string, fail func(error)) entry {
 	const gens = 16
 	prob, seed, err := benchutil.GAProblem()
 	fail(err)
@@ -943,7 +941,6 @@ func gaGenerationBench(name string, placementBatch int, fail func(error)) entry 
 		iter++
 		_, err := ga.Optimize(prob, seed, ga.Options{
 			Population: 24, Generations: gens, Omega: 0.5, Seed: iter, Workers: 1,
-			PlacementBatch: placementBatch,
 		})
 		fail(err)
 	})
@@ -1145,9 +1142,7 @@ func main() {
 	}
 	speedupPair("scalar(optimize-placement-pp32)/speculative", "optimize-placement-pp32-scalar", "optimize-placement-pp32")
 
-	rep.Benchmarks = append(rep.Benchmarks, gaGenerationBench("ga-generation", 0, fail))
-	rep.Benchmarks = append(rep.Benchmarks, gaGenerationBench("ga-generation-scalar", 1, fail))
-	speedupPair("scalar(ga-generation)/batched", "ga-generation-scalar", "ga-generation")
+	rep.Benchmarks = append(rep.Benchmarks, gaGenerationBench("ga-generation", fail))
 
 	// Per-benchmark improvement over the PR 5 tree, recorded against the
 	// carried-forward baselines.

@@ -461,13 +461,12 @@ func buildRingPlan(m *mesh.Mesh, group []mesh.DieID, bidirectional bool) *Plan {
 	order := ringOrder(group)
 	counts := make([]int32, m.NumLinks())
 	addEdge := func(a, b mesh.DieID) {
-		paths := m.ShortestPaths(a, b)
-		route := paths[0]
+		route := m.XYPathIDs(a, b)
 		if len(route) > p.maxHops {
 			p.maxHops = len(route)
 		}
-		for _, l := range route {
-			counts[m.LinkIndex(l)]++
+		for _, id := range route {
+			counts[id]++
 		}
 	}
 	for i := 0; i < n; i++ {

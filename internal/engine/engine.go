@@ -187,22 +187,15 @@ func bestPathTime(m *mesh.Mesh, a, b mesh.DieID, bytes float64, busy []float64) 
 		return 0
 	}
 	best := math.Inf(1)
-	for _, p := range m.ShortestPaths(a, b) {
+	for _, p := range m.ShortestPathIDs(a, b) {
 		t := float64(len(p)) * m.LinkLatency
 		var penalty float64
 		minBW := math.Inf(1)
-		for _, l := range p {
-			idx := m.LinkIndex(l)
-			var bw float64
-			if idx >= 0 {
-				bw = m.EffBW(idx)
-			} else {
-				bw = m.EffectiveLinkBandwidth(l)
-			}
-			if bw < minBW {
+		for _, id := range p {
+			if bw := m.EffBW(int(id)); bw < minBW {
 				minBW = bw
 			}
-			if busy != nil && idx >= 0 && busy[idx] > 0 {
+			if busy != nil && busy[id] > 0 {
 				penalty += 0.5 // occupied-link punishment factor
 			}
 		}

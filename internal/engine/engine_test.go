@@ -115,8 +115,8 @@ func TestBestPathTimeAvoidsBusyLinks(t *testing.T) {
 	a, b := mesh.DieID{X: 0, Y: 0}, mesh.DieID{X: 2, Y: 2}
 	clean := bestPathTime(m, a, b, 1e9, nil)
 	busy := make([]float64, m.NumLinks())
-	for _, l := range m.XYPath(a, b) {
-		busy[m.LinkIndex(l)] = 1
+	for _, id := range m.XYPathIDs(a, b) {
+		busy[id] = 1
 	}
 	avoided := bestPathTime(m, a, b, 1e9, busy)
 	// The YX alternative is clean, so the penalty should be avoided

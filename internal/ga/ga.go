@@ -125,7 +125,17 @@ func (p *Problem) fitness(g Genome, s *evalScratch) float64 {
 		if c, ok := s.cost[string(s.key)]; ok {
 			cost = c
 		} else {
-			cost = s.rebase(p, g)
+			anchors := p.anchorTable()
+			s.anchors = s.anchors[:0]
+			for _, r := range g.Perm {
+				s.anchors = append(s.anchors, anchors[r])
+			}
+			s.sc.Reset(s.anchors, placement.Workload{
+				PipelineBytes: p.PipelineBytes,
+				Pairs:         g.Pairs,
+			})
+			cost = s.sc.Cost()
+			s.cost[string(s.key)] = cost
 		}
 	} else {
 		pl := p.buildPlacement(g)
@@ -149,184 +159,25 @@ type tmaxEntry struct {
 }
 
 // evalScratch is the per-worker fitness state: an incremental Scorer plus
-// the component memo tables and, when batching is enabled, a ScorerBatch
-// over the Scorer's committed assignment. Each pool worker owns one, so
-// fitness evaluation takes no locks and — on cache hits and interned
-// meshes — does not allocate.
-//
-// The Scorer's committed assignment doubles as the batching base: curPerm
-// and curPairs record which genome it scores, and placement-cost legs of
-// genomes that share the pair set and differ by exactly one transposition
-// (the Op3 mutation shape, the dominant permutation move) are queued on the
-// batch and evaluated in one pass instead of one full Reset each.
+// the component memo tables. Each pool worker owns one, so fitness
+// evaluation takes no locks and — on cache hits and interned meshes — does
+// not allocate.
 type evalScratch struct {
 	sc      *placement.Scorer
-	batch   *placement.ScorerBatch
 	anchors []mesh.DieID
 	key     []byte
 	tmax    map[string]tmaxEntry
 	cost    map[string]float64
-
-	// Committed-base identity for one-transposition batching.
-	curPerm  []int
-	curPairs []recompute.MemPair
-	haveBase bool
-	pend     []pendingLeg
 }
 
-// pendingLeg is one batched placement-cost evaluation awaiting a flush.
-type pendingLeg struct {
-	out  int // index into the chunk's result slice
-	cand int // ScorerBatch candidate index
-	tmax float64
-	key  string // cost-memo key of the genome
-}
-
-func (p *Problem) newScratch(batchK int) *evalScratch {
-	s := &evalScratch{
+func (p *Problem) newScratch() *evalScratch {
+	return &evalScratch{
 		sc:      placement.NewScorer(p.Mesh, nil, placement.Workload{}),
 		anchors: make([]mesh.DieID, 0, p.stages()),
 		key:     make([]byte, 0, 64),
 		tmax:    map[string]tmaxEntry{},
 		cost:    map[string]float64{},
 	}
-	if batchK > 1 {
-		s.batch = placement.NewScorerBatch(s.sc, batchK)
-	}
-	return s
-}
-
-// rebase re-targets the scratch Scorer at the genome's assignment, records
-// it as the batching base, memoizes and returns its placement cost. s.key
-// must hold the genome's permKey.
-func (s *evalScratch) rebase(p *Problem, g Genome) float64 {
-	anchors := p.anchorTable()
-	s.anchors = s.anchors[:0]
-	for _, r := range g.Perm {
-		s.anchors = append(s.anchors, anchors[r])
-	}
-	s.sc.Reset(s.anchors, placement.Workload{
-		PipelineBytes: p.PipelineBytes,
-		Pairs:         g.Pairs,
-	})
-	s.curPerm = append(s.curPerm[:0], g.Perm...)
-	s.curPairs = append(s.curPairs[:0], g.Pairs...)
-	s.haveBase = true
-	c := s.sc.Cost()
-	s.cost[string(s.key)] = c
-	return c
-}
-
-// flushPending evaluates all queued placement-cost legs in one batch pass,
-// memoizes the costs and fills the owed fitness results. The committed base
-// is left untouched, so further legs keep batching against it.
-func (s *evalScratch) flushPending(out []scored) {
-	if len(s.pend) == 0 {
-		return
-	}
-	costs := s.batch.Evaluate()
-	for _, pl := range s.pend {
-		c := costs[pl.cand]
-		s.cost[pl.key] = c
-		out[pl.out].f = pl.tmax * (1 + c)
-	}
-	s.pend = s.pend[:0]
-	s.batch.Reset()
-}
-
-// cachedTmax is the t_max component with the (RecompChoice, Pairs) memo.
-func (p *Problem) cachedTmax(g Genome, s *evalScratch) (float64, bool) {
-	s.recompKey(g)
-	if e, ok := s.tmax[string(s.key)]; ok {
-		return e.t, e.ok
-	}
-	t, ok := p.maxStageTime(g)
-	s.tmax[string(s.key)] = tmaxEntry{t: t, ok: ok}
-	return t, ok
-}
-
-// scoreChunk scores one worker's contiguous slice of genomes. Placement
-// legs that miss the cost memo are batched through the ScorerBatch whenever
-// the genome shares the committed base's pair set and differs from its
-// permutation by exactly one transposition; anything else flushes the queue
-// and becomes the new base. Batched costs are bit-identical to the scalar
-// Reset path (the ScorerBatch/Scorer cross-check contract), so results —
-// and the memo contents — do not depend on chunking or batch width.
-func (p *Problem) scoreChunk(genomes []Genome, s *evalScratch, out []scored) {
-	for i := range genomes {
-		g := genomes[i]
-		out[i] = scored{g: g, f: math.Inf(1)}
-		if !p.validPerm(g.Perm) {
-			continue
-		}
-		tmax, feasible := p.cachedTmax(g, s)
-		if !feasible {
-			continue
-		}
-		s.permKey(g)
-		if c, ok := s.cost[string(s.key)]; ok {
-			out[i].f = tmax * (1 + c)
-			continue
-		}
-		if s.batch != nil && s.haveBase && samePairs(s.curPairs, g.Pairs) {
-			if a, b, ok := oneSwap(s.curPerm, g.Perm); ok {
-				if s.batch.Len() == s.batch.Cap() {
-					s.flushPending(out)
-				}
-				s.pend = append(s.pend, pendingLeg{
-					out: i, cand: s.batch.Propose(a, b),
-					tmax: tmax, key: string(s.key),
-				})
-				continue
-			}
-		}
-		// New committed base: settle the legs queued against the old one
-		// first, then re-target the Scorer at this genome.
-		s.flushPending(out)
-		out[i].f = tmax * (1 + s.rebase(p, g))
-	}
-	s.flushPending(out)
-}
-
-// oneSwap reports whether perm differs from cur by exactly one
-// transposition, returning the swapped positions.
-func oneSwap(cur, perm []int) (a, b int, ok bool) {
-	if len(cur) != len(perm) {
-		return 0, 0, false
-	}
-	a, b = -1, -1
-	for i := range perm {
-		if perm[i] == cur[i] {
-			continue
-		}
-		if a < 0 {
-			a = i
-		} else if b < 0 {
-			b = i
-		} else {
-			return 0, 0, false
-		}
-	}
-	if b < 0 {
-		return 0, 0, false
-	}
-	if perm[a] != cur[b] || perm[b] != cur[a] {
-		return 0, 0, false
-	}
-	return a, b, true
-}
-
-// samePairs reports exact Mem_pair set equality (indices and float bits).
-func samePairs(a, b []recompute.MemPair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // appendPairs folds the exact Mem_pair set into the key (indices and float
@@ -430,11 +281,6 @@ type Options struct {
 	// 1 = sequential). Fitness is a pure function of the genome, so the
 	// result is identical for every worker count.
 	Workers int
-	// PlacementBatch caps the ScorerBatch window each worker batches
-	// one-transposition placement-cost legs through (0 = default 16,
-	// 1 = scalar per-leg evaluation). Batched and scalar costs are
-	// bit-identical, so the setting never changes the search result.
-	PlacementBatch int
 }
 
 // Result reports the best genome and the convergence history.
@@ -470,46 +316,24 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 		omega = 1
 	}
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
-	batchK := opts.PlacementBatch
-	if batchK == 0 {
-		batchK = 16
-	}
-	if batchK < 1 {
-		batchK = 1
-	}
 	// Genome generation stays sequential (it consumes the RNG stream), but
 	// fitness — the expensive, pure part — is scored on the worker pool.
 	// Each worker owns an evalScratch (incremental Scorer + component memo
-	// tables + ScorerBatch), and tasks are contiguous chunks rather than
-	// single genomes so a worker can batch its chunk's placement-cost legs
-	// through one ScorerBatch pass. Fitness depends only on the genome and
-	// every cached/batched path returns exact values, so the result is
-	// identical for every worker count, chunking and batch width.
+	// tables), so a mutation that touched only the permutation re-derives
+	// only the placement cost and vice versa. Fitness depends only on the
+	// genome and the caches memoize exact values, so the result is
+	// identical for every worker count.
 	runner := pool.New(opts.Workers)
 	scratches := make([]*evalScratch, runner.Width(pop))
 	score := func(genomes []Genome) []scored {
-		n := len(genomes)
-		out := make([]scored, n)
-		w := runner.Width(n)
-		chunk := (n + w - 1) / w
-		nchunks := 0
-		if n > 0 {
-			nchunks = (n + chunk - 1) / chunk
-		}
-		runner.RunWorker(nchunks, func(wk, ci int) {
-			lo := ci * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			s := scratches[wk]
+		return pool.MapWorker(runner, len(genomes), func(w, i int) scored {
+			s := scratches[w]
 			if s == nil {
-				s = p.newScratch(batchK)
-				scratches[wk] = s
+				s = p.newScratch()
+				scratches[w] = s
 			}
-			p.scoreChunk(genomes[lo:hi], s, out[lo:hi])
+			return scored{genomes[i], p.fitness(genomes[i], s)}
 		})
-		return out
 	}
 
 	initial := make([]Genome, 0, pop)

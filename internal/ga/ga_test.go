@@ -267,7 +267,7 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 // evaluations served from the caches.
 func TestFitnessScratchMatchesDirect(t *testing.T) {
 	prob, seed := testProblem(t)
-	scratch := prob.newScratch(16)
+	scratch := prob.newScratch()
 	rng := newRand(17)
 	g := seed.Clone()
 	for i := 0; i < 400; i++ {
@@ -294,7 +294,7 @@ func TestFitnessRejectsOutOfRangePerm(t *testing.T) {
 		if !math.IsInf(prob.Fitness(g), 1) {
 			t.Errorf("perm entry %d should be infeasible", bad)
 		}
-		if !math.IsInf(prob.fitness(g, prob.newScratch(16)), 1) {
+		if !math.IsInf(prob.fitness(g, prob.newScratch()), 1) {
 			t.Errorf("perm entry %d should be infeasible on the scratch path", bad)
 		}
 	}
@@ -359,59 +359,5 @@ func TestOp4OperatorDistribution(t *testing.T) {
 	if removes != 776 || resizes != 1739 || adds != 2174 || other != 311 {
 		t.Errorf("operator distribution (remove=%d resize=%d add=%d none=%d) drifted from the pinned seed-42 counts (776/1739/2174/311)",
 			removes, resizes, adds, other)
-	}
-}
-
-// TestOptimizeBatchedMatchesScalar pins the batched placement-cost leg: the
-// GA run with ScorerBatch-backed chunk scoring (any width) must be
-// bit-identical — every generation's best fitness and the final genome — to
-// the scalar per-leg evaluation (PlacementBatch=1), across worker counts.
-// The batched costs are exact, so batching is purely a throughput knob.
-func TestOptimizeBatchedMatchesScalar(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(*testing.T) (*Problem, Genome)
-	}{
-		{"mesh2d", testProblem},
-		{"meshswitch", meshSwitchProblem},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			probScalar, seed := tc.build(t)
-			scalar, err := Optimize(probScalar, seed, Options{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 1, PlacementBatch: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, opt := range []Options{
-				{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 1, PlacementBatch: 8},
-				{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 1}, // default batch 16
-				{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 4}, // batched + parallel chunks
-				{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 3, PlacementBatch: 2},
-			} {
-				prob, _ := tc.build(t)
-				batched, err := Optimize(prob, seed, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if batched.BestFitness != scalar.BestFitness {
-					t.Fatalf("batch=%d workers=%d: best fitness %x, scalar %x",
-						opt.PlacementBatch, opt.Workers, batched.BestFitness, scalar.BestFitness)
-				}
-				if len(batched.History) != len(scalar.History) {
-					t.Fatalf("batch=%d workers=%d: history length %d, scalar %d",
-						opt.PlacementBatch, opt.Workers, len(batched.History), len(scalar.History))
-				}
-				for g := range scalar.History {
-					if batched.History[g] != scalar.History[g] {
-						t.Fatalf("batch=%d workers=%d generation %d: best %x, scalar %x",
-							opt.PlacementBatch, opt.Workers, g, batched.History[g], scalar.History[g])
-					}
-				}
-				for s := range scalar.Best.Perm {
-					if batched.Best.Perm[s] != scalar.Best.Perm[s] {
-						t.Fatalf("batch=%d workers=%d: best perm differs at stage %d", opt.PlacementBatch, opt.Workers, s)
-					}
-				}
-			}
-		})
 	}
 }

@@ -159,10 +159,10 @@ func pathCost(m *mesh.Mesh, from, to mesh.DieID, occupied *mesh.LinkSet) float64
 		return 0
 	}
 	best := -1.0
-	for _, p := range m.ShortestPaths(from, to) {
+	for _, p := range m.ShortestPathIDs(from, to) {
 		usable := true
-		for _, l := range p {
-			if m.EffectiveLinkBandwidth(l) <= 0 {
+		for _, id := range p {
+			if m.EffBW(int(id)) <= 0 {
 				usable = false
 				break
 			}
@@ -172,7 +172,7 @@ func pathCost(m *mesh.Mesh, from, to mesh.DieID, occupied *mesh.LinkSet) float64
 		}
 		gamma := 0
 		if occupied != nil {
-			gamma = m.PathConflicts(p, occupied)
+			gamma = occupied.CountIn(p)
 		}
 		c := float64(len(p)) * (1 + float64(gamma))
 		if best < 0 || c < best {

@@ -103,7 +103,9 @@ func TestAllocateAvoidsConflictedPaths(t *testing.T) {
 	// allocator should then prefer dies reachable without conflicts when
 	// cost-equivalent capacity exists elsewhere.
 	occupied := m.NewLinkSet()
-	m.AddPath(occupied, m.XYPath(pl.Regions[0].Anchor(), pl.Regions[1].Anchor()))
+	for _, id := range m.XYPathIDs(pl.Regions[0].Anchor(), pl.Regions[1].Anchor()) {
+		occupied.Add(int(id))
+	}
 	reqs := []Request{{Sender: 0, Bytes: 2e9}}
 	budgets := append(budgetsFor(pl, []int{1}, 5e9), budgetsFor(pl, []int{2}, 5e9)...)
 	allocs, err := Allocate(m, pl, reqs, budgets, occupied)

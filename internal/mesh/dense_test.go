@@ -1,7 +1,7 @@
 package mesh
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/hw"
@@ -101,73 +101,134 @@ func TestSignatureTracksFaults(t *testing.T) {
 func TestPathInterningSharedAndAllocationFree(t *testing.T) {
 	m := New(hw.Config3())
 	a, b := DieID{X: 0, Y: 0}, DieID{X: 3, Y: 4}
-	p1 := m.XYPath(a, b)
-	p2 := m.XYPath(a, b)
+	p1 := m.XYPathIDs(a, b)
+	p2 := m.XYPathIDs(a, b)
 	if len(p1) != m.Hops(a, b) || len(p2) != len(p1) {
-		t.Fatalf("XYPath length %d, want %d", len(p1), m.Hops(a, b))
+		t.Fatalf("XYPathIDs length %d, want %d", len(p1), m.Hops(a, b))
 	}
 	if &p1[0] != &p2[0] {
-		t.Error("XYPath should return the interned shared slice")
+		t.Error("XYPathIDs should return the interned shared slice")
+	}
+	if sp := m.ShortestPathIDs(a, b); &sp[0][0] != &p1[0] {
+		t.Error("ShortestPathIDs should lead with the interned XY route")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		_ = m.XYPath(a, b)
-		_ = m.YXPath(a, b)
-		_ = m.ShortestPaths(a, b)
+		_ = m.XYPathIDs(a, b)
+		_ = m.ShortestPathIDs(a, b)
 	}); allocs > 0 {
-		t.Errorf("interned path lookups allocate %.0f objects per call, want 0", allocs)
+		t.Errorf("interned route lookups allocate %.0f objects per call, want 0", allocs)
+	}
+}
+
+// walkRoute is the reference route: the link IDs met by stepping from a to
+// b one die at a time, along X first when xFirst is set and along Y first
+// otherwise.
+func walkRoute(m *Mesh, a, b DieID, xFirst bool) []int32 {
+	var ids []int32
+	step := func(dx, dy int) {
+		next := DieID{X: a.X + dx, Y: a.Y + dy}
+		ids = append(ids, int32(m.LinkIndex(Link{From: a, To: next})))
+		a = next
+	}
+	for _, alongX := range []bool{xFirst, !xFirst} {
+		for alongX && a.X != b.X {
+			step(sign(b.X-a.X), 0)
+		}
+		for !alongX && a.Y != b.Y {
+			step(0, sign(b.Y-a.Y))
+		}
+	}
+	return ids
+}
+
+func sign(v int) int {
+	if v < 0 {
+		return -1
+	}
+	return 1
+}
+
+// checkRoutesMatchWalk checks, for every ordered die pair, that XYPathIDs
+// is the X-first walk and ShortestPathIDs the X-first walk followed, when
+// the dies differ in both coordinates, by the Y-first walk.
+func checkRoutesMatchWalk(t *testing.T, name string, m *Mesh) {
+	t.Helper()
+	for ai := 0; ai < m.Dies(); ai++ {
+		for bi := 0; bi < m.Dies(); bi++ {
+			a, b := m.DieAt(ai), m.DieAt(bi)
+			want := [][]int32{walkRoute(m, a, b, true)}
+			if a.X != b.X && a.Y != b.Y {
+				want = append(want, walkRoute(m, a, b, false))
+			}
+			if got := m.XYPathIDs(a, b); !slices.Equal(got, want[0]) {
+				t.Fatalf("%s %v→%v: XYPathIDs %v, want %v", name, a, b, got, want[0])
+			}
+			got := m.ShortestPathIDs(a, b)
+			if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+				t.Fatalf("%s %v→%v: ShortestPathIDs %v, want %v", name, a, b, got, want)
+			}
+		}
 	}
 }
 
 // TestInternedPathsMatchFreshBuild checks, on every Table II wafer and on
-// mesh-switch, that each arena-carved route and ID list equals a freshly
-// built one and has cap == len, so an append never reaches its neighbour.
+// mesh-switch, that each interned route equals the coordinate walk and has
+// cap == len, so an append never reaches its neighbour in the arena.
 func TestInternedPathsMatchFreshBuild(t *testing.T) {
 	for _, w := range append(hw.TableII(), hw.Config3MeshSwitch()) {
 		m := New(w)
-		for ai := 0; ai < m.Dies(); ai++ {
-			for bi := 0; bi < m.Dies(); bi++ {
-				a, b := m.DieAt(ai), m.DieAt(bi)
-				xy, yx := m.buildXYPath(a, b), m.buildYXPath(a, b)
-				sp, spID := [][]Link{xy}, [][]int32{m.buildPathIDs(xy)}
-				if a.X != b.X && a.Y != b.Y {
-					sp, spID = append(sp, yx), append(spID, m.buildPathIDs(yx))
-				}
-				got := []any{m.XYPath(a, b), m.YXPath(a, b), m.XYPathIDs(a, b), m.XYPathIDsAt(ai, bi),
-					m.ShortestPaths(a, b), m.ShortestPathIDs(a, b), m.ShortestPathIDsAt(ai, bi)}
-				want := []any{xy, yx, spID[0], spID[0], sp, spID, spID}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %v→%v: interned %v, want %v", w.Name, a, b, got, want)
-				}
-				e := m.pathAt(a, b)
-				for _, c := range []int{cap(e.xy) - len(e.xy), cap(e.yx) - len(e.yx), cap(e.xyID) - len(e.xyID), cap(e.yxID) - len(e.yxID)} {
-					if c != 0 {
-						t.Fatalf("%s %v→%v: interned slice has %d spare capacity", w.Name, a, b, c)
-					}
-				}
+		if m.InternedMaskArena() == nil {
+			t.Fatalf("%s: routes not interned", w.Name)
+		}
+		checkRoutesMatchWalk(t, w.Name, m)
+		for p, route := range m.routes {
+			if cap(route) != len(route) {
+				t.Fatalf("%s: route %d has %d spare capacity", w.Name, p, cap(route)-len(route))
 			}
 		}
 	}
+}
+
+// TestRoutesPastInterningBound checks a 13×13 wafer, the smallest square
+// past maxInternedDies: nothing is interned, and the routes built per call
+// equal the coordinate walk for every ordered pair.
+func TestRoutesPastInterningBound(t *testing.T) {
+	m := New(pastBoundWafer())
+	if m.Dies() <= maxInternedDies {
+		t.Fatalf("%d dies is within the interning bound %d", m.Dies(), maxInternedDies)
+	}
+	if m.routes != nil || m.InternedMaskArena() != nil {
+		t.Fatal("a mesh past the bound should intern nothing")
+	}
+	checkRoutesMatchWalk(t, "13x13", m)
+}
+
+// pastBoundWafer is a 13×13 wafer of Config3 dies.
+func pastBoundWafer() hw.WaferConfig {
+	w := hw.Config3()
+	w.Name = "13x13"
+	w.DiesX, w.DiesY = 13, 13
+	return w
 }
 
 // TestLinkSet exercises the dense occupied-set bitset.
 func TestLinkSet(t *testing.T) {
 	m := New(hw.Config3())
 	s := m.NewLinkSet()
-	path := m.XYPath(DieID{X: 0, Y: 0}, DieID{X: 3, Y: 0})
-	m.AddPath(s, path)
-	if got := m.PathConflicts(path, s); got != len(path) {
+	path := m.XYPathIDs(DieID{X: 0, Y: 0}, DieID{X: 3, Y: 0})
+	for _, id := range path {
+		s.Add(int(id))
+	}
+	for _, id := range path {
+		if !s.Has(int(id)) {
+			t.Fatalf("link %d added but not a member", id)
+		}
+	}
+	if got := s.CountIn(path); got != len(path) {
 		t.Fatalf("conflicts on own path = %d, want %d", got, len(path))
 	}
-	disjoint := m.XYPath(DieID{X: 0, Y: 1}, DieID{X: 3, Y: 1})
-	if got := m.PathConflicts(disjoint, s); got != 0 {
-		t.Fatalf("conflicts on disjoint path = %d, want 0", got)
-	}
-	overlap := m.XYPath(DieID{X: 1, Y: 0}, DieID{X: 3, Y: 0})
-	if got := m.PathConflicts(overlap, s); got != 2 {
-		t.Fatalf("conflicts on overlapping path = %d, want 2", got)
-	}
 	s.Clear()
-	if got := m.PathConflicts(path, s); got != 0 {
+	if got := s.CountIn(path); got != 0 {
 		t.Fatalf("conflicts after Clear = %d, want 0", got)
 	}
 	// Ignore off-mesh IDs.

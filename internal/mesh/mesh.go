@@ -5,10 +5,14 @@
 //
 // Every die and directed link carries a stable small-integer ID assigned at
 // New() (DieIndex/LinkIndex), fault-adjusted bandwidths live in a dense
-// per-link table, and shortest paths are interned once per mesh so the hot
-// path of the evaluator performs no per-call map operations or path
-// allocations. Paths returned by XYPath/YXPath/ShortestPaths are shared,
-// read-only slices — callers must not modify them.
+// per-link table, and routes are sequences of link IDs. On a mesh of up to
+// maxInternedDies dies, New interns every ordered pair's shortest routes
+// once, as link-ID lists (XYPathIDs, ShortestPathIDs) and as link bitmasks
+// (InternedMaskArena), so the evaluator's hot path performs no per-call map
+// operations or route allocations; interned routes are shared, read-only
+// slices — callers must not modify them. Past the bound, routes are built
+// per call and InternedMaskArena is nil, so placement's annealer runs its
+// scalar loop.
 //
 // The fault injectors (InjectLinkFault, InjectDieFault,
 // InjectRandomLinkFaults, InjectRandomDieFaults) are the only methods that
@@ -58,28 +62,17 @@ func (l Link) String() string { return l.From.String() + "->" + l.To.String() }
 // Reverse returns the opposite-direction link.
 func (l Link) Reverse() Link { return Link{From: l.To, To: l.From} }
 
-// maxInternedDies bounds the eager all-pairs path interning: beyond this the
-// quadratic table would dominate memory, so paths are built per call (the
-// legacy behaviour). Every wafer in the paper's design space is far below
-// this bound.
+// maxInternedDies bounds the eager all-pairs route interning, whose tables
+// grow with the square of the die count. Every wafer in the paper's design
+// space is far below it. Past it, XYPathIDs and ShortestPathIDs build each
+// route per call, InternedMaskArena is nil, and placement's annealer runs
+// its scalar loop instead of the batch evaluator that reads the masks.
 const maxInternedDies = 160
 
 // dirDelta enumerates the four mesh neighbours of a die in canonical DieLess
 // order of the neighbour: up (Y-1), left (X-1), right (X+1), down (Y+1).
 // Keeping this order is what makes LinkIndex ascend in LinkLess order.
 var dirDelta = [4][2]int{{0, -1}, {-1, 0}, {1, 0}, {0, 1}}
-
-// pathEntry interns the routes of one ordered die pair, both as Link
-// sequences and as dense link-ID sequences (the representation the Eq 2
-// inner loops consume — no per-link coordinate math on the hot path).
-type pathEntry struct {
-	xy, yx []Link
-	sp     [2][]Link
-	spLen  int
-
-	xyID, yxID []int32
-	spID       [2][]int32
-}
 
 // Mesh is a wafer's interconnect state: topology, per-link bandwidth and
 // fault status.
@@ -108,29 +101,16 @@ type Mesh struct {
 	dieFaults  map[DieID]float64
 	deadDies   map[DieID]bool
 
-	paths []pathEntry // interned all-pairs routes (nil above maxInternedDies)
-
-	// Compact views of the interned ID routes, split out of the wide
-	// pathEntry records so the placement inner loops — which perform one
-	// random (ai, bi) lookup per re-routed pipeline edge — stride over
-	// 24-byte slice headers instead of ~200-byte entries (a ~8× smaller
-	// cache footprint on the hottest lookup of the annealer). spMaskTab
-	// holds each shortest path additionally as a link bitmask sized
-	// maskWords words, so γ conflict counts against an occupancy word
-	// vector are a handful of AND+popcount operations instead of a
-	// per-link loop; spHops caches the hop counts.
-	// xyMaskTab/xyHops are the same bitmask view for the deterministic XY
-	// route, letting a batch evaluator turn whole-path link-multiset edits
-	// into a handful of word operations.
-	xyIDTab   [][]int32
-	xyMaskTab [][]uint64
-	xyHops    []int16
-	spIDTab   [][2][]int32
-	spLens    []int8
-	spMaskTab [][2][]uint64
-	spHops    [][2]int16
-	maskArena []uint64 // flat backing store of sp/xy masks, 2·maskWords per pair
-	maskWords int
+	// routes is the interned route table (nil past maxInternedDies). For
+	// the ordered die pair p = DieIndex(a)·Dies() + DieIndex(b),
+	// routes[2p] is the XY route and routes[2p+1] the YX route when a and b
+	// differ in both coordinates (nil otherwise), as link IDs in hop order.
+	// All routes are carved from one arena with cap == len, so a caller's
+	// append reallocates instead of overwriting the next route. maskArena
+	// holds the same routes as link bitmasks in the same slots
+	// (InternedMaskArena documents the layout).
+	routes    [][]int32
+	maskArena []uint64
 
 	sig string // topology+fault signature, rebuilt on fault injection
 }
@@ -184,100 +164,52 @@ func (m *Mesh) buildTopology() {
 	m.deadDense = make([]bool, m.nDies)
 }
 
-// internPaths precomputes the XY/YX routes of every ordered die pair so the
-// routing hot path returns shared slices instead of reallocating.
+// internPaths builds the route table and the mask arena, or leaves both nil
+// past maxInternedDies.
 func (m *Mesh) internPaths() {
-	if m.nDies > maxInternedDies {
+	n := m.nDies
+	if n > maxInternedDies {
 		return
 	}
-	m.paths = make([]pathEntry, m.nDies*m.nDies)
-	m.xyIDTab = make([][]int32, m.nDies*m.nDies)
-	m.spIDTab = make([][2][]int32, m.nDies*m.nDies)
-	m.spLens = make([]int8, m.nDies*m.nDies)
-	m.maskWords = (len(m.links) + 63) / 64
-	m.spMaskTab = make([][2][]uint64, m.nDies*m.nDies)
-	m.spHops = make([][2]int16, m.nDies*m.nDies)
-	m.xyMaskTab = make([][]uint64, m.nDies*m.nDies)
-	m.xyHops = make([]int16, m.nDies*m.nDies)
-	maskArena := make([]uint64, m.nDies*m.nDies*2*m.maskWords)
-	m.maskArena = maskArena
-	// The XY and YX routes of a pair have Hops(a, b) links each. Carve the
-	// routes and their ID lists out of two arenas sized by the summed hop
-	// count; every carved slice has cap == len, so a caller's append
-	// reallocates instead of overwriting the next route.
-	var hops int
-	for ai := 0; ai < m.nDies; ai++ {
-		for bi := 0; bi < m.nDies; bi++ {
-			hops += m.Hops(m.DieAt(ai), m.DieAt(bi))
+	// An XY route has Hops(a, b) links, and so has a stored YX route: size
+	// the ID arena by the sum.
+	var total int
+	for ai := 0; ai < n; ai++ {
+		for bi := 0; bi < n; bi++ {
+			a, b := m.DieAt(ai), m.DieAt(bi)
+			total += m.Hops(a, b)
+			if a.X != b.X && a.Y != b.Y {
+				total += m.Hops(a, b)
+			}
 		}
 	}
-	linkArena := make([]Link, 0, 2*hops)
-	idArena := make([]int32, 0, 2*hops)
-	for ai := 0; ai < m.nDies; ai++ {
-		a := m.DieAt(ai)
-		for bi := 0; bi < m.nDies; bi++ {
-			b := m.DieAt(bi)
-			e := &m.paths[ai*m.nDies+bi]
-			if a != b {
-				from := len(linkArena)
-				linkArena = appendXYPath(linkArena, a, b)
-				e.xy = carve(linkArena, from)
-				from = len(linkArena)
-				linkArena = appendYXPath(linkArena, a, b)
-				e.yx = carve(linkArena, from)
-				from = len(idArena)
-				idArena = m.appendPathIDs(idArena, e.xy)
-				e.xyID = carve(idArena, from)
-				from = len(idArena)
-				idArena = m.appendPathIDs(idArena, e.yx)
-				e.yxID = carve(idArena, from)
+	arena := make([]int32, 0, total)
+	m.routes = make([][]int32, 2*n*n)
+	w := (len(m.links) + 63) / 64
+	m.maskArena = make([]uint64, 2*n*n*w)
+	for ai := 0; ai < n; ai++ {
+		for bi := 0; bi < n; bi++ {
+			a, b := m.DieAt(ai), m.DieAt(bi)
+			if a == b {
+				continue
 			}
-			e.sp[0] = e.xy
-			e.spID[0] = e.xyID
-			e.spLen = 1
+			p := 2 * (ai*n + bi)
+			from := len(arena)
+			arena = m.appendXYIDs(arena, a, b)
+			m.routes[p] = arena[from:len(arena):len(arena)]
 			if a.X != b.X && a.Y != b.Y {
-				e.sp[1] = e.yx
-				e.spID[1] = e.yxID
-				e.spLen = 2
+				from = len(arena)
+				arena = m.appendYXIDs(arena, a, b)
+				m.routes[p+1] = arena[from:len(arena):len(arena)]
 			}
-			idx := ai*m.nDies + bi
-			m.xyIDTab[idx] = e.xyID
-			m.spIDTab[idx] = e.spID
-			m.spLens[idx] = int8(e.spLen)
-			for k := 0; k < e.spLen; k++ {
-				mask := maskArena[(idx*2+k)*m.maskWords : (idx*2+k+1)*m.maskWords]
-				for _, id := range e.spID[k] {
+			for k := p; k < p+2; k++ {
+				mask := m.maskArena[k*w : (k+1)*w]
+				for _, id := range m.routes[k] {
 					mask[id>>6] |= 1 << (uint32(id) & 63)
 				}
-				m.spMaskTab[idx][k] = mask
-				m.spHops[idx][k] = int16(len(e.spID[k]))
 			}
-			// Index 0 of sp is always the XY route, so the XY mask view
-			// aliases the first shortest-path mask.
-			m.xyMaskTab[idx] = m.spMaskTab[idx][0]
-			m.xyHops[idx] = int16(len(e.xyID))
 		}
 	}
-}
-
-// carve returns arena[from:] with its capacity clipped to its length.
-func carve[T any](arena []T, from int) []T { return arena[from:len(arena):len(arena)] }
-
-// buildPathIDs maps a route to its dense link IDs. Every link of an
-// on-mesh route has an ID, so the slice length equals the hop count.
-func (m *Mesh) buildPathIDs(path []Link) []int32 {
-	if len(path) == 0 {
-		return nil
-	}
-	return m.appendPathIDs(make([]int32, 0, len(path)), path)
-}
-
-// appendPathIDs appends the dense link IDs of a route to ids.
-func (m *Mesh) appendPathIDs(ids []int32, path []Link) []int32 {
-	for _, l := range path {
-		ids = append(ids, int32(m.LinkIndex(l)))
-	}
-	return ids
 }
 
 // refreshFaultState rebuilds the dense fault-derived tables and the mesh
@@ -326,9 +258,6 @@ func (m *Mesh) NumLinks() int { return len(m.links) }
 // ascend in canonical LinkLess order.
 func (m *Mesh) LinkAt(i int) Link { return m.links[i] }
 
-// Links returns the shared canonical link table; callers must not modify it.
-func (m *Mesh) Links() []Link { return m.links }
-
 // LinkIndex returns the dense ID of a directed mesh link, or -1 when the
 // link is not a unit-hop link of the mesh.
 func (m *Mesh) LinkIndex(l Link) int {
@@ -372,199 +301,82 @@ func (m *Mesh) Hops(a, b DieID) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
-// buildXYPath allocates the dimension-ordered (X then Y) route.
-func (m *Mesh) buildXYPath(a, b DieID) []Link {
-	hops := m.Hops(a, b)
-	if hops == 0 {
-		return nil
-	}
-	return appendXYPath(make([]Link, 0, hops), a, b)
-}
-
-// appendXYPath appends the dimension-ordered route from a to b to path.
-func appendXYPath(path []Link, a, b DieID) []Link {
-	cur := a
-	for cur.X != b.X {
-		next := cur
-		if b.X > cur.X {
+// appendXYIDs appends the link IDs of the dimension-ordered (X then Y)
+// route from a to b. A hop off the mesh appends -1.
+func (m *Mesh) appendXYIDs(ids []int32, a, b DieID) []int32 {
+	for a != b {
+		next := a
+		switch {
+		case a.X < b.X:
 			next.X++
-		} else {
+		case a.X > b.X:
 			next.X--
-		}
-		path = append(path, Link{From: cur, To: next})
-		cur = next
-	}
-	for cur.Y != b.Y {
-		next := cur
-		if b.Y > cur.Y {
+		case a.Y < b.Y:
 			next.Y++
-		} else {
+		default:
 			next.Y--
 		}
-		path = append(path, Link{From: cur, To: next})
-		cur = next
+		ids = append(ids, int32(m.LinkIndex(Link{From: a, To: next})))
+		a = next
 	}
-	return path
+	return ids
 }
 
-// buildYXPath allocates the Y-then-X route.
-func (m *Mesh) buildYXPath(a, b DieID) []Link {
-	hops := m.Hops(a, b)
-	if hops == 0 {
-		return nil
-	}
-	return appendYXPath(make([]Link, 0, hops), a, b)
-}
-
-// appendYXPath appends the Y-then-X route from a to b to path.
-func appendYXPath(path []Link, a, b DieID) []Link {
+// appendYXIDs appends the link IDs of the Y-then-X route from a to b.
+func (m *Mesh) appendYXIDs(ids []int32, a, b DieID) []int32 {
 	mid := DieID{X: a.X, Y: b.Y}
-	return appendXYPath(appendXYPath(path, a, mid), mid, b)
+	return m.appendXYIDs(m.appendXYIDs(ids, a, mid), mid, b)
 }
 
-// pathAt returns the interned routes of an ordered pair, or nil when the
-// pair is off the interning table.
-func (m *Mesh) pathAt(a, b DieID) *pathEntry {
-	if m.paths == nil {
-		return nil
-	}
+// pairIndex returns the route-table index of the ordered pair, or -1 when
+// the mesh is past the interning bound or a die is off the mesh.
+func (m *Mesh) pairIndex(a, b DieID) int {
 	ai, bi := m.DieIndex(a), m.DieIndex(b)
-	if ai < 0 || bi < 0 {
-		return nil
+	if m.routes == nil || ai < 0 || bi < 0 {
+		return -1
 	}
-	return &m.paths[ai*m.nDies+bi]
+	return ai*m.nDies + bi
 }
 
-// XYPath returns the dimension-ordered (X then Y) route between two dies as
-// a sequence of links. The returned slice is shared — do not modify it.
-func (m *Mesh) XYPath(a, b DieID) []Link {
-	if e := m.pathAt(a, b); e != nil {
-		return e.xy
-	}
-	return m.buildXYPath(a, b)
-}
-
-// YXPath returns the Y-then-X route. The returned slice is shared — do not
-// modify it.
-func (m *Mesh) YXPath(a, b DieID) []Link {
-	if e := m.pathAt(a, b); e != nil {
-		return e.yx
-	}
-	return m.buildYXPath(a, b)
-}
-
-// ShortestPaths returns up to two distinct minimal routes (XY and YX) for
-// conflict-aware path selection; when multiple shortest paths exist the
-// placement optimiser enumerates them (§IV-C-1). The returned slices are
-// shared — do not modify them.
-func (m *Mesh) ShortestPaths(a, b DieID) [][]Link {
-	if e := m.pathAt(a, b); e != nil {
-		return e.sp[:e.spLen]
-	}
-	xy := m.buildXYPath(a, b)
-	if a.X == b.X || a.Y == b.Y {
-		return [][]Link{xy}
-	}
-	return [][]Link{xy, m.buildYXPath(a, b)}
-}
-
-// XYPathIDs returns the dimension-ordered route as dense link IDs — the
-// zero-coordinate-math representation of XYPath, in the same hop order.
-// The returned slice is shared — do not modify it.
+// XYPathIDs returns the dimension-ordered (X then Y) route from a to b as
+// dense link IDs in hop order. On an interned mesh the slice is shared — do
+// not modify it.
 func (m *Mesh) XYPathIDs(a, b DieID) []int32 {
-	if m.xyIDTab != nil {
-		if ai, bi := m.DieIndex(a), m.DieIndex(b); ai >= 0 && bi >= 0 {
-			return m.xyIDTab[ai*m.nDies+bi]
-		}
+	if p := m.pairIndex(a, b); p >= 0 {
+		return m.routes[2*p]
 	}
-	return m.buildPathIDs(m.buildXYPath(a, b))
+	return m.appendXYIDs(make([]int32, 0, m.Hops(a, b)), a, b)
 }
 
-// ShortestPathIDs is ShortestPaths in dense link-ID form: the k-th returned
-// slice is the ID sequence of the k-th ShortestPaths route. The returned
-// slices are shared — do not modify them.
+// ShortestPathIDs returns the minimal routes from a to b that the
+// conflict-aware path selection of §IV-C-1 chooses between, as dense link
+// IDs: the XY route, then the YX route when a and b differ in both
+// coordinates. On an interned mesh the slices are shared — do not modify
+// them.
 func (m *Mesh) ShortestPathIDs(a, b DieID) [][]int32 {
-	if m.spIDTab != nil {
-		if ai, bi := m.DieIndex(a), m.DieIndex(b); ai >= 0 && bi >= 0 {
-			e := ai*m.nDies + bi
-			return m.spIDTab[e][:m.spLens[e]]
-		}
+	n := 1
+	if a.X != b.X && a.Y != b.Y {
+		n = 2
 	}
-	xy := m.buildPathIDs(m.buildXYPath(a, b))
-	if a.X == b.X || a.Y == b.Y {
-		return [][]int32{xy}
+	if p := m.pairIndex(a, b); p >= 0 {
+		return m.routes[2*p : 2*p+n : 2*p+n]
 	}
-	return [][]int32{xy, m.buildPathIDs(m.buildYXPath(a, b))}
+	paths := [][]int32{m.XYPathIDs(a, b)}
+	if n == 2 {
+		paths = append(paths, m.appendYXIDs(make([]int32, 0, m.Hops(a, b)), a, b))
+	}
+	return paths
 }
 
-// XYPathIDsAt is XYPathIDs addressed by dense die indices (DieIndex). On an
-// interned mesh it is a single table load with no coordinate validation —
-// the lookup shape of the batch swap evaluator, which resolves its anchors
-// to die indices once per committed state instead of once per candidate.
-func (m *Mesh) XYPathIDsAt(ai, bi int) []int32 {
-	if m.xyIDTab != nil {
-		return m.xyIDTab[ai*m.nDies+bi]
-	}
-	return m.buildPathIDs(m.buildXYPath(m.DieAt(ai), m.DieAt(bi)))
-}
-
-// XYPathMaskAt returns the interned XY route of a dense die index pair as a
-// link bitmask (maskWords words, shared — do not modify) plus its hop count.
-// mask is nil when the mesh is beyond the interning bound — callers fall
-// back to the ID form. The mask words are sized identically to LinkSet
-// words, so whole-path occupancy edits are per-word OR/AND-NOT operations.
-func (m *Mesh) XYPathMaskAt(ai, bi int) (mask []uint64, hops int16) {
-	if m.xyMaskTab == nil {
-		return nil, 0
-	}
-	e := ai*m.nDies + bi
-	return m.xyMaskTab[e], m.xyHops[e]
-}
-
-// InternedMaskWords returns the per-mask word count of the interned path
-// bitmasks, or 0 when the mesh is beyond the interning bound.
-func (m *Mesh) InternedMaskWords() int {
-	if m.xyMaskTab == nil {
-		return 0
-	}
-	return m.maskWords
-}
-
-// InternedMaskArena exposes the flat backing store of the interned path
-// masks for batch evaluators that index it per candidate with computed
-// offsets: for the ordered dense die pair e = ai*nDies + bi and
-// w = InternedMaskWords, words [e·2w, e·2w+w) hold the XY (first shortest)
-// path mask and [e·2w+w, e·2w+2w) the second shortest path mask — all-zero
-// when the route is straight, so a path's existence and its hop count both
-// fall out of popcounts over words the γ count loads anyway. Shared — do
-// not modify; nil beyond the interning bound.
+// InternedMaskArena exposes the interned routes as link bitmasks for batch
+// evaluators that index it per candidate with computed offsets. Each mask
+// has the w = (NumLinks()+63)/64 words of a LinkSet; for the ordered dense
+// die pair p = ai·Dies() + bi, words [p·2w, p·2w+w) hold the XY route mask
+// and [p·2w+w, p·2w+2w) the YX route mask — all-zero when the route is
+// straight, so a route's existence and its hop count both fall out of
+// popcounts over words the γ count loads anyway. Shared — do not modify;
+// nil past the interning bound.
 func (m *Mesh) InternedMaskArena() []uint64 { return m.maskArena }
-
-// NumDies returns the dense die index bound (Cols·Rows).
-func (m *Mesh) NumDies() int { return m.nDies }
-
-// ShortestPathMasksAt returns the interned shortest paths of a dense die
-// index pair as link bitmasks (maskWords words per mask, shared — do not
-// modify) plus their hop counts; n is the number of paths. n == 0 when the
-// mesh is beyond the interning bound — callers fall back to the ID form.
-// γ of path k against an occupancy word vector occ is then
-// Σ_w popcount(masks[k][w] & occ[w]).
-func (m *Mesh) ShortestPathMasksAt(ai, bi int) (masks [2][]uint64, hops [2]int16, n int) {
-	if m.spMaskTab == nil {
-		return masks, hops, 0
-	}
-	e := ai*m.nDies + bi
-	return m.spMaskTab[e], m.spHops[e], int(m.spLens[e])
-}
-
-// ShortestPathIDsAt is ShortestPathIDs addressed by dense die indices.
-func (m *Mesh) ShortestPathIDsAt(ai, bi int) [][]int32 {
-	if m.spIDTab != nil {
-		e := ai*m.nDies + bi
-		return m.spIDTab[e][:m.spLens[e]]
-	}
-	return m.ShortestPathIDs(m.DieAt(ai), m.DieAt(bi))
-}
 
 // EffectiveLinkBandwidth returns the link's bandwidth after fault
 // degradation; zero for dead links or links touching dead dies.
@@ -609,18 +421,6 @@ func (m *Mesh) TransferTime(path []Link, bytes float64) float64 {
 		return math.Inf(1)
 	}
 	return float64(len(path))*m.LinkLatency + bytes/minBW
-}
-
-// Conflicts returns the number of links shared between the path and the set
-// of occupied links — the conflict factor γ of Eq 2.
-func Conflicts(path []Link, occupied map[Link]bool) int {
-	n := 0
-	for _, l := range path {
-		if occupied[l] {
-			n++
-		}
-	}
-	return n
 }
 
 // LinkSet is a dense bitset over the mesh's link IDs — the allocation-free
@@ -676,13 +476,6 @@ func (s *LinkSet) Has(i int) bool {
 	return i >= 0 && s.bits[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// HasID is Has for dense int32 path IDs, which are always on-mesh — it
-// skips the negative-ID guard so batch evaluators probing many links per
-// candidate (placement.ScorerBatch) stay on the two-instruction path.
-func (s *LinkSet) HasID(id int32) bool {
-	return s.bits[id>>6]&(1<<(uint32(id)&63)) != 0
-}
-
 // Any reports whether the set holds at least one ID.
 func (s *LinkSet) Any() bool {
 	for _, w := range s.bits {
@@ -698,8 +491,7 @@ func (s *LinkSet) Any() bool {
 func (s *LinkSet) Words() []uint64 { return s.bits }
 
 // CountIn returns how many of the given link IDs are members — the γ
-// conflict count of a dense ID path against an occupied set (the ID
-// counterpart of Mesh.PathConflicts).
+// conflict count of a route against an occupied set.
 func (s *LinkSet) CountIn(ids []int32) int {
 	n := 0
 	for _, id := range ids {
@@ -716,25 +508,6 @@ func (s *LinkSet) Clear() {
 	for i := range s.bits {
 		s.bits[i] = 0
 	}
-}
-
-// AddPath inserts every link of the path.
-func (m *Mesh) AddPath(s *LinkSet, path []Link) {
-	for _, l := range path {
-		s.Add(m.LinkIndex(l))
-	}
-}
-
-// PathConflicts returns the γ conflict count of a path against the occupied
-// set — the LinkSet counterpart of Conflicts.
-func (m *Mesh) PathConflicts(path []Link, occupied *LinkSet) int {
-	n := 0
-	for _, l := range path {
-		if occupied.Has(m.LinkIndex(l)) {
-			n++
-		}
-	}
-	return n
 }
 
 func abs(a int) int {

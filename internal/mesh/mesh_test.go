@@ -24,20 +24,27 @@ func TestHopsAndXYPath(t *testing.T) {
 	if got := m.Hops(a, b); got != 5 {
 		t.Errorf("hops = %d, want 5", got)
 	}
-	p := m.XYPath(a, b)
-	if len(p) != 5 {
-		t.Fatalf("XY path length = %d, want 5", len(p))
+	ids := m.XYPathIDs(a, b)
+	if len(ids) != 5 {
+		t.Fatalf("XY path length = %d, want 5", len(ids))
+	}
+	p := make([]Link, len(ids))
+	for i, id := range ids {
+		p[i] = m.LinkAt(int(id))
 	}
 	if p[0].From != a || p[len(p)-1].To != b {
 		t.Errorf("path endpoints wrong: %v", p)
 	}
-	// Links must be contiguous and unit-length.
+	// Links must be contiguous and unit-length, X moves before Y moves.
 	for i, l := range p {
 		if m.Hops(l.From, l.To) != 1 {
 			t.Errorf("link %d not adjacent: %v", i, l)
 		}
 		if i > 0 && p[i-1].To != l.From {
 			t.Errorf("path discontinuous at %d", i)
+		}
+		if i > 0 && l.From.X != l.To.X && p[i-1].From.Y != p[i-1].To.Y {
+			t.Errorf("X move after a Y move at %d", i)
 		}
 	}
 }
@@ -46,10 +53,10 @@ func TestShortestPathsEnumeration(t *testing.T) {
 	m := testMesh()
 	// Straight-line pairs have one shortest path; diagonal pairs have two
 	// (XY and YX).
-	if got := len(m.ShortestPaths(DieID{0, 0}, DieID{4, 0})); got != 1 {
+	if got := len(m.ShortestPathIDs(DieID{0, 0}, DieID{4, 0})); got != 1 {
 		t.Errorf("straight-line paths = %d, want 1", got)
 	}
-	paths := m.ShortestPaths(DieID{0, 0}, DieID{2, 3})
+	paths := m.ShortestPathIDs(DieID{0, 0}, DieID{2, 3})
 	if len(paths) != 2 {
 		t.Fatalf("diagonal paths = %d, want 2", len(paths))
 	}
@@ -62,7 +69,7 @@ func TestShortestPathsEnumeration(t *testing.T) {
 
 func TestTransferTime(t *testing.T) {
 	m := testMesh()
-	path := m.XYPath(DieID{0, 0}, DieID{3, 0})
+	path := []Link{{DieID{0, 0}, DieID{1, 0}}, {DieID{1, 0}, DieID{2, 0}}, {DieID{2, 0}, DieID{3, 0}}}
 	bytes := 4e12
 	want := 3*m.LinkLatency + bytes/m.LinkBandwidth
 	if got := m.TransferTime(path, bytes); math.Abs(got-want) > 1e-12 {
@@ -75,17 +82,16 @@ func TestTransferTime(t *testing.T) {
 
 func TestConflictsGamma(t *testing.T) {
 	m := testMesh()
-	pipe := m.XYPath(DieID{0, 0}, DieID{3, 0})
-	occupied := map[Link]bool{}
-	for _, l := range pipe {
-		occupied[l] = true
+	occupied := m.NewLinkSet()
+	for _, id := range m.XYPathIDs(DieID{0, 0}, DieID{3, 0}) {
+		occupied.Add(int(id))
 	}
-	overlap := m.XYPath(DieID{1, 0}, DieID{3, 0})
-	if got := Conflicts(overlap, occupied); got != 2 {
+	overlap := m.XYPathIDs(DieID{1, 0}, DieID{3, 0})
+	if got := occupied.CountIn(overlap); got != 2 {
 		t.Errorf("γ = %d, want 2", got)
 	}
-	disjoint := m.XYPath(DieID{0, 1}, DieID{3, 1})
-	if got := Conflicts(disjoint, occupied); got != 0 {
+	disjoint := m.XYPathIDs(DieID{0, 1}, DieID{3, 1})
+	if got := occupied.CountIn(disjoint); got != 0 {
 		t.Errorf("γ = %d, want 0 for disjoint path", got)
 	}
 }
@@ -196,7 +202,12 @@ func TestPathLengthEqualsHopsProperty(t *testing.T) {
 	f := func(ax, ay, bx, by uint8) bool {
 		a := DieID{int(ax) % m.Cols, int(ay) % m.Rows}
 		b := DieID{int(bx) % m.Cols, int(by) % m.Rows}
-		return len(m.XYPath(a, b)) == m.Hops(a, b) && len(m.YXPath(a, b)) == m.Hops(a, b)
+		for _, p := range m.ShortestPathIDs(a, b) {
+			if len(p) != m.Hops(a, b) {
+				return false
+			}
+		}
+		return len(m.XYPathIDs(a, b)) == m.Hops(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -140,13 +140,15 @@ func anchorCost(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.L
 	var cost float64
 	// Pipeline paths (anchor-to-anchor XY routes) in stage order.
 	for s := 0; s+1 < pp; s++ {
-		path := m.XYPath(anchors[s], anchors[s+1])
+		path := m.XYPathIDs(anchors[s], anchors[s+1])
 		vol := 0.0
 		if s < len(w.PipelineBytes) {
 			vol = w.PipelineBytes[s]
 		}
 		cost += float64(len(path)) * vol
-		m.AddPath(occupied, path)
+		for _, id := range path {
+			occupied.Add(int(id))
+		}
 	}
 	// Activation-balance paths with conflict punishment.
 	for _, pr := range w.Pairs {
@@ -156,8 +158,8 @@ func anchorCost(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.L
 		a := anchors[pr.Sender]
 		b := anchors[pr.Helper]
 		best := math.Inf(1)
-		for _, path := range m.ShortestPaths(a, b) {
-			gamma := m.PathConflicts(path, occupied)
+		for _, path := range m.ShortestPathIDs(a, b) {
+			gamma := occupied.CountIn(path)
 			c := float64(len(path)) * pr.Bytes * (1 + float64(gamma))
 			if c < best {
 				best = c
@@ -194,7 +196,9 @@ func Optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (*Placement,
 
 // OptimizeWindow is Optimize with an explicit speculative window cap.
 // window ≤ 1 runs the scalar reference loop: one SwapDelta per proposal,
-// Apply on acceptance, Revert otherwise.
+// Apply on acceptance, Revert otherwise. So does every window on a mesh
+// past the mesh package's route-interning bound, whose missing route masks
+// the ScorerBatch needs.
 //
 // For window > 1 the loop speculates: it draws the next proposals (and,
 // eagerly, their acceptance thresholds) from a rewindable view of the RNG
@@ -251,7 +255,7 @@ func OptimizeWindow(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, window
 	}
 	iters := 200 * pp
 
-	if window <= 1 {
+	if window <= 1 || m.InternedMaskArena() == nil {
 		for i := 0; i < iters; i++ {
 			a, b := rng.Intn(pp), rng.Intn(pp)
 			if a == b {
@@ -357,14 +361,16 @@ func OptimizeWindow(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, window
 }
 
 // TotalHops returns the total pipeline + balance hop count of a placement
-// (the "30% reduction in total hop count" metric of §IV-C-1).
+// (the "30% reduction in total hop count" metric of §IV-C-1). Like
+// GlobalCost, it skips pairs with a stage index out of range.
 func TotalHops(m *mesh.Mesh, p *Placement, pairs []recompute.MemPair) int {
+	pp := len(p.Regions)
 	hops := 0
-	for s := 0; s+1 < len(p.Regions); s++ {
+	for s := 0; s+1 < pp; s++ {
 		hops += m.Hops(p.Regions[s].Anchor(), p.Regions[s+1].Anchor())
 	}
 	for _, pr := range pairs {
-		if pr.Sender < len(p.Regions) && pr.Helper < len(p.Regions) {
+		if pr.Sender >= 0 && pr.Sender < pp && pr.Helper >= 0 && pr.Helper < pp {
 			hops += m.Hops(p.Regions[pr.Sender].Anchor(), p.Regions[pr.Helper].Anchor())
 		}
 	}

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +149,61 @@ func TestGlobalCostIgnoresInvalidPairs(t *testing.T) {
 	w := Workload{Pairs: []recompute.MemPair{{Sender: 5, Helper: 9, Bytes: 1e9}}}
 	if got := GlobalCost(m, p, w); got != 0 {
 		t.Errorf("out-of-range pairs should be ignored, cost = %g", got)
+	}
+}
+
+func TestTotalHopsIgnoresInvalidPairs(t *testing.T) {
+	m := m3()
+	p, _ := Serpentine(m, 7, 2)
+	want := TotalHops(m, p, nil)
+	for _, pr := range []recompute.MemPair{
+		{Sender: 5, Helper: 9, Bytes: 1e9},
+		{Sender: -1, Helper: 0, Bytes: 1e9},
+		{Sender: 0, Helper: -1, Bytes: 1e9},
+	} {
+		if got := TotalHops(m, p, []recompute.MemPair{pr}); got != want {
+			t.Errorf("pair %+v should be ignored: hops = %d, want %d", pr, got, want)
+		}
+	}
+}
+
+// TestOptimizePastInterningBound pins the annealer on a mesh past the
+// route-interning bound, where no ScorerBatch can run: Optimize must return
+// exactly the scalar loop's placement and never cost more than serpentine.
+func TestOptimizePastInterningBound(t *testing.T) {
+	m := pastBoundMesh()
+	const tp, pp = 7, 24
+	pipe := make([]float64, pp)
+	for i := range pipe {
+		pipe[i] = 1e9
+	}
+	w := Workload{
+		PipelineBytes: pipe,
+		Pairs: []recompute.MemPair{
+			memPair(0, pp-1, 2e9),
+			memPair(1, pp-2, 2e9),
+			memPair(3, 12, 1e9),
+		},
+	}
+	serp, err := Serpentine(m, tp, pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		opt, err := Optimize(m, tp, pp, w, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar, err := OptimizeWindow(m, tp, pp, w, rand.New(rand.NewSource(seed)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(opt, scalar) {
+			t.Fatalf("seed %d: Optimize differs from the scalar loop", seed)
+		}
+		if co, cs := GlobalCost(m, opt, w), GlobalCost(m, serp, w); co > cs {
+			t.Errorf("seed %d: optimized cost %g exceeds serpentine %g", seed, co, cs)
+		}
 	}
 }
 

@@ -16,11 +16,15 @@
 // bit-identical to anchorCost at every step (pinned by
 // TestScorerMatchesFullEval and the sched golden SHA).
 //
-// On meshes small enough for path interning a SwapDelta/Apply/Revert cycle
+// On meshes small enough for route interning a SwapDelta/Apply/Revert cycle
 // performs no steady-state allocations (the inverted index's per-link
 // lists grow to a stable capacity during the first sweeps); beyond the
-// interning bound the per-call path construction allocates, but the
+// interning bound the per-call route construction allocates, but the
 // asymptotic win stands.
+//
+// The Scorer serves the annealer on every mesh and the GA's fitness
+// scratch. Its batch companion ScorerBatch (scorer_batch.go) serves the
+// annealer only, and only on meshes with interned routes.
 package placement
 
 import (

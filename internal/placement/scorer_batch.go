@@ -1,21 +1,27 @@
-// Batched K-candidate swap evaluation for the annealer and GA inner loops.
+// Batched K-candidate swap evaluation, used only by the speculative
+// annealer (OptimizeWindow).
 //
 // ScorerBatch evaluates up to K proposed two-anchor swaps against one
 // committed assignment without mutating it. It shares everything heavy with
-// the scalar Scorer — the mesh, the interned route tables, the
+// the scalar Scorer — the mesh, the interned route masks, the
 // occupied-link multiset and every stored Eq 2 term — and lays its own work
 // out struct-of-arrays style:
 //
 //   - a base term vector (pipeline-edge terms in stage order, then the
 //     finite valid pair terms in declaration order) snapshotted from the
 //     committed Scorer and keyed on its generation counter;
-//   - a lane-major slab of K candidate term vectors, each initialised by a
-//     flat copy of the base and patched only at the candidate's dirty
-//     entries (≤4 pipeline edges, moved pairs, γ-touched pairs);
-//   - a dense per-link virtual-occupancy plane reused across the K
-//     candidates through epoch stamping (no clearing passes), distilled per
-//     candidate into an occupancy-after word vector so pair γ counts are
-//     flat AND+popcount loops over interned link masks.
+//   - one candidate term vector, kept equal to the base and patched only at
+//     the candidate's dirty entries (≤4 pipeline edges, moved pairs,
+//     γ-touched pairs);
+//   - word planes of the links the candidate's rerouted pipeline edges
+//     remove and add, read off the mesh's interned route bitmasks and
+//     distilled into an occupancy-after word vector, so pair γ counts are
+//     flat AND+popcount loops over link masks.
+//
+// The evaluation reads routes only as interned bitmasks, so it requires a
+// mesh within the interning bound (mesh.InternedMaskArena non-nil) and
+// anchors on the mesh; NewScorerBatch checks both and panics otherwise.
+// OptimizeWindow runs its scalar loop on meshes past the bound.
 //
 // The K costs then fall out of K flat []float64 lane sums. Because every
 // lane entry is either the committed term (bit-copied) or recomputed with
@@ -35,8 +41,6 @@ package placement
 import (
 	"math"
 	"math/bits"
-
-	"repro/internal/mesh"
 )
 
 // ScorerBatch is a K-candidate batch evaluator over a Scorer's committed
@@ -75,11 +79,9 @@ type ScorerBatch struct {
 	gen      int64
 
 	// anchorIdx caches the dense die index of every stage anchor of the
-	// committed state, so candidate path lookups are pure table loads
-	// (XYPathIDsAt) with no per-candidate coordinate validation. idxOK
-	// falls back to coordinate lookups for off-mesh anchors.
+	// committed state, so a candidate's route masks are pure arena offsets
+	// with no per-candidate coordinate lookups.
 	anchorIdx []int32
-	idxOK     bool
 
 	// pairList holds the valid pair indices; pairMask holds each valid
 	// pair's candidate paths as link bitmasks (nw words per path, two paths
@@ -96,25 +98,21 @@ type ScorerBatch struct {
 	npw      int
 	affW     []uint64
 
-	// Word-parallel edge-delta state. When the mesh is within the interning
-	// bound (and its masks fit the stack plane width), each pipeline edge's
-	// committed route and candidate route are interned link bitmasks, so a
-	// candidate's whole occupancy
-	// edit reduces to a few per-word operations: net removal and addition
-	// words with same-edge reroute overlap cancelled by mask AND-NOT — the
-	// word-level generalisation of prefix/suffix trimming. occOne is the
-	// committed "multiplicity exactly one" word vector, rebuilt per base
-	// sync, which turns zero-crossing detection into (rem&occOne)|(add&^occ)
-	// for every link outside the overlap plane — the links touched by two or
-	// more edges, resolved exactly by probing the edge masks for a per-link
-	// net delta.
-	// maskArena is the mesh's flat interned path-mask store (2·nw words per
-	// ordered die pair: XY mask then second-shortest mask, zero when the
-	// route is straight); nDies its row stride. edgeOff[s] is the arena
-	// offset of pipeline edge s's committed route mask. Hop counts are
-	// popcounts of the mask words the evaluation loads anyway, so no hop or
-	// path-count tables are touched per candidate.
-	maskOK    bool
+	// Word-parallel edge-delta state. Each pipeline edge's committed route
+	// and candidate route are interned link bitmasks, so a candidate's whole
+	// occupancy edit reduces to a few per-word operations: net removal and
+	// addition words with same-edge reroute overlap cancelled by mask
+	// AND-NOT — the word-level form of prefix/suffix trimming. occOne is the
+	// committed "multiplicity exactly one" word vector, which turns
+	// zero-crossing detection into (rem&occOne)|(add&^occ) for every link
+	// outside the overlap plane — the links touched by two or more edges,
+	// resolved exactly by probing the edge masks for a per-link net delta.
+	// maskArena is the mesh's flat interned route-mask store (2·nw words per
+	// ordered die pair: XY mask then YX mask, zero when the route is
+	// straight); nDies its row stride. edgeOff[s] is the arena offset of
+	// pipeline edge s's committed route mask. Hop counts are popcounts of
+	// the mask words the evaluation loads anyway, so no hop or path-count
+	// tables are touched per candidate.
 	maskArena []uint64
 	nDies     int
 	edgeOff   []int32
@@ -134,37 +132,44 @@ type ScorerBatch struct {
 	eoP [4][maskWStack]uint64
 	enP [4][maskWStack]uint64
 
-	// Per-candidate dirty scratch, reused across candidates via epoch
-	// stamping (no clearing passes). linkDE packs each link's entire virtual
-	// occupancy state into one word — epoch<<32 | wasOccupied<<31 |
-	// cntAfter — so the touch loops and the flip scan (the hottest loads in
-	// the annealer) each cost one load per link. flips collects the links
-	// whose boolean occupancy crossed; occAfter is the committed occupancy
-	// word vector with those bits toggled.
-	epoch       int32
-	linkDE      []int64
-	linkTouched []int32
-	occAfter    []uint64
-	movedEpoch  []int32
+	// Per-candidate scratch: occAfter is the committed occupancy word vector
+	// with the candidate's flipped links toggled; movedEpoch marks the pairs
+	// a candidate already re-derived, reused across candidates through epoch
+	// stamping (no clearing passes).
+	epoch      int32
+	occAfter   []uint64
+	movedEpoch []int32
 }
 
 // NewScorerBatch returns a batch evaluator of capacity k over sc's
 // committed state. The batch observes sc through its generation counter:
 // any commit (Apply, Reset) — including the batch's own Commit — refreshes
-// the base snapshot on the next Evaluate.
+// the base snapshot on the next Evaluate. It panics unless sc's mesh has
+// interned routes and every anchor of sc is on the mesh.
 func NewScorerBatch(sc *Scorer, k int) *ScorerBatch {
+	arena := sc.m.InternedMaskArena()
+	if arena == nil {
+		panic("placement: ScorerBatch needs a mesh with interned routes")
+	}
+	for _, a := range sc.anchors {
+		if sc.m.DieIndex(a) < 0 {
+			panic("placement: ScorerBatch anchor off the mesh")
+		}
+	}
 	if k < 1 {
 		k = 1
 	}
-	b := &ScorerBatch{
-		sc:    sc,
-		kap:   k,
-		candA: make([]int32, 0, k),
-		candB: make([]int32, 0, k),
-		costs: make([]float64, k),
-		gen:   sc.gen - 1, // force a base sync on first Evaluate
+	return &ScorerBatch{
+		sc:        sc,
+		kap:       k,
+		candA:     make([]int32, 0, k),
+		candB:     make([]int32, 0, k),
+		costs:     make([]float64, k),
+		gen:       sc.gen - 1, // force a base sync on first Evaluate
+		maskArena: arena,
+		nDies:     sc.m.Dies(),
+		nw:        len(sc.occ.Words()),
 	}
-	return b
 }
 
 // Cap returns the candidate capacity K.
@@ -214,7 +219,7 @@ func (b *ScorerBatch) Evaluate() []float64 {
 	}
 	costs := b.costs[:b.n]
 	for k := 0; k < b.n; k++ {
-		costs[k] = b.evalCand(k)
+		costs[k] = b.candCost(k)
 	}
 	return costs
 }
@@ -235,7 +240,7 @@ func (b *ScorerBatch) EvaluateOne(i int) float64 {
 	if b.gen != b.sc.gen {
 		b.syncBase()
 	}
-	return b.evalCand(i)
+	return b.candCost(i)
 }
 
 // Commit applies candidate i to the Scorer's committed state (advancing its
@@ -269,13 +274,11 @@ func (b *ScorerBatch) Commit(i int) float64 {
 func (b *ScorerBatch) syncAfterSwap(x, y int) {
 	sc := b.sc
 	b.anchorIdx[x], b.anchorIdx[y] = b.anchorIdx[y], b.anchorIdx[x]
-	if b.maskOK {
-		for _, s := range [4]int{x - 1, x, y - 1, y} {
-			if s < 0 || s+1 >= sc.pp {
-				continue
-			}
-			b.edgeOff[s] = int32((int(b.anchorIdx[s])*b.nDies + int(b.anchorIdx[s+1])) * 2 * b.nw)
+	for _, s := range [4]int{x - 1, x, y - 1, y} {
+		if s < 0 || s+1 >= sc.pp {
+			continue
 		}
+		b.edgeOff[s] = int32((int(b.anchorIdx[s])*b.nDies + int(b.anchorIdx[s+1])) * 2 * b.nw)
 	}
 	for _, pi := range sc.stagePairs[x] {
 		b.refreshPairMask(int(pi))
@@ -339,9 +342,6 @@ func (b *ScorerBatch) refreshPairMask(pi int) {
 // dirty scratch planes for the current workload.
 func (b *ScorerBatch) syncBase() {
 	sc := b.sc
-	if nl := len(sc.occCount); len(b.linkDE) < nl {
-		b.linkDE = make([]int64, nl)
-	}
 	np := len(sc.w.Pairs)
 	if cap(b.pairSlot) < np {
 		b.pairSlot = make([]int32, np)
@@ -380,13 +380,8 @@ func (b *ScorerBatch) syncBase() {
 		b.anchorIdx = make([]int32, sc.pp)
 	}
 	b.anchorIdx = b.anchorIdx[:sc.pp]
-	b.idxOK = true
 	for s := 0; s < sc.pp; s++ {
-		idx := sc.m.DieIndex(sc.anchors[s])
-		if idx < 0 {
-			b.idxOK = false
-		}
-		b.anchorIdx[s] = int32(idx)
+		b.anchorIdx[s] = int32(sc.m.DieIndex(sc.anchors[s]))
 	}
 	for s := 0; s+1 < sc.pp; s++ {
 		b.base[s] = sc.pipeTerm[s]
@@ -410,8 +405,7 @@ func (b *ScorerBatch) syncBase() {
 	// candidate path. The occupancy word vector and the multiset are kept
 	// in lock-step by the Scorer, so the mask count against occAfter equals
 	// the maintained γ counter plus the candidate's crossings — exactly.
-	nw := len(sc.occ.Words())
-	b.nw = nw
+	nw := b.nw
 	need := 2 * np * nw
 	if cap(b.pairMask) < need {
 		b.pairMask = make([]uint64, need)
@@ -455,11 +449,6 @@ func (b *ScorerBatch) syncBase() {
 	// The committed multiplicity-one words for the word-parallel
 	// zero-crossing test are maintained by the Scorer itself — share them.
 	b.occOne = sc.occOne
-	b.maskArena = nil
-	b.nDies = sc.m.NumDies()
-	if arena := sc.m.InternedMaskArena(); len(arena) > 0 && sc.m.InternedMaskWords() == nw {
-		b.maskArena = arena
-	}
 	pe := sc.pp - 1
 	if pe < 0 {
 		pe = 0
@@ -472,23 +461,15 @@ func (b *ScorerBatch) syncBase() {
 	b.pipeVolV = b.pipeVolV[:pe]
 	for s := 0; s < pe; s++ {
 		b.pipeVolV[s] = sc.pipeVol(s)
-	}
-	b.maskOK = b.idxOK && nw > 0 && nw <= maskWStack && b.maskArena != nil
-	if b.maskOK {
-		for s := 0; s+1 < sc.pp; s++ {
-			b.edgeOff[s] = int32((int(b.anchorIdx[s])*b.nDies + int(b.anchorIdx[s+1])) * 2 * nw)
-		}
+		b.edgeOff[s] = int32((int(b.anchorIdx[s])*b.nDies + int(b.anchorIdx[s+1])) * 2 * nw)
 	}
 	b.gen = sc.gen
 }
 
-// nextEpoch advances the stamp, re-zeroing the stamp planes on the (in
+// nextEpoch advances the stamp, re-zeroing the stamp plane on the (in
 // practice unreachable) int32 wraparound.
 func (b *ScorerBatch) nextEpoch() int32 {
 	if b.epoch == math.MaxInt32 {
-		for i := range b.linkDE {
-			b.linkDE[i] = 0
-		}
 		for i := range b.movedEpoch {
 			b.movedEpoch[i] = 0
 		}
@@ -498,70 +479,13 @@ func (b *ScorerBatch) nextEpoch() int32 {
 	return b.epoch
 }
 
-// vAnchor resolves stage s's anchor under the candidate's virtual swap of
-// stages x and y, without touching the Scorer's anchor table.
-func (b *ScorerBatch) vAnchor(s, x, y int) mesh.DieID {
-	switch s {
-	case x:
-		return b.sc.anchors[y]
-	case y:
-		return b.sc.anchors[x]
-	}
-	return b.sc.anchors[s]
-}
-
-// occWas and cntMask unpack the low word of a linkDE entry: bit 31 holds
-// the committed boolean occupancy (snapshotted on first touch), bits 0–30
-// hold the candidate's virtual multiset count. The count never goes
-// negative mid-candidate — removals only ever drain committed multiplicity
-// — so low-31-bit arithmetic never borrows into the flag.
-const (
-	occWas  = 1 << 31
-	cntMask = occWas - 1
-)
-
 // maskWStack is the word width of the fixed-size delta planes of the
-// word-parallel evaluation — 768 links, which covers the 12×12 scale wafer
-// (528 links) and every interned mesh in practice (interning itself stops at
-// maxInternedDies). Wider meshes use the per-link plane. The accumulator
-// planes are zeroed per candidate only up to the mesh's word count, so the
-// headroom costs nothing on small meshes.
+// word-parallel evaluation — 768 links. A mesh of n dies has fewer than 4n
+// directed links, so every mesh within the interning bound of 160 dies fits
+// (the 12×12 scale wafer has 528 links). The accumulator planes are zeroed
+// per candidate only up to the mesh's word count, so the headroom costs
+// nothing on small meshes.
 const maskWStack = 12
-
-// edgePathIDs resolves pipeline edge s's route under the candidate's
-// virtual swap of stages x and y.
-func (b *ScorerBatch) edgePathIDs(s, x, y int) []int32 {
-	if b.idxOK {
-		ai := b.anchorIdx
-		u := ai[s]
-		if s == x {
-			u = ai[y]
-		} else if s == y {
-			u = ai[x]
-		}
-		v := ai[s+1]
-		if s+1 == x {
-			v = ai[y]
-		} else if s+1 == y {
-			v = ai[x]
-		}
-		return b.sc.m.XYPathIDsAt(int(u), int(v))
-	}
-	return b.sc.m.XYPathIDs(b.vAnchor(s, x, y), b.vAnchor(s+1, x, y))
-}
-
-// evalCand fills candidate k's term lane: flat-copy the committed base,
-// then patch exactly the entries the virtual swap dirties. The word-parallel
-// mask path handles the common case (interned mesh, no link shared between
-// two dirty edges); the per-link plane is the exact general fallback.
-func (b *ScorerBatch) evalCand(k int) float64 {
-	if b.maskOK {
-		if c, ok := b.evalCandMask(k); ok {
-			return c
-		}
-	}
-	return b.evalCandLinks(k)
-}
 
 // sumRestore finishes a candidate: it sums the patched lane from pfx[d0] in
 // the exact scalar resum order, then restores every patched slot to its base
@@ -580,7 +504,7 @@ func (b *ScorerBatch) sumRestore(d0 int) float64 {
 	return c
 }
 
-// evalCandMask is the word-parallel evaluation: per dirty edge, the committed
+// candCost evaluates candidate k word-parallel: per dirty edge, the committed
 // and candidate routes are interned link bitmasks, and AND-NOT cancels their
 // shared links (net delta zero — the word-level form of prefix/suffix
 // trimming). A surviving removal or addition hits its link exactly once
@@ -591,7 +515,7 @@ func (b *ScorerBatch) sumRestore(d0 int) float64 {
 // The few ovW links (pipeline chains are locally collinear, so rerouted
 // paths do retrace neighbouring edges) are resolved exactly by probing the
 // edge masks for the link's net multiset delta.
-func (b *ScorerBatch) evalCandMask(k int) (float64, bool) {
+func (b *ScorerBatch) candCost(k int) float64 {
 	sc := b.sc
 	x, y := int(b.candA[k]), int(b.candB[k])
 	ai := b.anchorIdx
@@ -619,9 +543,9 @@ func (b *ScorerBatch) evalCandMask(k int) (float64, bool) {
 		ne++
 	}
 
-	// The accumulator planes live on the stack (maskOK caps nw at
-	// maskWStack): remA/addA are the net removal/addition words, ovA the
-	// overlap plane.
+	// The accumulator planes are fixed-size struct scratch (every interned
+	// mesh fits maskWStack): remA/addA are the net removal/addition words,
+	// ovA the overlap plane.
 	nw := b.nw
 	arena := b.maskArena
 	nDies := b.nDies
@@ -776,135 +700,6 @@ func (b *ScorerBatch) evalCandMask(k int) (float64, bool) {
 		occW = b.occAfter
 	}
 	b.finishCand(x, y, ep, occW, flipped)
-	return b.sumRestore(d0), true
-}
-
-// evalCandLinks is the exact per-link evaluation used whenever the
-// word-parallel path is unavailable (mesh beyond the interning bound) or
-// inapplicable (two dirty edges touching one link).
-func (b *ScorerBatch) evalCandLinks(k int) float64 {
-	sc := b.sc
-	x, y := int(b.candA[k]), int(b.candB[k])
-	d0 := x - 1
-	if y < x {
-		d0 = y - 1
-	}
-	if d0 < 0 {
-		d0 = 0
-	}
-	lane := b.lane
-	ep := b.nextEpoch()
-	epHi := int64(ep) << 32
-	de := b.linkDE
-	occCount := sc.occCount
-	touched := b.linkTouched[:0]
-
-	// The ≤4 pipeline edges touching a moved anchor, deduplicated in the
-	// exact order of the scalar applySwap.
-	var edges [4]int
-	ne := 0
-	addEdge := func(s int) {
-		if s < 0 || s+1 >= sc.pp {
-			return
-		}
-		for i := 0; i < ne; i++ {
-			if edges[i] == s {
-				return
-			}
-		}
-		edges[ne] = s
-		ne++
-	}
-	addEdge(x - 1)
-	addEdge(x)
-	addEdge(y - 1)
-	addEdge(y)
-
-	// Virtual occupancy deltas: for each dirty edge the committed path goes
-	// out and the re-routed path under the virtually swapped anchors comes
-	// in. Old and new path usually share a run of links out of the fixed
-	// endpoint (same XY routing prefix) or into it (same suffix); those
-	// links net to zero by construction, so trim the common prefix and
-	// suffix by ID compare and touch only the differing middles. The scalar
-	// path touches them with net delta 0 — identical flips, identical γ.
-	for i := 0; i < ne; i++ {
-		s := edges[i]
-		old := sc.pipeIDs[s]
-		ids := b.edgePathIDs(s, x, y)
-		lane[s] = float64(len(ids)) * sc.pipeVol(s)
-		b.patched = append(b.patched, int32(s))
-		lo := 0
-		n := len(old)
-		if len(ids) < n {
-			n = len(ids)
-		}
-		for lo < n && old[lo] == ids[lo] {
-			lo++
-		}
-		ho, hn := len(old), len(ids)
-		for ho > lo && hn > lo && old[ho-1] == ids[hn-1] {
-			ho--
-			hn--
-		}
-		for _, id := range old[lo:ho] {
-			v := de[id]
-			if v>>32 != int64(ep) {
-				cnt := uint32(occCount[id])
-				if cnt > 0 {
-					cnt |= occWas
-				}
-				v = epHi | int64(cnt)
-				touched = append(touched, id)
-			}
-			de[id] = v - 1
-		}
-		for _, id := range ids[lo:hn] {
-			v := de[id]
-			if v>>32 != int64(ep) {
-				cnt := uint32(occCount[id])
-				if cnt > 0 {
-					cnt |= occWas
-				}
-				v = epHi | int64(cnt)
-				touched = append(touched, id)
-			}
-			de[id] = v + 1
-		}
-	}
-	b.linkTouched = touched
-
-	// Boolean occupancy flips: a link flips exactly when its virtual count
-	// crossed zero (the Scorer keeps the occupancy words in lock-step with
-	// the multiset). The candidate's occupancy-after word vector is the
-	// committed words with the flipped bits toggled, and the pairs whose
-	// candidate paths cross a flipped link accumulate in a pair bitmask —
-	// links whose count moved without crossing contribute nothing, exactly
-	// like the scalar path's net effect.
-	occW := sc.occ.Words()
-	npw := b.npw
-	affW := b.affW
-	for i := 0; i < npw; i++ {
-		affW[i] = 0
-	}
-	linkPB := b.linkPB
-	flipped := false
-	for _, id := range touched {
-		v := uint32(de[id])
-		if (v&cntMask != 0) == (v&occWas != 0) {
-			continue
-		}
-		if !flipped {
-			flipped = true
-			copy(b.occAfter, occW)
-			occW = b.occAfter
-		}
-		occW[id>>6] ^= 1 << (uint32(id) & 63)
-		for w := 0; w < npw; w++ {
-			affW[w] |= linkPB[int(id)*npw+w]
-		}
-	}
-
-	b.finishCand(x, y, ep, occW, flipped)
 	return b.sumRestore(d0)
 }
 
@@ -962,9 +757,9 @@ func (b *ScorerBatch) finishCand(x, y int, ep int32, occW []uint64, flipped bool
 }
 
 // movedPair recomputes the punished minimum of a pair whose endpoint
-// anchors moved under the candidate swap: fresh candidate paths, with γ
-// counted against the candidate's occupancy-after words — by interned link
-// mask when the mesh is within the interning bound, per link otherwise.
+// anchors moved under the candidate swap: fresh candidate paths from the
+// interned route masks, with γ counted against the candidate's
+// occupancy-after words.
 func (b *ScorerBatch) movedPair(pi, x, y int, ep int32, occW []uint64) {
 	if b.movedEpoch[pi] == ep {
 		return
@@ -975,71 +770,44 @@ func (b *ScorerBatch) movedPair(pi, x, y int, ep int32, occW []uint64) {
 		return
 	}
 	b.patched = append(b.patched, slot)
-	sc := b.sc
-	pr := &sc.w.Pairs[pi]
-	best := math.Inf(1)
-	var paths [][]int32
-	if b.idxOK {
-		ai := b.anchorIdx
-		u := ai[pr.Sender]
-		if pr.Sender == x {
-			u = ai[y]
-		} else if pr.Sender == y {
-			u = ai[x]
-		}
-		v := ai[pr.Helper]
-		if pr.Helper == x {
-			v = ai[y]
-		} else if pr.Helper == y {
-			v = ai[x]
-		}
-		if arena := b.maskArena; arena != nil {
-			// One pass per path over the arena words yields both the hop
-			// count (total popcount — each path link is one mask bit) and
-			// the contention count γ (popcount against the occupancy
-			// words). The second slot is all-zero exactly when no second
-			// shortest path was interned, which its popcount detects for
-			// free; the u == v degenerate pair yields 0 either way, same
-			// as the scalar walk.
-			nw := b.nw
-			e := (int(u)*b.nDies + int(v)) * (2 * nw)
-			h0, g0, h1, g1 := 0, 0, 0, 0
-			for w := 0; w < nw; w++ {
-				ow := occW[w]
-				m0 := arena[e+w]
-				h0 += bits.OnesCount64(m0)
-				g0 += bits.OnesCount64(m0 & ow)
-				m1 := arena[e+nw+w]
-				h1 += bits.OnesCount64(m1)
-				g1 += bits.OnesCount64(m1 & ow)
-			}
-			best = float64(h0) * pr.Bytes * (1 + float64(g0))
-			if h1 > 0 {
-				if c := float64(h1) * pr.Bytes * (1 + float64(g1)); c < best {
-					best = c
-				}
-			}
-			b.lane[slot] = best
-			return
-		}
-		paths = sc.m.ShortestPathIDsAt(int(u), int(v))
-	} else {
-		paths = sc.m.ShortestPathIDs(b.vAnchor(pr.Sender, x, y), b.vAnchor(pr.Helper, x, y))
+	ai := b.anchorIdx
+	pr := &b.sc.w.Pairs[pi]
+	u := ai[pr.Sender]
+	if pr.Sender == x {
+		u = ai[y]
+	} else if pr.Sender == y {
+		u = ai[x]
 	}
-	for _, ids := range paths {
-		g := 0
-		for _, id := range ids {
-			if occW[id>>6]&(1<<(uint32(id)&63)) != 0 {
-				g++
-			}
-		}
-		c := float64(len(ids)) * pr.Bytes * (1 + float64(g))
-		if c < best {
+	v := ai[pr.Helper]
+	if pr.Helper == x {
+		v = ai[y]
+	} else if pr.Helper == y {
+		v = ai[x]
+	}
+	// One pass per path over the arena words yields both the hop count
+	// (total popcount — each path link is one mask bit) and the contention
+	// count γ (popcount against the occupancy words). The second slot is
+	// all-zero exactly when no YX route was interned, which its popcount
+	// detects for free; the u == v degenerate pair yields 0 either way, same
+	// as the scalar walk.
+	nw := b.nw
+	arena := b.maskArena
+	e := (int(u)*b.nDies + int(v)) * (2 * nw)
+	h0, g0, h1, g1 := 0, 0, 0, 0
+	for w := 0; w < nw; w++ {
+		ow := occW[w]
+		m0 := arena[e+w]
+		h0 += bits.OnesCount64(m0)
+		g0 += bits.OnesCount64(m0 & ow)
+		m1 := arena[e+nw+w]
+		h1 += bits.OnesCount64(m1)
+		g1 += bits.OnesCount64(m1 & ow)
+	}
+	best := float64(h0) * pr.Bytes * (1 + float64(g0))
+	if h1 > 0 {
+		if c := float64(h1) * pr.Bytes * (1 + float64(g1)); c < best {
 			best = c
 		}
-	}
-	if math.IsInf(best, 1) {
-		best = 0
 	}
 	b.lane[slot] = best
 }

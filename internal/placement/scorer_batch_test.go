@@ -80,7 +80,7 @@ func batchWorkload(rng *rand.Rand, pp int) Workload {
 // batches (the invalidation lifecycle the speculative annealer relies on).
 func TestScorerBatchMatchesSwapDelta(t *testing.T) {
 	totalBatches := 0
-	for _, tc := range scorerTopologies() {
+	for _, tc := range internedTopologies() {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			base, err := Partition(tc.m, tc.tp, tc.pp)
@@ -149,7 +149,7 @@ func TestScorerBatchMatchesSwapDelta(t *testing.T) {
 	}
 }
 
-// TestScorerBatchAfterReset pins the GA scratch lifecycle: re-targeting the
+// TestScorerBatchAfterReset pins the base re-sync: re-targeting the
 // underlying Scorer at a new assignment and workload (Reset) must re-sync
 // the batch base, with candidate costs again bit-identical to SwapDelta.
 func TestScorerBatchAfterReset(t *testing.T) {
@@ -194,7 +194,8 @@ func TestScorerBatchAfterReset(t *testing.T) {
 	}
 }
 
-// TestScorerBatchDiscipline pins the protocol guards.
+// TestScorerBatchDiscipline pins the protocol guards and NewScorerBatch's
+// precondition.
 func TestScorerBatchDiscipline(t *testing.T) {
 	tc := scorerTopologies()[0]
 	base, _ := Partition(tc.m, tc.tp, tc.pp)
@@ -222,6 +223,10 @@ func TestScorerBatchDiscipline(t *testing.T) {
 	mustPanic("propose with pending scalar swap", func() { batch.Reset(); batch.Propose(0, 1) })
 	mustPanic("evaluate with pending scalar swap", func() { batch.Evaluate() })
 	sc.Revert()
+	// The batch reads interned route masks: it refuses a mesh past the
+	// interning bound and anchors off the mesh.
+	mustPanic("mesh past the interning bound", func() { NewScorerBatch(NewScorer(pastBoundMesh(), anchors[:4], Workload{}), 2) })
+	mustPanic("anchor off the mesh", func() { NewScorerBatch(NewScorer(tc.m, []mesh.DieID{{X: -1, Y: 0}}, Workload{}), 2) })
 }
 
 // TestOptimizeSpeculativeMatchesScalar pins the speculative annealer's
@@ -230,7 +235,7 @@ func TestScorerBatchDiscipline(t *testing.T) {
 // rewindable RNG and the bit-identical batch costs together reproduce
 // every proposal and Metropolis decision exactly.
 func TestOptimizeSpeculativeMatchesScalar(t *testing.T) {
-	for _, tc := range scorerTopologies() {
+	for _, tc := range internedTopologies() {
 		t.Run(tc.name, func(t *testing.T) {
 			pipe := make([]float64, tc.pp)
 			for i := range pipe {

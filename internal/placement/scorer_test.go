@@ -18,27 +18,45 @@ func memPair(sender, helper int, bytes float64) recompute.MemPair {
 func pipelineOcc(m *mesh.Mesh, anchors []mesh.DieID) *mesh.LinkSet {
 	occ := m.NewLinkSet()
 	for s := 0; s+1 < len(anchors); s++ {
-		m.AddPath(occ, m.XYPath(anchors[s], anchors[s+1]))
+		for _, id := range m.XYPathIDs(anchors[s], anchors[s+1]) {
+			occ.Add(int(id))
+		}
 	}
 	return occ
 }
 
-// scorerTopologies are the cross-check substrates: the square Config3 2D
-// mesh and the §VI-E mesh-switch reconfiguration.
-func scorerTopologies() []struct {
+// topology is one cross-check substrate: a mesh partitioned into pp
+// regions of tp dies.
+type topology struct {
 	name   string
 	m      *mesh.Mesh
 	tp, pp int
-} {
-	return []struct {
-		name   string
-		m      *mesh.Mesh
-		tp, pp int
-	}{
+}
+
+// scorerTopologies are the cross-check substrates: the interned meshes of
+// internedTopologies plus a 13×13 wafer past the mesh package's
+// route-interning bound, whose routes are built per call.
+func scorerTopologies() []topology {
+	return append(internedTopologies(), topology{"mesh13x13", pastBoundMesh(), 7, 24})
+}
+
+// internedTopologies are the square Config3 2D mesh and the §VI-E
+// mesh-switch reconfiguration, whose routes are interned — the only meshes
+// a ScorerBatch accepts.
+func internedTopologies() []topology {
+	return []topology{
 		{"mesh2d", mesh.New(hw.Config3()), 7, 8},
 		{"mesh2d-pp14", mesh.New(hw.Config3()), 4, 14},
 		{"meshswitch", mesh.New(hw.Config3MeshSwitch()), 4, 12},
 	}
+}
+
+// pastBoundMesh is a 13×13 wafer of Config3 dies: 169 dies, past the
+// 160-die route-interning bound.
+func pastBoundMesh() *mesh.Mesh {
+	w := hw.Config3()
+	w.DiesX, w.DiesY = 13, 13
+	return mesh.New(w)
 }
 
 // TestScorerMatchesFullEval is the randomized bit-identity cross-check of

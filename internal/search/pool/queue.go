@@ -25,9 +25,7 @@ var (
 // before lower ones: an interactive request never waits behind a bulk
 // sweep's backlog. The zero value is Prefetch — the lowest class — so that
 // forgetting to set a class on speculative work keeps it out of everyone
-// else's way; the plain TrySubmit entry point defaults to Interactive,
-// preserving the pre-priority behaviour for callers that never mention
-// classes. Every class above Prefetch is demand work: somebody asked for
+// else's way. Every class above Prefetch is demand work: somebody asked for
 // it. Prefetch is a guess: it sorts last, stays out of the wait estimate and
 // is admitted only through IdleForPrefetch. Evicting queued speculation when
 // demand arrives is its owner's call (Cancel), not the queue's.
@@ -247,27 +245,11 @@ func (q *Queue) pushLocked(t Task) *Ticket {
 	return tk
 }
 
-// TrySubmit enqueues fn at Interactive priority without blocking. It reports
-// false when the queue is closed or the backlog is full — the bounded-queue
-// backpressure signal the service turns into a 503. Admission never blocks:
-// a caller that must get a task in retries.
-func (q *Queue) TrySubmit(fn func()) bool { return q.TrySubmitClass(fn, Interactive, 0) != nil }
-
-// TrySubmitClass is TrySubmit with an explicit class and criticality; it
-// returns the accepted task's Ticket, or nil on backpressure/closed.
-func (q *Queue) TrySubmitClass(fn func(), class Class, crit int) *Ticket {
-	tk, _ := q.TrySubmitTask(Task{Fn: func() func() { fn(); return nop }, Class: class, Crit: crit})
-	return tk
-}
-
-// nop is the publish step of a task that has nothing to publish.
-func nop() {}
-
-// TrySubmitTask is the non-blocking admission point with full diagnostics:
-// it returns the accepted task's Ticket, or a typed error saying why the
-// task was refused (ErrQueueClosed, ErrClassOverBudget, ErrQueueFull) so the
-// service can answer shedding (429 + Retry-After) distinctly from plain
-// backpressure (503).
+// TrySubmitTask is the non-blocking admission point: it returns the
+// accepted task's Ticket, or a typed error saying why the task was refused
+// (ErrQueueClosed, ErrClassOverBudget, ErrQueueFull) so the service can
+// answer shedding (429 + Retry-After) distinctly from plain backpressure
+// (503). Admission never blocks: a caller that must get a task in retries.
 func (q *Queue) TrySubmitTask(t Task) (*Ticket, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -13,14 +13,22 @@ func plain(fn func()) func() func() {
 	return func() func() { fn(); return func() {} }
 }
 
-// mustSubmit retries TrySubmit until the queue accepts fn: admission never
+// submit queues fn through TrySubmitTask at the given class and
+// criticality, returning the accepted task's Ticket or nil when the queue
+// refuses it.
+func submit(q *Queue, fn func(), class Class, crit int) *Ticket {
+	tk, _ := q.TrySubmitTask(Task{Fn: plain(fn), Class: class, Crit: crit})
+	return tk
+}
+
+// mustSubmit retries submit until the queue accepts fn: admission never
 // blocks, so a producer that outruns the workers backs off and retries.
 func mustSubmit(t *testing.T, q *Queue, fn func()) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for !q.TrySubmit(fn) {
+	for submit(q, fn, Interactive, 0) == nil {
 		if time.Now().After(deadline) {
-			t.Error("TrySubmit refused for 10s on an open queue")
+			t.Error("submit refused for 10s on an open queue")
 			return
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -48,22 +56,22 @@ func TestQueueRunsAllTasks(t *testing.T) {
 	}
 }
 
-// TestQueueBacklogBound checks TrySubmit applies backpressure: with all
+// TestQueueBacklogBound checks TrySubmitTask applies backpressure: with all
 // workers blocked and the backlog full, it must refuse instead of queueing
 // unboundedly.
 func TestQueueBacklogBound(t *testing.T) {
 	q := NewQueue(1, 2)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if !q.TrySubmit(func() { close(started); <-release }) {
-		t.Fatal("first TrySubmit refused")
+	if submit(q, func() { close(started); <-release }, Interactive, 0) == nil {
+		t.Fatal("first submit refused")
 	}
 	<-started // the single worker is now blocked
-	if !q.TrySubmit(func() {}) || !q.TrySubmit(func() {}) {
+	if submit(q, func() {}, Interactive, 0) == nil || submit(q, func() {}, Interactive, 0) == nil {
 		t.Fatal("backlog submissions refused below the bound")
 	}
-	if q.TrySubmit(func() {}) {
-		t.Error("TrySubmit accepted a task beyond the backlog bound")
+	if submit(q, func() {}, Interactive, 0) != nil {
+		t.Error("submit accepted a task beyond the backlog bound")
 	}
 	if d := q.Depth(); d != 2 {
 		t.Errorf("Depth = %d with a full backlog, want 2", d)
@@ -78,16 +86,16 @@ func TestQueueClose(t *testing.T) {
 	q := NewQueue(2, 8)
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {
-		if !q.TrySubmit(func() { time.Sleep(time.Millisecond); ran.Add(1) }) {
-			t.Fatal("TrySubmit refused below the backlog bound")
+		if submit(q, func() { time.Sleep(time.Millisecond); ran.Add(1) }, Interactive, 0) == nil {
+			t.Fatal("submit refused below the backlog bound")
 		}
 	}
 	q.Close()
 	if got := ran.Load(); got != 8 {
 		t.Errorf("Close returned with %d/8 tasks run", got)
 	}
-	if q.TrySubmit(func() { ran.Add(1) }) {
-		t.Error("TrySubmit accepted a task after Close")
+	if submit(q, func() { ran.Add(1) }, Interactive, 0) != nil {
+		t.Error("submit accepted a task after Close")
 	}
 	q.Close() // idempotent
 	if got := ran.Load(); got != 8 {
@@ -102,10 +110,10 @@ func TestQueueCloseDiscard(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var ran atomic.Int64
-	q.TrySubmit(func() { close(started); <-release; ran.Add(1) })
+	submit(q, func() { close(started); <-release; ran.Add(1) }, Interactive, 0)
 	<-started
 	for i := 0; i < 4; i++ {
-		if !q.TrySubmit(func() { ran.Add(1) }) {
+		if submit(q, func() { ran.Add(1) }, Interactive, 0) == nil {
 			t.Fatal("backlog submit refused")
 		}
 	}
@@ -176,8 +184,8 @@ func TestQueueInFlight(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
-		if !q.TrySubmit(func() { started <- struct{}{}; <-release }) {
-			t.Fatal("TrySubmit refused with idle workers")
+		if submit(q, func() { started <- struct{}{}; <-release }, Interactive, 0) == nil {
+			t.Fatal("submit refused with idle workers")
 		}
 	}
 	<-started
@@ -185,7 +193,7 @@ func TestQueueInFlight(t *testing.T) {
 	if got := q.InFlight(); got != 2 {
 		t.Errorf("InFlight = %d with both workers busy, want 2", got)
 	}
-	if !q.TrySubmit(func() {}) {
+	if submit(q, func() {}, Interactive, 0) == nil {
 		t.Fatal("backlog submit refused")
 	}
 	if got := q.Depth(); got != 1 {
@@ -206,7 +214,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 	q := NewQueue(1, 16)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if q.TrySubmitClass(func() { close(started); <-release }, Background, 0) == nil {
+	if submit(q, func() { close(started); <-release }, Background, 0) == nil {
 		t.Fatal("gate task refused")
 	}
 	<-started // the single worker is now pinned; submissions below stay queued
@@ -216,12 +224,12 @@ func TestQueuePriorityOrder(t *testing.T) {
 	record := func(name string) func() {
 		return func() { mu.Lock(); got = append(got, name); mu.Unlock() }
 	}
-	q.TrySubmitClass(record("bg-a"), Background, 0)
-	q.TrySubmitClass(record("leg-crit3"), SweepLeg, 3)
-	q.TrySubmitClass(record("bg-b"), Background, 0)
-	q.TrySubmitClass(record("leg-crit9"), SweepLeg, 9)
-	q.TrySubmitClass(record("leg-crit1"), SweepLeg, 1)
-	if !q.TrySubmit(record("interactive")) { // plain TrySubmit = Interactive
+	submit(q, record("bg-a"), Background, 0)
+	submit(q, record("leg-crit3"), SweepLeg, 3)
+	submit(q, record("bg-b"), Background, 0)
+	submit(q, record("leg-crit9"), SweepLeg, 9)
+	submit(q, record("leg-crit1"), SweepLeg, 1)
+	if submit(q, record("interactive"), Interactive, 0) == nil {
 		t.Fatal("interactive submit refused")
 	}
 
@@ -250,7 +258,7 @@ func TestQueuePriorityConcurrentSubmitters(t *testing.T) {
 	q := NewQueue(1, 256)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if q.TrySubmitClass(func() { close(started); <-release }, Background, 0) == nil {
+	if submit(q, func() { close(started); <-release }, Background, 0) == nil {
 		t.Fatal("gate task refused")
 	}
 	<-started
@@ -268,12 +276,12 @@ func TestQueuePriorityConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				k := key{Class(uint8((g + i) % int(NumClasses))), (g * i) % 5}
-				if q.TrySubmitClass(func() {
+				if submit(q, func() {
 					mu.Lock()
 					got = append(got, k)
 					mu.Unlock()
 				}, k.class, k.crit) == nil {
-					t.Error("TrySubmitClass refused below the backlog bound")
+					t.Error("submit refused below the backlog bound")
 				}
 			}
 		}(g)
@@ -299,7 +307,7 @@ func TestQueuePromote(t *testing.T) {
 	q := NewQueue(1, 8)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	gate := q.TrySubmitClass(func() { close(started); <-release }, Interactive, 0)
+	gate := submit(q, func() { close(started); <-release }, Interactive, 0)
 	<-started
 	if q.Promote(gate, Interactive, 99) {
 		t.Error("Promote succeeded on a ticket already handed to a worker")
@@ -313,9 +321,9 @@ func TestQueuePromote(t *testing.T) {
 	record := func(name string) func() {
 		return func() { mu.Lock(); got = append(got, name); mu.Unlock() }
 	}
-	q.TrySubmitClass(record("bg-first"), Background, 0)
-	promoted := q.TrySubmitClass(record("bg-promoted"), Background, 0)
-	q.TrySubmitClass(record("leg"), SweepLeg, 5)
+	submit(q, record("bg-first"), Background, 0)
+	promoted := submit(q, record("bg-promoted"), Background, 0)
+	submit(q, record("leg"), SweepLeg, 5)
 	if q.Promote(promoted, Background, 0) {
 		t.Error("Promote accepted a non-raise")
 	}
@@ -344,10 +352,10 @@ func TestQueueCloseVsCloseDiscard(t *testing.T) {
 		release := make(chan struct{})
 		started := make(chan struct{})
 		var ran atomic.Int64
-		q.TrySubmit(func() { close(started); <-release; ran.Add(1) })
+		submit(q, func() { close(started); <-release; ran.Add(1) }, Interactive, 0)
 		<-started
 		for i := 0; i < 5; i++ {
-			if !q.TrySubmit(func() { ran.Add(1) }) {
+			if submit(q, func() { ran.Add(1) }, Interactive, 0) == nil {
 				t.Fatal("backlog submit refused")
 			}
 		}
@@ -370,7 +378,7 @@ func TestQueueCloseVsCloseDiscard(t *testing.T) {
 		if got := ran.Load(); got != want {
 			t.Errorf("discard=%v ran %d tasks, want %d", discard, got, want)
 		}
-		if q.TrySubmit(func() {}) || q.TrySubmitClass(func() {}, Background, 0) != nil {
+		if submit(q, func() {}, Interactive, 0) != nil || submit(q, func() {}, Background, 0) != nil {
 			t.Errorf("discard=%v: submission accepted after close", discard)
 		}
 	}
@@ -414,8 +422,8 @@ func TestQueueClassBudget(t *testing.T) {
 	q.SetClassBudgets([NumClasses]int{Background: 1, SweepLeg: 0, Interactive: 0})
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if !q.TrySubmit(func() { close(started); <-release }) {
-		t.Fatal("first TrySubmit refused")
+	if submit(q, func() { close(started); <-release }, Interactive, 0) == nil {
+		t.Fatal("first submit refused")
 	}
 	<-started // the single worker is now busy
 	if _, err := q.TrySubmitTask(Task{Fn: plain(func() {}), Class: Background}); err != nil {
@@ -549,14 +557,14 @@ func TestQueueEstimatedWait(t *testing.T) {
 	}
 	// Produce one duration sample (~20ms).
 	done := make(chan struct{})
-	q.TrySubmit(func() { time.Sleep(20 * time.Millisecond); close(done) })
+	submit(q, func() { time.Sleep(20 * time.Millisecond); close(done) }, Interactive, 0)
 	<-done
 	for q.AvgTaskDuration() == 0 { // worker records the sample after fn returns
 		time.Sleep(time.Millisecond)
 	}
 	release := make(chan struct{})
 	started := make(chan struct{})
-	q.TrySubmit(func() { close(started); <-release })
+	submit(q, func() { close(started); <-release }, Interactive, 0)
 	<-started
 	for i := 0; i < 4; i++ {
 		if _, err := q.TrySubmitTask(Task{Fn: plain(func() {}), Class: Background}); err != nil {
@@ -583,7 +591,7 @@ func TestQueuePrefetchWithoutPreemptStaysQueued(t *testing.T) {
 	q := NewQueue(1, 8)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	q.TrySubmit(func() { close(started); <-release })
+	submit(q, func() { close(started); <-release }, Interactive, 0)
 	<-started
 	var ran atomic.Bool
 	if _, err := q.TrySubmitTask(Task{Fn: plain(func() { ran.Store(true) }), Class: Prefetch}); err != nil {
@@ -612,7 +620,7 @@ func TestQueueIdleForPrefetch(t *testing.T) {
 	}
 	release := make(chan struct{})
 	started := make(chan struct{})
-	q.TrySubmit(func() { close(started); <-release })
+	submit(q, func() { close(started); <-release }, Interactive, 0)
 	<-started
 	if q.IdleForPrefetch() {
 		t.Error("gate open with every worker on demand work")
@@ -650,7 +658,7 @@ func TestQueueIdleForPrefetch(t *testing.T) {
 func TestQueueEstimatedWaitIgnoresPrefetch(t *testing.T) {
 	q := NewQueue(1, 8)
 	done := make(chan struct{})
-	q.TrySubmit(func() { time.Sleep(20 * time.Millisecond); close(done) })
+	submit(q, func() { time.Sleep(20 * time.Millisecond); close(done) }, Interactive, 0)
 	<-done
 	for q.AvgTaskDuration() == 0 {
 		time.Sleep(time.Millisecond)

@@ -83,7 +83,7 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	if !s.queue.TrySubmit(func() { close(blocked); <-release }) {
+	if !submitInteractive(s, func() { close(blocked); <-release }) {
 		t.Fatal("could not occupy the job worker")
 	}
 	<-blocked
@@ -147,7 +147,7 @@ func TestPromoteOnCoalesce(t *testing.T) {
 	defer s.Close()
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	if !s.queue.TrySubmit(func() { close(blocked); <-release }) {
+	if !submitInteractive(s, func() { close(blocked); <-release }) {
 		t.Fatal("could not occupy the job worker")
 	}
 	<-blocked

@@ -15,7 +15,7 @@ func occupyWorker(t *testing.T, s *Server) func() {
 	t.Helper()
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	if !s.queue.TrySubmit(func() { close(blocked); <-release }) {
+	if !submitInteractive(s, func() { close(blocked); <-release }) {
 		t.Fatal("could not occupy the job worker")
 	}
 	<-blocked

@@ -13,12 +13,21 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/sched"
 	"repro/internal/search"
+	"repro/internal/search/pool"
 )
 
 // testRequest is the standard job of this suite: a single-architecture
 // Llama2-30B search, cheap enough to run many times.
 func testRequest() Request {
 	return Request{Model: "Llama2-30B", Config: "config3", Batch: 64, Micro: 1, Seq: 2048, Seed: 7}
+}
+
+// submitInteractive queues fn on the daemon's job queue at Interactive
+// priority through TrySubmitTask, the daemon's own admission point, and
+// reports whether the queue accepted it. Tests use it to park a worker.
+func submitInteractive(s *Server, fn func()) bool {
+	_, err := s.queue.TrySubmitTask(pool.Task{Fn: func() func() { fn(); return func() {} }, Class: pool.Interactive})
+	return err == nil
 }
 
 func TestRequestNormalize(t *testing.T) {
@@ -98,7 +107,7 @@ func TestDedupCoalescesIdenticalJobs(t *testing.T) {
 	// Occupy the only worker so submissions stay queued.
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	if !s.queue.TrySubmit(func() { close(blocked); <-release }) {
+	if !submitInteractive(s, func() { close(blocked); <-release }) {
 		t.Fatal("could not occupy the job worker")
 	}
 	<-blocked
@@ -162,7 +171,7 @@ func TestBacklogRejection(t *testing.T) {
 	defer s.Close()
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	if !s.queue.TrySubmit(func() { close(blocked); <-release }) {
+	if !submitInteractive(s, func() { close(blocked); <-release }) {
 		t.Fatal("could not occupy the job worker")
 	}
 	defer close(release)

@@ -106,7 +106,7 @@ func TestStatsQueueGauges(t *testing.T) {
 
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	if !s.queue.TrySubmit(func() { close(blocked); <-release }) {
+	if !submitInteractive(s, func() { close(blocked); <-release }) {
 		t.Fatal("could not occupy the job worker")
 	}
 	<-blocked
