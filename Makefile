@@ -11,7 +11,7 @@ race:
 
 # Tier-2 performance trajectory: runs the benchmark suite in-process with
 # -benchmem semantics (best of 3 timed loops per benchmark) and writes
-# BENCH_pr9.json (ns/op, allocs/op, B/op per benchmark, service +
+# BENCH_pr10.json (ns/op, allocs/op, B/op per benchmark, service +
 # routed-shard jobs/sec and dedup rates, the kill-one-shard-mid-burst
 # resilience numbers, the async-sweep time-to-first-row /
 # priority-latency / result-cache-repeat entries, the 2x-saturation
@@ -21,14 +21,14 @@ race:
 # lane on vs off, failing the run unless prefetch wins the hit rate) —
 # plus the speedups vs the recorded PR-1..PR-9 baselines, the in-run
 # PR3-era annealer full-re-evaluation baseline, and the in-run scalar
-# reference of the speculative batched annealer).
+# annealer iteration next to the read-only priced one).
 bench:
 	go run ./cmd/bench -out BENCH_pr10.json
 
 # Fast regression gate for the search inner loops: the zero-alloc
-# assertions of the scalar annealer swap path and the batched ScorerBatch
-# pass (the benchmarks only report allocs, they don't fail on them) plus
-# one iteration of each annealer/batch/placement/GA benchmark, of mesh
+# assertions of the scalar annealer swap path and the ScorerBatch
+# price/commit cycle (the benchmarks only report allocs, they don't fail on
+# them) plus one iteration of each annealer/priced/placement/GA benchmark, of mesh
 # construction on every Table II wafer and mesh-switch (BenchmarkMeshNew,
 # which every search pays once) and of the cold single-worker search
 # (BenchmarkSearchSequential, where GCMR and BuildOptions run), so a broken

@@ -338,55 +338,45 @@ func BenchmarkAnnealSwap(b *testing.B) {
 	b.Run("pp32-full-reeval", func(b *testing.B) { benchAnnealSwap(b, mesh.New(hw.Config3()), 1, 32, 8, false) })
 }
 
-// benchAnnealSwapBatch measures one K-wide speculative batch pass on a
-// ScorerBatch sharing the Scorer's committed state, reporting per-candidate
-// cost alongside the per-pass numbers. The cycle comes from
-// internal/benchutil, shared with cmd/bench.
-func benchAnnealSwapBatch(b *testing.B, m *mesh.Mesh, tp, pp, npairs, k int) {
+// benchAnnealSwapBatch measures one read-only annealer iteration on a
+// ScorerBatch sharing the Scorer's committed state: price one proposal,
+// commit on a 1-in-8 coin. The cycle comes from internal/benchutil, shared
+// with cmd/bench.
+func benchAnnealSwapBatch(b *testing.B, m *mesh.Mesh, tp, pp, npairs int) {
 	anchors, w, err := benchutil.AnnealSubstrate(m, tp, pp, npairs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := placement.NewScorer(m, anchors, w)
-	batch := placement.NewScorerBatch(sc, k)
-	rng := rand.New(rand.NewSource(1))
-	cycle := benchutil.AnnealBatchCycle(batch, pp, k, rng)
+	batch := placement.NewScorerBatch(placement.NewScorer(m, anchors, w))
+	cycle := benchutil.AnnealBatchCycle(batch, pp, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle()
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/candidate")
 }
 
-// BenchmarkAnnealSwapBatch measures the batched candidate evaluator against
-// the scalar BenchmarkAnnealSwap per-candidate numbers, at the production
-// scale (12×12 wafer, pp=128, 32 pairs) and the Config3 scale (pp=32,
-// 8 pairs), for window widths 8 and 32.
+// BenchmarkAnnealSwapBatch measures the read-only priced iteration against
+// the scalar BenchmarkAnnealSwap numbers, at the production scale (12×12
+// wafer, pp=128, 32 pairs) and the Config3 scale (pp=32, 8 pairs).
 func BenchmarkAnnealSwapBatch(b *testing.B) {
-	b.Run("batch8", func(b *testing.B) { benchAnnealSwapBatch(b, benchutil.ScaleWafer(), 1, 128, 32, 8) })
-	b.Run("batch32", func(b *testing.B) { benchAnnealSwapBatch(b, benchutil.ScaleWafer(), 1, 128, 32, 32) })
-	b.Run("pp32-batch8", func(b *testing.B) { benchAnnealSwapBatch(b, mesh.New(hw.Config3()), 1, 32, 8, 8) })
-	b.Run("pp32-batch32", func(b *testing.B) { benchAnnealSwapBatch(b, mesh.New(hw.Config3()), 1, 32, 8, 32) })
+	b.Run("priced", func(b *testing.B) { benchAnnealSwapBatch(b, benchutil.ScaleWafer(), 1, 128, 32) })
+	b.Run("pp32-priced", func(b *testing.B) { benchAnnealSwapBatch(b, mesh.New(hw.Config3()), 1, 32, 8) })
 }
 
 // BenchmarkOptimizePlacement measures the full §IV-C-1 annealing search
 // (200·pp iterations) end to end, from the Config3 scale up to the
-// 12×12-wafer pp=128 case, with the speculative batched evaluator (the
-// Optimize default) against the scalar reference loop.
+// 12×12-wafer pp=128 case.
 func BenchmarkOptimizePlacement(b *testing.B) {
 	for _, cfg := range []struct {
 		name   string
 		scale  bool
 		tp, pp int
 		pairs  int
-		window int
 	}{
-		{"pp8", false, 7, 8, 2, placement.DefaultSpecWindow},
-		{"pp32", false, 1, 32, 8, placement.DefaultSpecWindow},
-		{"pp32-scalar", false, 1, 32, 8, 1},
-		{"pp128", true, 1, 128, 32, placement.DefaultSpecWindow},
+		{"pp8", false, 7, 8, 2},
+		{"pp32", false, 1, 32, 8},
+		{"pp128", true, 1, 128, 32},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			m := mesh.New(hw.Config3())
@@ -400,7 +390,7 @@ func BenchmarkOptimizePlacement(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := placement.OptimizeWindow(m, cfg.tp, cfg.pp, w, rand.New(rand.NewSource(int64(i))), cfg.window); err != nil {
+				if _, err := placement.Optimize(m, cfg.tp, cfg.pp, w, rand.New(rand.NewSource(int64(i)))); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -67,25 +67,20 @@ func AnnealSwapCycle(sc *placement.Scorer, pp int, rng *rand.Rand) func() {
 	}
 }
 
-// AnnealBatchCycle returns one speculative batch pass over a ScorerBatch —
-// propose k distinct random swaps, evaluate all candidates in one pass, and
-// commit a random one on a 1-in-8 coin (the late-anneal acceptance shape,
-// where most passes reject the whole window). The closure is the measured
-// body of the anneal-swap-batch benchmarks and the batch zero-alloc guard;
-// divide the closure time by k for per-candidate cost.
-func AnnealBatchCycle(batch *placement.ScorerBatch, pp, k int, rng *rand.Rand) func() {
+// AnnealBatchCycle returns one read-only annealer iteration over a
+// ScorerBatch — price a random two-anchor swap against the committed state
+// and commit it on a 1-in-8 coin (the late-anneal acceptance shape, where
+// most proposals are rejected). The closure is the measured body of the
+// priced anneal-swap benchmarks and their zero-alloc guard.
+func AnnealBatchCycle(batch *placement.ScorerBatch, pp int, rng *rand.Rand) func() {
 	return func() {
-		batch.Reset()
-		for batch.Len() < k {
-			a, b := rng.Intn(pp), rng.Intn(pp)
-			if a == b {
-				continue
-			}
-			batch.Propose(a, b)
+		a, b := rng.Intn(pp), rng.Intn(pp)
+		if a == b {
+			return
 		}
-		batch.Evaluate()
+		batch.SwapCost(a, b)
 		if rng.Intn(8) == 0 {
-			batch.Commit(rng.Intn(k))
+			batch.Commit(a, b)
 		}
 	}
 }

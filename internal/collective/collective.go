@@ -274,9 +274,6 @@ type Plan struct {
 	tacosIDs []int32
 }
 
-// Steps returns the number of communication rounds of the plan.
-func (p *Plan) StepCount() int { return p.steps }
-
 // Err returns the plan's structural infeasibility, if any.
 func (p *Plan) Err() error { return p.err }
 

@@ -65,8 +65,8 @@ func (l Link) Reverse() Link { return Link{From: l.To, To: l.From} }
 // maxInternedDies bounds the eager all-pairs route interning, whose tables
 // grow with the square of the die count. Every wafer in the paper's design
 // space is far below it. Past it, XYPathIDs and ShortestPathIDs build each
-// route per call, InternedMaskArena is nil, and placement's annealer runs
-// its scalar loop instead of the batch evaluator that reads the masks.
+// route per call, InternedMaskArena is nil, and placement's annealer prices
+// with its scalar loop instead of the read-only pricer that reads the masks.
 const maxInternedDies = 160
 
 // dirDelta enumerates the four mesh neighbours of a die in canonical DieLess

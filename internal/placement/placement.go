@@ -172,56 +172,29 @@ func anchorCost(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.L
 	return cost
 }
 
-// DefaultSpecWindow is the speculative lookahead cap of Optimize: up to
-// this many Metropolis proposals are drawn ahead per ScorerBatch pass and
-// evaluated lazily in replay order. The window adapts — it collapses to 2
-// after every acceptance (a commit invalidates the later speculative draws,
-// since an accepted swap changes the global link occupancy every γ depends
-// on) and doubles after each fully-rejected pass, so the late anneal's
-// reject-dominated phases consume whole windows per pass.
-const DefaultSpecWindow = 32
-
 // Optimize searches stage→region assignments for the minimal GlobalCost
 // (the spatial location-aware strategy of Fig 11b). Regions keep their
 // geometry; the search permutes which pipeline stage occupies which region
-// via simulated annealing seeded with the serpentine identity.
+// by simulated annealing seeded with the serpentine identity: 200·pp
+// Metropolis proposals, each a random stage swap, accepted when it does not
+// raise the cost or else with probability exp(−Δ/T) under geometric
+// cooling.
 //
-// Optimize runs the speculative batched annealer (OptimizeWindow with
-// DefaultSpecWindow); the search trajectory — every proposal, acceptance
-// decision and RNG draw — is byte-identical to the scalar loop's, pinned by
-// TestOptimizeSpeculativeMatchesScalar and the sched golden SHA.
+// On a mesh with interned routes each proposal is priced read-only by a
+// ScorerBatch against the committed state, and only an accepted one is
+// applied; past the interning bound it is priced by Scorer.SwapDelta and a
+// rejection undone with Revert. Both paths price every proposal to the same
+// float bits, so every draw from rng, every acceptance and the returned
+// placement are the same on either (pinned by
+// TestOptimizeSpeculativeMatchesScalar and the sched golden SHA).
 func Optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (*Placement, error) {
-	return OptimizeWindow(m, tp, pp, w, rng, DefaultSpecWindow)
+	return optimize(m, tp, pp, w, rng, m.InternedMaskArena() != nil)
 }
 
-// OptimizeWindow is Optimize with an explicit speculative window cap.
-// window ≤ 1 runs the scalar reference loop: one SwapDelta per proposal,
-// Apply on acceptance, Revert otherwise. So does every window on a mesh
-// past the mesh package's route-interning bound, whose missing route masks
-// the ScorerBatch needs.
-//
-// For window > 1 the loop speculates: it draws the next proposals (and,
-// eagerly, their acceptance thresholds) from a rewindable view of the RNG
-// stream, queues them on a ScorerBatch, then replays the Metropolis
-// decisions in draw order, evaluating each candidate's cost from the
-// committed state on demand (EvaluateOne) — candidates past the first
-// acceptance are never evaluated, so mis-speculation wastes RNG draws, not
-// evaluations. The scalar protocol draws a threshold only for uphill
-// candidates, so on a downhill acceptance the speculative threshold draw is
-// rewound and its raw value is reinterpreted as the next proposal — the RNG
-// stream consumed is exactly the scalar loop's. The first acceptance
-// invalidates every later queued candidate (their costs would be computed
-// against a superseded occupancy), so the pass commits it and re-speculates
-// from the new state; a fully-rejected pass consumes the whole window.
-// Costs are bit-identical to scalar SwapDelta (the ScorerBatch contract),
-// so the trajectory, and therefore the returned placement, is byte-for-byte
-// the scalar loop's for every window.
-//
-// The draws consumed from rng are exactly the scalar loop's, but
-// mis-speculated lookahead near the end of the run can leave the generator
-// advanced past them (deterministically for a given seed); callers must not
-// assume the scalar loop's exact post-run generator state.
-func OptimizeWindow(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, window int) (*Placement, error) {
+// optimize is Optimize with the pricing path chosen by the caller: readOnly
+// prices through a ScorerBatch, which needs interned routes; otherwise
+// through SwapDelta and Revert, the tests' scalar reference.
+func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, readOnly bool) (*Placement, error) {
 	base, err := Partition(m, tp, pp)
 	if err != nil {
 		return nil, err
@@ -254,108 +227,37 @@ func OptimizeWindow(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, window
 		temp = 1
 	}
 	iters := 200 * pp
-
-	if window <= 1 || m.InternedMaskArena() == nil {
-		for i := 0; i < iters; i++ {
-			a, b := rng.Intn(pp), rng.Intn(pp)
-			if a == b {
-				continue
+	var batch *ScorerBatch
+	if readOnly {
+		batch = NewScorerBatch(sc)
+	}
+	for i := 0; i < iters; i++ {
+		a, b := rng.Intn(pp), rng.Intn(pp)
+		if a == b {
+			continue
+		}
+		var c float64
+		if batch != nil {
+			c = batch.SwapCost(a, b)
+		} else {
+			c, _ = sc.SwapDelta(a, b)
+		}
+		if c <= curCost || rng.Float64() < math.Exp((curCost-c)/math.Max(temp, 1e-12)) {
+			if batch != nil {
+				batch.Commit(a, b)
+			} else {
+				sc.Apply()
 			}
 			perm[a], perm[b] = perm[b], perm[a]
-			c, _ := sc.SwapDelta(a, b)
-			if c <= curCost || rng.Float64() < math.Exp((curCost-c)/math.Max(temp, 1e-12)) {
-				sc.Apply()
-				curCost = c
-				if c < bestCost {
-					bestCost = c
-					copy(bestPerm, perm)
-				}
-			} else {
-				perm[a], perm[b] = perm[b], perm[a] // revert
-				sc.Revert()
+			curCost = c
+			if c < bestCost {
+				bestCost = c
+				copy(bestPerm, perm)
 			}
-			temp *= 0.995
+		} else if batch == nil {
+			sc.Revert()
 		}
-		return build(bestPerm), nil
-	}
-
-	// Speculative batched loop. A slot is one scalar iteration drawn ahead:
-	// either a degenerate a==b proposal (evaluated by nobody, and — like the
-	// scalar loop's continue — exempt from temperature decay) or a batch
-	// candidate with its eagerly drawn acceptance threshold and the stream
-	// marks needed to rewind that draw when replay shows the scalar loop
-	// would not have made it.
-	type specSlot struct {
-		cand   int // ScorerBatch candidate index, -1 for a==b
-		a, b   int
-		u      float64 // speculative acceptance threshold
-		afterB int     // stream mark after the proposal draws
-		afterU int     // stream mark after the threshold draw
-	}
-	sr := newSpecRand(rng)
-	batch := NewScorerBatch(sc, window)
-	slots := make([]specSlot, 0, window)
-	curWin := 2
-	if curWin > window {
-		curWin = window
-	}
-	for i := 0; i < iters; {
-		batch.Reset()
-		slots = slots[:0]
-		for i+len(slots) < iters && batch.Len() < curWin {
-			a, b := sr.intn(pp), sr.intn(pp)
-			if a == b {
-				slots = append(slots, specSlot{cand: -1})
-				continue
-			}
-			afterB := sr.mark()
-			u := sr.float64()
-			slots = append(slots, specSlot{
-				cand: batch.Propose(a, b), a: a, b: b,
-				u: u, afterB: afterB, afterU: sr.mark(),
-			})
-		}
-		committed := false
-		for _, s := range slots {
-			i++
-			if s.cand < 0 {
-				continue
-			}
-			c := batch.EvaluateOne(s.cand)
-			accept := false
-			if c <= curCost {
-				// Downhill: the scalar loop never draws a threshold here.
-				// Rewind the speculative draw so its raw value is
-				// reinterpreted as the next iteration's proposal.
-				sr.rewind(s.afterB)
-				accept = true
-			} else if s.u < math.Exp((curCost-c)/math.Max(temp, 1e-12)) {
-				sr.rewind(s.afterU)
-				accept = true
-			}
-			if accept {
-				batch.Commit(s.cand)
-				perm[s.a], perm[s.b] = perm[s.b], perm[s.a]
-				curCost = c
-				if c < bestCost {
-					bestCost = c
-					copy(bestPerm, perm)
-				}
-				temp *= 0.995
-				committed = true
-				break // later slots were evaluated against superseded state
-			}
-			temp *= 0.995
-		}
-		if committed {
-			curWin = 2
-		} else if curWin < window {
-			curWin *= 2
-			if curWin > window {
-				curWin = window
-			}
-		}
-		sr.compact()
+		temp *= 0.995
 	}
 	return build(bestPerm), nil
 }

@@ -194,7 +194,7 @@ func TestOptimizePastInterningBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar, err := OptimizeWindow(m, tp, pp, w, rand.New(rand.NewSource(seed)), 1)
+		scalar, err := optimize(m, tp, pp, w, rand.New(rand.NewSource(seed)), false)
 		if err != nil {
 			t.Fatal(err)
 		}

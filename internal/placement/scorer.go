@@ -22,9 +22,12 @@
 // interning bound the per-call route construction allocates, but the
 // asymptotic win stands.
 //
-// The Scorer serves the annealer on every mesh and the GA's fitness
-// scratch. Its batch companion ScorerBatch (scorer_batch.go) serves the
-// annealer only, and only on meshes with interned routes.
+// The Scorer is the GA's fitness scratch and holds the annealer's committed
+// state on every mesh. Past the interning bound the annealer prices each
+// proposal with SwapDelta and undoes a rejection with Revert; within it the
+// read-only pricer ScorerBatch (scorer_batch.go) prices proposals against
+// the committed state and commits accepted ones through SwapDelta and
+// Apply.
 package placement
 
 import (
@@ -57,8 +60,8 @@ type Scorer struct {
 	// occCount is the pipeline-path link multiset; occ is its boolean view
 	// (the γ-conflict set of Eq 2), with membership flips recorded in the
 	// dirty mask each swap. occOne is the "multiplicity exactly one" word
-	// vector, maintained in lock-step: together with occ it lets the batch
-	// evaluator decide a zero crossing under a ±1 delta with two word
+	// vector, maintained in lock-step: together with occ it lets
+	// ScorerBatch decide a zero crossing under a ±1 delta with two word
 	// operations.
 	occCount []int32
 	occ      *mesh.LinkSet
@@ -91,8 +94,8 @@ type Scorer struct {
 	cost float64
 
 	// gen counts committed-state changes (Reset, Apply). ScorerBatch keys
-	// its cached base term vector on it: a Revert restores every stored term
-	// bit for bit, so only commits invalidate the batch base.
+	// its term vector on it: a Revert restores every stored term bit for
+	// bit, so only commits invalidate the pricer's copy.
 	gen int64
 
 	// pending swap, held until Apply or Revert.
