@@ -56,6 +56,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -807,6 +808,27 @@ func saturationBurst(name string, protect bool, pred predictor.Predictor) servic
 	return e
 }
 
+// p95OrInf is a saturation entry's interactive p95 for the gate, +Inf when
+// no interactive job completed (saturationBurst leaves the field 0).
+func p95OrInf(e serviceEntry) float64 {
+	if e.InteractiveP95Ms <= 0 {
+		return math.Inf(1)
+	}
+	return e.InteractiveP95Ms
+}
+
+// recordRatio records num/den under key when both sides are positive. A zero
+// side (no goodput, no completed interactive job) has no ratio, and the
+// report's JSON cannot carry +Inf or NaN, so the key is left out and the
+// run says so.
+func recordRatio(m map[string]float64, key string, num, den float64) {
+	if num > 0 && den > 0 {
+		m[key] = num / den
+		return
+	}
+	fmt.Printf("%-40s not recorded: %g / %g has a zero side\n", key, num, den)
+}
+
 // sweepTrail is the demand trajectory of the prefetch-replay pair: a client
 // stepping through adjacent TP points of a fixed-config sweep at two batch
 // sizes — exactly the spatial locality the neighbor predictor mines (each
@@ -1202,12 +1224,14 @@ func main() {
 		fail(fmt.Errorf("shedding lost on goodput: %.2f protected vs %.2f unprotected",
 			protected.GoodputRate, unprotected.GoodputRate))
 	}
-	if protected.InteractiveP95Ms >= unprotected.InteractiveP95Ms {
+	// A side with no completed interactive job has no p95 sample (0): it
+	// compares as +Inf, so protection cannot win on a side it never served.
+	if p95OrInf(protected) >= p95OrInf(unprotected) {
 		fail(fmt.Errorf("shedding lost on interactive p95: %.0f ms protected vs %.0f ms unprotected",
-			protected.InteractiveP95Ms, unprotected.InteractiveP95Ms))
+			p95OrInf(protected), p95OrInf(unprotected)))
 	}
-	rep.SpeedupNs["goodput(shedding/no-shedding)"] = protected.GoodputRate / unprotected.GoodputRate
-	rep.SpeedupNs["interactive-p95(no-shedding/shedding)"] = unprotected.InteractiveP95Ms / protected.InteractiveP95Ms
+	recordRatio(rep.SpeedupNs, "goodput(shedding/no-shedding)", protected.GoodputRate, unprotected.GoodputRate)
+	recordRatio(rep.SpeedupNs, "interactive-p95(no-shedding/shedding)", unprotected.InteractiveP95Ms, protected.InteractiveP95Ms)
 
 	// Speculative prefetch: record the sweep trajectory once (and read it
 	// back over GET /v1/trace), then replay it against fresh daemons with
@@ -1227,7 +1251,7 @@ func main() {
 		fail(fmt.Errorf("prefetch lost on warm-hit rate: %.2f on vs %.2f off",
 			pfOn.WarmHitRate, pfOff.WarmHitRate))
 	}
-	rep.SpeedupNs["mean-latency(no-prefetch/prefetch)"] = pfOff.MeanLatencyMs / pfOn.MeanLatencyMs
+	recordRatio(rep.SpeedupNs, "mean-latency(no-prefetch/prefetch)", pfOff.MeanLatencyMs, pfOn.MeanLatencyMs)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

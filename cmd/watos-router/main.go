@@ -13,9 +13,10 @@
 // typed client and `watos -remote` work against a router unchanged; results
 // are byte-identical to a single daemon and to an in-process search. Each
 // fingerprint routes to a replica set (-replicas) with in-band failover,
-// sweep legs re-dispatch through shard crashes (-sweep-retries,
-// -sweep-leg-timeout), and DELETE /v1/shards drains a departing shard's warm
-// cache slice to the shards inheriting its fingerprints before removal.
+// every shard has a circuit breaker (-breaker-*), sweep legs re-dispatch
+// through shard crashes (-sweep-retries), and DELETE /v1/shards drains a
+// departing shard's warm cache slice to the shards inheriting its
+// fingerprints before removal.
 package main
 
 import (
@@ -42,16 +43,14 @@ func main() {
 	failAfter := flag.Int("fail-after", 2, "consecutive failed probes before a shard is excluded from routing")
 	replicas := flag.Int("replicas", 2, "replica-set size R per fingerprint: primary plus failover targets (1 disables replication)")
 	sweepRetries := flag.Int("sweep-retries", 2, "re-dispatches per sweep leg after a retryable failure (shard crash mid-sweep)")
-	legTimeout := flag.Duration("sweep-leg-timeout", 0, "per-attempt deadline for one sweep leg (0 = only the request's deadline)")
 	resultCache := flag.Int("result-cache", 4096, "completed-result cache entries: repeat submissions of an answered fingerprint are served at the router (0 disables)")
 	prefetchOn := flag.Bool("prefetch", false, "speculative cache warming: accepted demand jobs predict their sweep neighbors and pre-evaluate them through idle shard capacity into the result cache")
 	prefetchFanout := flag.Int("prefetch-fanout", 3, "speculative evaluations issued per accepted demand job (with -prefetch)")
 	sweepTTL := flag.Duration("sweep-ttl", 15*time.Minute, "terminal async sweep handles expire after this age (negative = never)")
 	sweepHistory := flag.Int("sweep-history", 256, "retained async sweep handles (oldest finished evicted first)")
-	breakerOff := flag.Bool("breaker-off", false, "disable per-shard circuit breakers (routing then trusts the health probe alone)")
 	breakerWindow := flag.Int("breaker-window", 20, "circuit breaker rolling round-trip window size")
 	breakerMinSamples := flag.Int("breaker-min-samples", 8, "window occupancy required before a breaker may trip")
-	breakerErrorRate := flag.Float64("breaker-error-rate", 0.5, "failed round-trip fraction over the window that opens a shard's breaker")
+	breakerErrorRate := flag.Float64("breaker-error-rate", 0.5, "failed round-trip fraction over the window that opens a shard's breaker (above 1 never trips)")
 	breakerP95 := flag.Duration("breaker-p95", 2*time.Second, "window p95 round-trip latency that opens a shard's breaker (negative disables the latency signal)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker routing exclusion before a single half-open trial is admitted")
 	pprofOn := cliutil.PprofFlag()
@@ -74,7 +73,6 @@ func main() {
 		FailAfter:      *failAfter,
 		Replicas:       *replicas,
 		Breaker: shard.BreakerOptions{
-			Disabled:   *breakerOff,
 			Window:     *breakerWindow,
 			MinSamples: *breakerMinSamples,
 			ErrorRate:  *breakerErrorRate,
@@ -95,7 +93,6 @@ func main() {
 
 	router := shard.NewRouter(m)
 	router.SweepRetries = *sweepRetries
-	router.LegTimeout = *legTimeout
 	router.Cache = shard.NewResultCache(*resultCache)
 	router.SweepTTL = *sweepTTL
 	router.SweepHistory = *sweepHistory

@@ -262,13 +262,11 @@ func (e *SweepEngine) Start(req Request) (SweepStatus, error) {
 // fold records a leg report in the handle. A non-terminal report only
 // publishes the leg's job; a terminal one completes the leg, and the last
 // leg of a still-running sweep triggers the merge. The Update that takes
-// the handle terminal wakes its waiters. Degraded legs are
-// terminal without failing the sweep; when any of them carries no result,
-// the merge runs through MergeSweepDegraded, whose marker rows are never
-// byte-identical to a healthy sweep.
+// the handle terminal wakes its waiters. Degraded legs are terminal without
+// failing the sweep; one that carries no result merges as a MergeSweep
+// marker row, never byte-identical to a healthy sweep.
 func (e *SweepEngine) fold(id string, idx int, leg SweepLeg) {
-	var complete, degraded bool
-	var results []*Result
+	var results []*Result // set once the last leg lands: the merge is due
 	var configs, degradedErrs []string
 	err := e.store.Update(id, func(st *SweepStatus) {
 		dst := &st.Legs[idx]
@@ -303,29 +301,21 @@ func (e *SweepEngine) fold(id string, idx int, leg SweepLeg) {
 			st.FinishedAt = time.Now()
 		}
 		if st.State == StateRunning && st.Completed == st.Total {
-			complete = true
 			results = make([]*Result, st.Total)
 			configs = make([]string, st.Total)
 			degradedErrs = make([]string, st.Total)
 			for i, l := range st.Legs {
 				results[i], configs[i] = l.Result, l.Config
 				if l.Degraded && l.Result == nil {
-					degraded = true
 					degradedErrs[i] = l.Error
 				}
 			}
 		}
 	})
-	if err != nil || !complete {
+	if err != nil || results == nil {
 		return // an evicted handle has nothing to fold into
 	}
-	var merged *Result
-	var mergeErr error
-	if degraded {
-		merged, mergeErr = MergeSweepDegraded(results, configs, degradedErrs)
-	} else {
-		merged, mergeErr = MergeSweep(results)
-	}
+	merged, mergeErr := MergeSweep(results, configs, degradedErrs)
 	e.store.Update(id, func(st *SweepStatus) {
 		if mergeErr != nil {
 			st.State = StateFailed

@@ -355,6 +355,49 @@ type Stats struct {
 	EvalCache      search.CacheStats `json:"eval_cache"`
 }
 
+// Add sums another daemon's counters, gauges and cache stats into s (the
+// router's fleet aggregate). EstWait*MS, Draining, SchemeVersion,
+// SnapshotPath and UptimeSeconds are not sums and are left untouched.
+func (s *Stats) Add(o Stats) {
+	s.JobsSubmitted += o.JobsSubmitted
+	s.JobsCoalesced += o.JobsCoalesced
+	s.JobsDone += o.JobsDone
+	s.JobsFailed += o.JobsFailed
+	s.JobsRejected += o.JobsRejected
+	s.JobsExpired += o.JobsExpired
+	s.JobsShed += o.JobsShed
+	s.JobsEvicted += o.JobsEvicted
+	s.SweepsRun += o.SweepsRun
+	s.QueueDepth += o.QueueDepth
+	s.JobsInFlight += o.JobsInFlight
+	s.QueueInteractive += o.QueueInteractive
+	s.QueueSweepLeg += o.QueueSweepLeg
+	s.QueueBackground += o.QueueBackground
+	s.QueuePrefetch += o.QueuePrefetch
+	s.HitsDemand += o.HitsDemand
+	s.HitsPrefetch += o.HitsPrefetch
+	s.PrefetchIssued += o.PrefetchIssued
+	s.PrefetchCancelled += o.PrefetchCancelled
+	s.PrefetchUseful += o.PrefetchUseful
+	s.TraceLen += o.TraceLen
+	s.JobsPending += o.JobsPending
+	s.JobsRunning += o.JobsRunning
+	s.SweepsRunning += o.SweepsRunning
+	s.SweepsDone += o.SweepsDone
+	s.SweepsFailed += o.SweepsFailed
+	s.SweepsEvicted += o.SweepsEvicted
+	s.SweepsRetained += o.SweepsRetained
+	s.Backlog += o.Backlog
+	s.JobWorkers += o.JobWorkers
+	s.EvalWorkers += o.EvalWorkers
+	s.CandidateCache.Hits += o.CandidateCache.Hits
+	s.CandidateCache.Misses += o.CandidateCache.Misses
+	s.CandidateCache.Size += o.CandidateCache.Size
+	s.EvalCache.Hits += o.EvalCache.Hits
+	s.EvalCache.Misses += o.EvalCache.Misses
+	s.EvalCache.Size += o.EvalCache.Size
+}
+
 // DedupRate returns coalesced / submitted-including-coalesced, the service
 // analogue of a cache hit rate.
 func (s Stats) DedupRate() float64 {
@@ -428,6 +471,10 @@ var ErrBusy = errors.New("service: job backlog full")
 // it is finishing in-flight work ahead of shutdown or fleet removal and must
 // not take on jobs whose results nobody would route a poll to.
 var ErrDraining = errors.New("service: daemon is draining")
+
+// ErrShutdown is the error of a job the daemon's Close stopped before it
+// ran: the work was never attempted, so a routing tier may re-dispatch it.
+var ErrShutdown = errors.New("service: daemon shut down before the job ran")
 
 // ShedError reports a submission refused by overload protection — the class
 // backlog budget is exhausted, or the estimated queue wait already exceeds
@@ -767,7 +814,7 @@ func (s *Server) stopLocked(j *job, state State) {
 			r.Error = "prefetch cancelled: demand work arrived"
 		default:
 			s.stats.JobsFailed++
-			r.Error = "service: daemon shut down before the job ran"
+			r.Error = ErrShutdown.Error()
 		}
 	})
 }

@@ -45,7 +45,7 @@ type SweepJobRef struct {
 	// Degraded marks a part the router absorbed instead of failing the
 	// sweep (replica set exhausted / in-flight deadline expiry): its row
 	// in the merged record is a degraded placeholder or a cached prior
-	// result. See MergeSweepDegraded.
+	// result. See MergeSweep.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -86,50 +86,24 @@ func ExpandSweep(req Request) (norm Request, parts []Request, err error) {
 // Result of the equivalent single-job sweep: the canonical records
 // concatenate, the per-architecture summaries concatenate, and the summary
 // fields come from the winning part under core.Explore's rule (first
-// strictly-highest throughput). Every part must be a completed
-// single-architecture Result; an infeasible architecture fails its part's
-// job before merging, exactly as a single-architecture CLI run would fail.
-func MergeSweep(parts []*Result) (*Result, error) {
+// strictly-highest throughput). configs names every leg. A leg that could
+// not be served (replica set exhausted, in-flight deadline expiry) is a nil
+// part with degradedErr[i] saying why: it merges as a per-arch "degraded:
+// ..." marker row, the shape core.Explore gives an infeasible architecture.
+// Such a record is NOT byte-identical to a healthy sweep and must never
+// enter a completed-result cache (callers flag it through the Degraded
+// markers); with no servable part at all, every row is a marker and the
+// summary fields stay zero. A nil part with no reason fails the merge.
+func MergeSweep(parts []*Result, configs, degradedErr []string) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("service: empty sweep")
 	}
 	var best *Result
-	for _, p := range parts {
-		if p == nil {
+	for i, p := range parts {
+		switch {
+		case p == nil && degradedErr[i] == "":
 			return nil, errors.New("service: sweep part missing its result")
-		}
-		if best == nil || p.Throughput > best.Throughput {
-			best = p
-		}
-	}
-	out := *best
-	out.PerArch = nil
-	out.Canonical = ""
-	for _, p := range parts {
-		out.PerArch = append(out.PerArch, p.PerArch...)
-		out.Canonical += p.Canonical
-	}
-	return &out, nil
-}
-
-// MergeSweepDegraded merges a partially-served sweep: parts is in sweep
-// order with nil entries where a leg could not be served (replica set
-// exhausted, in-flight deadline expiry), configs names every leg, and
-// degradedErr[i] says why part i is missing. Each missing leg contributes a
-// per-arch "degraded: ..." marker row — the same shape an in-process
-// core.Explore gives an infeasible architecture — instead of failing the
-// merge, so a sweep through a brownout still answers with every row it
-// could gather. The merged record is NOT byte-identical to a healthy sweep
-// and must never enter a completed-result cache; callers flag it through
-// the leg/job Degraded markers. A sweep with no servable part at all still
-// merges: all rows are markers and the summary fields stay zero.
-func MergeSweepDegraded(parts []*Result, configs, degradedErr []string) (*Result, error) {
-	if len(parts) == 0 {
-		return nil, errors.New("service: empty sweep")
-	}
-	var best *Result
-	for _, p := range parts {
-		if p != nil && (best == nil || p.Throughput > best.Throughput) {
+		case p != nil && (best == nil || p.Throughput > best.Throughput):
 			best = p
 		}
 	}

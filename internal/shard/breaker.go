@@ -14,7 +14,7 @@ import (
 // shard whose /v1/healthz still answers in time but whose data path has gone
 // bad — erroring on submissions, or slow-but-alive (GC thrash, disk stall,
 // noisy neighbour) — keeps passing probes and so keeps receiving its share of
-// routed work, every piece of which then costs the full RequestTimeout.
+// routed work, every piece of which then costs the full request timeout.
 //
 // The breaker watches the transport round-trips the router actually makes to
 // the shard (submit, status poll, stats) and trips on either signal the probe
@@ -32,8 +32,6 @@ import (
 
 // BreakerOptions tune one backend's circuit breaker.
 type BreakerOptions struct {
-	// Disabled turns the breaker off (every request admitted).
-	Disabled bool
 	// Window is the rolling outcome window size (default 20 round-trips).
 	Window int
 	// MinSamples is the minimum window occupancy before the breaker may trip
@@ -41,7 +39,7 @@ type BreakerOptions struct {
 	// brownout.
 	MinSamples int
 	// ErrorRate trips the breaker when failures/window reaches it (default
-	// 0.5).
+	// 0.5; above 1 the error-rate signal never trips).
 	ErrorRate float64
 	// LatencyP95 trips the breaker when the window's p95 round-trip latency
 	// reaches it (default 2s; 0 keeps the default, negative disables the
@@ -87,9 +85,8 @@ type breakerSample struct {
 	fail   bool
 }
 
-// Breaker is one backend's rolling-window circuit breaker. The zero value is
-// not usable; a nil *Breaker is a disabled breaker (every method is nil-safe
-// and admits everything).
+// Breaker is one backend's rolling-window circuit breaker. Every shard has
+// one; the zero value is not usable (build it with newBreaker).
 type Breaker struct {
 	opts BreakerOptions
 
@@ -126,9 +123,6 @@ type BreakerStatus struct {
 }
 
 func newBreaker(o BreakerOptions) *Breaker {
-	if o.Disabled {
-		return nil
-	}
 	o = o.withDefaults()
 	return &Breaker{opts: o, window: make([]breakerSample, o.Window)}
 }
@@ -156,9 +150,6 @@ func breakerFailure(err error) bool {
 // the single half-open trial slot when the cooldown has elapsed. Callers that
 // only want to filter without claiming the trial use Routable.
 func (b *Breaker) Allow() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -184,9 +175,6 @@ func (b *Breaker) Allow() bool {
 // without claiming the half-open trial slot (used when building replica
 // chains; the sender claims the slot via Allow).
 func (b *Breaker) Routable() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -213,9 +201,6 @@ func (b *Breaker) ObserveOutcome(err error) {
 }
 
 func (b *Breaker) record(s breakerSample, err error) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if s.fail && err != nil {
@@ -299,12 +284,8 @@ func (b *Breaker) p95Locked() (time.Duration, int) {
 	return lats[idx], len(lats)
 }
 
-// Snapshot returns the breaker's externally visible state; nil (disabled)
-// breakers return a zero status with State empty.
+// Snapshot returns the breaker's externally visible state.
 func (b *Breaker) Snapshot() BreakerStatus {
-	if b == nil {
-		return BreakerStatus{}
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := BreakerStatus{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -210,5 +211,115 @@ func TestRouterDrainOverHTTP(t *testing.T) {
 	}
 	if strings.HasPrefix(j.ID, victimAddr+"/") {
 		t.Errorf("job %s routed to the drained shard", j.ID)
+	}
+}
+
+// TestRouterRefusalDrainingFailsOver: a primary that answers a routed submit
+// with the daemon's draining refusal (service.ErrDraining, HTTP 503) is
+// excluded from routing and the submission lands on its replica — a
+// draining shard's refusal is a routing fact, not the request's answer.
+func TestRouterRefusalDrainingFailsOver(t *testing.T) {
+	var draining [2]atomic.Bool
+	var addrs []string
+	for i := range draining {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.URL.Path == "/v1/healthz":
+				w.Write([]byte(`{"status":"ok"}`))
+			case draining[i].Load():
+				service.WriteSubmitError(w, service.ErrDraining)
+			default:
+				service.WriteJSON(w, http.StatusAccepted, service.Job{ID: "job-1", State: service.StateQueued})
+			}
+		}))
+		t.Cleanup(ts.Close)
+		addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
+	}
+	m := NewMap(addrs, Options{})
+	t.Cleanup(m.Close)
+	r := NewRouter(m)
+
+	req := testReq(1)
+	norm, err := req.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas, err := m.PickReplicas(norm.Fingerprint())
+	if err != nil || len(replicas) != 2 {
+		t.Fatalf("replica set = %v (%v), want 2 shards", names(replicas), err)
+	}
+	primary, replica := replicas[0], replicas[1]
+	for i, addr := range addrs {
+		draining[i].Store(addr == primary.Addr)
+	}
+
+	j, b, _, err := r.submitRouted(context.Background(), req, time.Time{})
+	if err != nil {
+		t.Fatalf("submit with a draining primary: %v", err)
+	}
+	if b != replica || j.ID != replica.Addr+"/job-1" {
+		t.Errorf("job %s landed on %s, want the replica %s", j.ID, b.Name, replica.Name)
+	}
+	if primary.Healthy() {
+		t.Error("draining primary still admitted to routing")
+	}
+	r.mu.Lock()
+	failovers := r.stats.Failovers
+	r.mu.Unlock()
+	if failovers != 1 {
+		t.Errorf("failovers = %d, want 1", failovers)
+	}
+}
+
+// TestRouterRefusalShutdownRetriesLeg: a sweep leg whose job comes back
+// failed by the daemon's shutdown (service.ErrShutdown: the work never ran)
+// is reported retryable by tryLeg and re-dispatched by runLeg; a job that
+// failed for any other reason is the leg's answer.
+func TestRouterRefusalShutdownRetriesLeg(t *testing.T) {
+	polls := map[string]service.Job{
+		"job-1": {ID: "job-1", State: service.StateFailed, Error: service.ErrShutdown.Error()},
+		"job-2": {ID: "job-2", State: service.StateFailed, Error: service.ErrShutdown.Error()},
+		"job-3": {ID: "job-3", State: service.StateDone, Result: &service.Result{Canonical: "arch=config3 err=<nil>\n"}},
+		"job-4": {ID: "job-4", State: service.StateFailed, Error: "no feasible strategy"},
+	}
+	var submits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/v1/healthz":
+			w.Write([]byte(`{"status":"ok"}`))
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			id := fmt.Sprintf("job-%d", submits.Add(1))
+			service.WriteJSON(w, http.StatusAccepted, service.Job{ID: id, State: service.StateQueued})
+		default:
+			service.WriteJSON(w, http.StatusOK, polls[strings.TrimPrefix(r.URL.Path, "/v1/jobs/")])
+		}
+	}))
+	defer ts.Close()
+	m := NewMap([]string{strings.TrimPrefix(ts.URL, "http://")}, Options{})
+	defer m.Close()
+	r := NewRouter(m)
+	ctx := context.Background()
+
+	// job-1: the shutdown failure is worth re-dispatching.
+	if _, _, retry, err := r.tryLeg(ctx, testReq(1), time.Time{}); err == nil || !retry {
+		t.Fatalf("leg failed by shutdown: retryable=%v err=%v, want a retryable failure", retry, err)
+	}
+	// job-2 fails the same way and runLeg re-dispatches it as job-3.
+	res, ref, err := r.runLeg(ctx, testReq(1), time.Time{})
+	if err != nil || res == nil {
+		t.Fatalf("leg through a shard shutdown: %v", err)
+	}
+	if !strings.HasSuffix(ref.JobID, "/job-3") {
+		t.Errorf("leg answered by %s, want the re-dispatched job-3", ref.JobID)
+	}
+	r.mu.Lock()
+	retries := r.stats.LegRetries
+	r.mu.Unlock()
+	if retries != 1 {
+		t.Errorf("leg retries = %d, want 1", retries)
+	}
+	// job-4: any other failure is deterministic — not retried.
+	if _, _, retry, err := r.tryLeg(ctx, testReq(1), time.Time{}); err == nil || retry {
+		t.Errorf("leg failed by the search: retryable=%v err=%v, want a final failure", retry, err)
 	}
 }

@@ -124,7 +124,7 @@ func TestPickReplicasChain(t *testing.T) {
 		// Health exclusion of the primary lands Pick on the same backup the
 		// in-band walk would use — the two failover paths agree.
 		reps[0].MarkFailed(fmt.Errorf("connection refused"))
-		b, err := m.Pick(fp)
+		b, err := pick(m, fp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func (r *Router) prefetchOne(req service.Request, fp string) bool {
 		return false
 	}
 	b := replicas[0]
-	if bs := b.Breaker(); bs != nil && bs.Snapshot().State != "closed" {
+	if b.breaker.Snapshot().State != "closed" {
 		// A recovering shard's half-open trial slot belongs to demand.
 		return false
 	}

@@ -48,10 +48,6 @@ type Router struct {
 	// deterministic, so a re-dispatched leg is byte-identical to the
 	// original.
 	SweepRetries int
-	// LegTimeout bounds one dispatch+wait attempt of a sweep leg (0 = only
-	// the caller's deadline). A leg stuck on a wedged shard re-dispatches to
-	// a surviving replica instead of pinning the whole scatter.
-	LegTimeout time.Duration
 	// Cache is the fleet-wide completed-result cache: repeat submissions of
 	// an already-answered fingerprint are served here and never cross the
 	// fleet. nil disables caching.
@@ -133,7 +129,7 @@ type RouterStats struct {
 }
 
 // NewRouter returns a router over the shard map (sweep legs re-dispatch up
-// to twice by default; set SweepRetries/LegTimeout before serving to tune).
+// to twice by default; set SweepRetries before serving to tune).
 func NewRouter(m *Map) *Router {
 	r := &Router{Map: m, SweepRetries: 2, start: time.Now(), trace: newRouterTrace()}
 	r.sweeps = &service.SweepEngine{
@@ -204,7 +200,7 @@ func writeRouteError(w http.ResponseWriter, err error) {
 func drainingAnswer(err error) bool {
 	var se *client.StatusError
 	return errors.As(err, &se) && se.Code == http.StatusServiceUnavailable &&
-		strings.Contains(se.Message, "draining")
+		strings.Contains(se.Message, service.ErrDraining.Error())
 }
 
 // Handler returns the router's HTTP API.
@@ -495,7 +491,7 @@ func (r *Router) tryLeg(ctx context.Context, part service.Request, deadline time
 			return nil, ref, false, fmt.Errorf("%w: job %s abandoned in flight", errLegDeadline, j.ID)
 		}
 		// Only a transport failure with the caller's context still live
-		// indicts the shard; our own per-leg deadline firing does not.
+		// indicts the shard; a caller that gave up does not.
 		if connectionError(err) && ctx.Err() == nil {
 			b.MarkFailed(err)
 			b.breaker.ObserveOutcome(err)
@@ -508,20 +504,20 @@ func (r *Router) tryLeg(ctx context.Context, part service.Request, deadline time
 			// The shard's own admission timer expired the job while queued.
 			return nil, ref, false, fmt.Errorf("%w on shard %s: %s", errLegDeadline, b.Name, done.Error)
 		}
-		// A daemon shutting down marks its unstarted backlog failed with a
-		// distinctive error; that work never ran and re-dispatches safely.
-		retry := strings.Contains(done.Error, "daemon shut down")
+		// A daemon shutting down marks its unstarted backlog failed with
+		// service.ErrShutdown; that work never ran and re-dispatches safely.
+		retry := strings.Contains(done.Error, service.ErrShutdown.Error())
 		return nil, ref, retry, fmt.Errorf("job failed: %s", done.Error)
 	}
 	return done.Result, ref, false, nil
 }
 
 // runLeg drives one sweep leg to completion through shard churn: bounded
-// re-dispatch (SweepRetries) with an optional per-attempt deadline
-// (LegTimeout). Each retry re-walks the replica chain, which the failed
-// attempt's in-band exclusions have already steered away from the dead
-// shard — this is what lets a scatter-gather complete byte-identically
-// through a mid-sweep crash.
+// re-dispatch (SweepRetries), each attempt bounded only by the request's
+// deadline. Each retry re-walks the replica chain, which the failed
+// attempt's in-band exclusions and the breaker have already steered away
+// from the dead or wedged shard — this is what lets a scatter-gather
+// complete byte-identically through a mid-sweep crash.
 func (r *Router) runLeg(ctx context.Context, part service.Request, deadline time.Time) (*service.Result, service.SweepJobRef, error) {
 	retries := r.SweepRetries
 	if retries < 0 {
@@ -533,12 +529,7 @@ func (r *Router) runLeg(ctx context.Context, part service.Request, deadline time
 		if attempt > 0 {
 			r.count(func(c *RouterCounters) { c.LegRetries++ })
 		}
-		legCtx, cancel := ctx, context.CancelFunc(func() {})
-		if r.LegTimeout > 0 {
-			legCtx, cancel = context.WithTimeout(ctx, r.LegTimeout)
-		}
-		res, ref, retryable, err := r.tryLeg(legCtx, part, deadline)
-		cancel()
+		res, ref, retryable, err := r.tryLeg(ctx, part, deadline)
 		if err == nil {
 			return res, ref, nil
 		}
@@ -571,7 +562,7 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 		if !st.Healthy {
 			continue
 		}
-		b, ok := r.Map.Backend(st.Name)
+		b, ok := r.Map.BackendByAddr(st.Addr)
 		if !ok {
 			continue
 		}
@@ -591,43 +582,7 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 			continue
 		}
 		st.Stats = &ss
-		agg.JobsSubmitted += ss.JobsSubmitted
-		agg.JobsCoalesced += ss.JobsCoalesced
-		agg.JobsDone += ss.JobsDone
-		agg.JobsFailed += ss.JobsFailed
-		agg.JobsRejected += ss.JobsRejected
-		agg.JobsExpired += ss.JobsExpired
-		agg.JobsShed += ss.JobsShed
-		agg.JobsEvicted += ss.JobsEvicted
-		agg.SweepsRun += ss.SweepsRun
-		agg.QueueDepth += ss.QueueDepth
-		agg.JobsInFlight += ss.JobsInFlight
-		agg.QueueInteractive += ss.QueueInteractive
-		agg.QueueSweepLeg += ss.QueueSweepLeg
-		agg.QueueBackground += ss.QueueBackground
-		agg.QueuePrefetch += ss.QueuePrefetch
-		agg.HitsDemand += ss.HitsDemand
-		agg.HitsPrefetch += ss.HitsPrefetch
-		agg.PrefetchIssued += ss.PrefetchIssued
-		agg.PrefetchCancelled += ss.PrefetchCancelled
-		agg.PrefetchUseful += ss.PrefetchUseful
-		agg.TraceLen += ss.TraceLen
-		agg.JobsPending += ss.JobsPending
-		agg.JobsRunning += ss.JobsRunning
-		agg.SweepsRunning += ss.SweepsRunning
-		agg.SweepsDone += ss.SweepsDone
-		agg.SweepsFailed += ss.SweepsFailed
-		agg.SweepsEvicted += ss.SweepsEvicted
-		agg.SweepsRetained += ss.SweepsRetained
-		agg.Backlog += ss.Backlog
-		agg.JobWorkers += ss.JobWorkers
-		agg.EvalWorkers += ss.EvalWorkers
-		agg.CandidateCache.Hits += ss.CandidateCache.Hits
-		agg.CandidateCache.Misses += ss.CandidateCache.Misses
-		agg.CandidateCache.Size += ss.CandidateCache.Size
-		agg.EvalCache.Hits += ss.EvalCache.Hits
-		agg.EvalCache.Misses += ss.EvalCache.Misses
-		agg.EvalCache.Size += ss.EvalCache.Size
+		agg.Add(ss)
 	}
 	// Sweep-handle gauges: the router's own async handles (scattered sweeps
 	// live at this tier) on top of any direct-to-shard handles.

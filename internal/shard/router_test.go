@@ -334,3 +334,65 @@ func TestRouterStatsAggregation(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterListsJobsAcrossShards: GET /v1/jobs on the router fans out over
+// the healthy shards and lists every shard's jobs once, namespaced
+// "<shard-addr>/<id>" so each listed ID resolves through the router's job
+// fetch; a shard whose listener is gone is skipped and marked failed.
+func TestRouterListsJobsAcrossShards(t *testing.T) {
+	f := newFleet(t, 2)
+	ctx := context.Background()
+
+	want := map[string]bool{}
+	var perShard [2]int
+	for seed := int64(1); perShard[0] == 0 || perShard[1] == 0; seed++ {
+		req := testReq(seed)
+		j, err := f.client.Run(ctx, req)
+		if err != nil || j.State != service.StateDone {
+			t.Fatalf("seed %d: %v / %s", seed, err, j.State)
+		}
+		want[j.ID] = true
+		perShard[f.ownerIdx(t, req)]++
+	}
+
+	sums, err := f.client.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]int{}
+	for _, s := range sums {
+		listed[s.ID]++
+	}
+	if len(sums) != len(want) {
+		t.Errorf("router listed %d jobs, want %d", len(sums), len(want))
+	}
+	for id := range want {
+		if listed[id] != 1 {
+			t.Errorf("job %s listed %d times, want once", id, listed[id])
+		}
+	}
+	for _, s := range sums {
+		j, err := f.client.Job(ctx, s.ID)
+		if err != nil || j.ID != s.ID || j.State != service.StateDone {
+			t.Errorf("listed job %s does not resolve through the router: %v (got %q, %s)", s.ID, err, j.ID, j.State)
+		}
+	}
+
+	// A dead shard is skipped, not fatal to the listing, and excluded.
+	f.servers[1].Close()
+	sums, err = f.client.Jobs(ctx)
+	if err != nil {
+		t.Fatalf("listing with a dead shard: %v", err)
+	}
+	if len(sums) != perShard[0] {
+		t.Errorf("listing with s1 dead has %d jobs, want s0's %d", len(sums), perShard[0])
+	}
+	for _, s := range sums {
+		if !strings.HasPrefix(s.ID, f.addrs[0]+"/") {
+			t.Errorf("job %s listed from the dead shard", s.ID)
+		}
+	}
+	if st := f.m.Statuses()[1]; st.Healthy || st.LastError == "" {
+		t.Errorf("dead shard status after listing = %+v, want marked failed", st)
+	}
+}

@@ -27,18 +27,11 @@ import (
 type Options struct {
 	// HealthInterval paces the background /v1/healthz probing (default 2s).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 2s).
+	// ProbeTimeout bounds one health probe (default 2s; requestTimeout caps it).
 	ProbeTimeout time.Duration
 	// FailAfter is the number of consecutive probe failures that exclude a
 	// shard from routing (default 2). One successful probe readmits it.
 	FailAfter int
-	// RequestTimeout bounds each data-path round-trip to a shard (default
-	// 15s; negative = unbounded). Every router→shard call is a quick
-	// exchange — submit, status poll, stats, snapshot trigger — so a hung
-	// daemon whose listener still accepts connections must surface as a
-	// connection error (and in-band exclusion) instead of pinning routed
-	// requests forever.
-	RequestTimeout time.Duration
 	// Replicas is the replica-set size R (default 2): PickReplicas returns
 	// up to R healthy shards per fingerprint — the rendezvous primary
 	// followed by the greedily placed backup and then the rest of the
@@ -48,10 +41,15 @@ type Options struct {
 	// Breaker tunes the per-shard circuit breakers (see breaker.go): routing
 	// also skips shards whose breaker is open, which catches the
 	// slow-but-alive and erroring-but-alive failure modes the health probe
-	// cannot see. Zero value = breakers on with defaults; set
-	// Breaker.Disabled to turn them off.
+	// cannot see. Every shard has a breaker; zero fields take the defaults.
 	Breaker BreakerOptions
 }
+
+// requestTimeout bounds each router→shard round-trip. Every such call is a
+// quick exchange (submit, status poll, stats, probe, snapshot trigger), so a
+// hung daemon whose listener still accepts connections surfaces as a
+// connection error and in-band exclusion instead of pinning routed requests.
+const requestTimeout = 15 * time.Second
 
 func (o Options) withDefaults() Options {
 	if o.HealthInterval <= 0 {
@@ -62,12 +60,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FailAfter <= 0 {
 		o.FailAfter = 2
-	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 15 * time.Second
-	}
-	if o.RequestTimeout < 0 {
-		o.RequestTimeout = 0
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = 2
@@ -86,13 +78,11 @@ type Backend struct {
 	// map rebuilt with the same addresses routes identically whatever the
 	// listing order.
 	Addr string
-	// Client is the typed service client bound to Addr.
+	// Client is the typed service client bound to Addr: retry-free, each
+	// round-trip bounded by requestTimeout. Health probes share it.
 	Client *client.Client
-	// probeClient is a retry-free client for health checks: a probe is
-	// itself the retry mechanism, so one failed attempt is the answer.
-	probeClient *client.Client
-	// breaker is the shard's data-path circuit breaker (nil when disabled).
-	// It is fed by the router's round-trips, never by health probes.
+	// breaker is the shard's data-path circuit breaker. It is fed by the
+	// router's round-trips, never by health probes.
 	breaker *Breaker
 
 	mu        sync.Mutex
@@ -114,9 +104,9 @@ type Status struct {
 	// Stats is the shard's own /v1/stats (queue occupancy gauges included),
 	// filled by the router's stats aggregation; nil when unreachable.
 	Stats *service.Stats `json:"stats,omitempty"`
-	// Breaker is the shard's circuit-breaker state (nil when breakers are
-	// disabled). A shard can be probe-healthy with an open breaker: alive to
-	// healthz but failing or slow on the data path.
+	// Breaker is the shard's circuit-breaker state. A shard can be
+	// probe-healthy with an open breaker: alive to healthz but failing or
+	// slow on the data path.
 	Breaker *BreakerStatus `json:"breaker,omitempty"`
 }
 
@@ -155,20 +145,18 @@ func NewMap(addrs []string, opts Options) *Map {
 
 func (m *Map) add(addr string) *Backend {
 	b := &Backend{
-		Name:        fmt.Sprintf("s%d", m.seq),
-		Addr:        addr,
-		Client:      client.New(addr),
-		probeClient: client.New(addr),
-		breaker:     newBreaker(m.opts.Breaker),
-		healthy:     true,
+		Name:    fmt.Sprintf("s%d", m.seq),
+		Addr:    addr,
+		Client:  client.New(addr),
+		breaker: newBreaker(m.opts.Breaker),
+		healthy: true,
 	}
-	b.Client.Timeout = m.opts.RequestTimeout
-	// No transport retries on either client: the router's failover re-pick
-	// (and the end client's own retry budget) is the retry mechanism, and a
-	// hung shard must cost one RequestTimeout, not retries × RequestTimeout,
+	b.Client.Timeout = requestTimeout
+	// No transport retries: the router's failover re-pick, the end client's
+	// own retry budget and the next probe are the retry mechanisms, and a
+	// hung shard must cost one requestTimeout, not retries × requestTimeout,
 	// before in-band exclusion fires.
 	b.Client.Retries = -1
-	b.probeClient.Retries = -1
 	m.seq++
 	m.backends = append(m.backends, b)
 	m.rebuildPlacement()
@@ -242,18 +230,6 @@ func (m *Map) Backends() []*Backend {
 	return out
 }
 
-// Backend resolves a shard by its display label.
-func (m *Map) Backend(name string) (*Backend, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, b := range m.backends {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
 // BackendByAddr resolves a shard by its stable address — the namespace
 // routed job IDs carry. Labels (s0, s1, ...) are positional and would
 // resolve to a different daemon after a router restart with a reordered
@@ -286,21 +262,9 @@ func (m *Map) Healthy() []*Backend {
 // ErrNoShards reports routing with every shard excluded.
 var ErrNoShards = fmt.Errorf("shard: no healthy shards")
 
-// Pick routes a canonical request fingerprint to its owning healthy shard:
-// the head of its replica chain (see PickReplicas). The assignment is
-// stable — the same fingerprint picks the same shard for as long as that
-// shard stays in the healthy set, whatever order shards appear in — and
-// while the primary is healthy it is exactly the rendezvous owner.
-func (m *Map) Pick(fingerprint string) (*Backend, error) {
-	replicas, err := m.PickReplicas(fingerprint)
-	if err != nil {
-		return nil, err
-	}
-	return replicas[0], nil
-}
-
 // PickReplicas returns the fingerprint's replica set: up to Options.Replicas
-// healthy shards in failover order. The chain is built over the FULL
+// healthy shards in failover order, headed by the rendezvous owner while it
+// is healthy, whatever order shards were listed in. The chain is built over the FULL
 // membership — [rendezvous primary, greedy backup (Placement), rendezvous
 // rank 1, rank 2, ...] deduplicated — and then filtered to the healthy set,
 // so in-band failover (walking the returned slice) and health-exclusion
@@ -366,8 +330,7 @@ func (b *Backend) Healthy() bool {
 	return b.healthy
 }
 
-// Breaker returns the backend's circuit breaker (nil when disabled; every
-// Breaker method is nil-safe).
+// Breaker returns the backend's circuit breaker.
 func (b *Backend) Breaker() *Breaker {
 	return b.breaker
 }
@@ -391,7 +354,7 @@ func (b *Backend) MarkFailed(err error) {
 func (m *Map) probe(ctx context.Context, b *Backend) {
 	ctx, cancel := context.WithTimeout(ctx, m.opts.ProbeTimeout)
 	defer cancel()
-	err := b.probeClient.Health(ctx)
+	err := b.Client.Health(ctx)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.lastProbe = time.Now()
@@ -483,10 +446,8 @@ func (m *Map) Statuses() []Status {
 			LastProbe: b.lastProbe,
 		}
 		b.mu.Unlock()
-		if b.breaker != nil {
-			bs := b.breaker.Snapshot()
-			out[i].Breaker = &bs
-		}
+		bs := b.breaker.Snapshot()
+		out[i].Breaker = &bs
 	}
 	return out
 }

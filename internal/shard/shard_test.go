@@ -45,14 +45,14 @@ func TestMapStableRouting(t *testing.T) {
 	seen := map[string]int{}
 	for i := 0; i < 100; i++ {
 		fp := fmt.Sprintf("m=Llama2-30B|c=config3|seed=%d", i)
-		b, err := m.Pick(fp)
+		b, err := pick(m, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		owner[fp] = b.Name
 		seen[b.Name]++
 		for rep := 0; rep < 3; rep++ {
-			if again, _ := m.Pick(fp); again.Name != b.Name {
+			if again, _ := pick(m, fp); again.Name != b.Name {
 				t.Fatalf("fingerprint %q routed to %s then %s", fp, b.Name, again.Name)
 			}
 		}
@@ -66,16 +66,16 @@ func TestMapStableRouting(t *testing.T) {
 	m2 := NewMap(addrs, Options{})
 	defer m2.Close()
 	for fp, want := range owner {
-		if b, _ := m2.Pick(fp); b.Name != want {
+		if b, _ := pick(m2, fp); b.Name != want {
 			t.Errorf("rebuilt map routes %q to %s, original to %s", fp, b.Name, want)
 		}
 	}
 
 	// Excluding one shard moves only its fingerprints.
-	excluded, _ := m.Backend("s1")
+	excluded := m.Backends()[1]
 	excluded.MarkFailed(fmt.Errorf("connection refused"))
 	for fp, was := range owner {
-		b, err := m.Pick(fp)
+		b, err := pick(m, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestMapAdd(t *testing.T) {
 	}
 	routed := map[string]bool{}
 	for i := 0; i < 50; i++ {
-		bk, err := m.Pick(fmt.Sprintf("fp-%d", i))
+		bk, err := pick(m, fmt.Sprintf("fp-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,9 +175,19 @@ func TestMapAdd(t *testing.T) {
 		t.Error("joined shard never receives traffic")
 	}
 
-	if _, err := NewMap(nil, Options{}).Pick("fp"); err != ErrNoShards {
+	if _, err := pick(NewMap(nil, Options{}), "fp"); err != ErrNoShards {
 		t.Errorf("Pick on empty map = %v, want ErrNoShards", err)
 	}
+}
+
+// pick is the head of a fingerprint's replica chain: the shard a routed
+// submission tries first.
+func pick(m *Map, fp string) (*Backend, error) {
+	replicas, err := m.PickReplicas(fp)
+	if err != nil {
+		return nil, err
+	}
+	return replicas[0], nil
 }
 
 func names(bs []*Backend) []string {
