@@ -19,24 +19,25 @@ race:
 # which fails the run if protection does not win both — the trace-replay
 # prefetch pair (warm-hit rate + mean demand latency with the speculative
 # lane on vs off, failing the run unless prefetch wins the hit rate) —
-# plus the speedups vs the recorded PR-1..PR-9 baselines, the in-run
-# PR3-era annealer full-re-evaluation baseline, and the in-run scalar
-# annealer iteration next to the read-only priced one).
+# plus the speedups vs the recorded PR-1..PR-9 baselines and the in-run
+# PR3-era annealer full-re-evaluation baseline of the Scorer's price/commit
+# iteration).
 bench:
 	go run ./cmd/bench -out BENCH_pr10.json
 
 # Fast regression gate for the search inner loops: the zero-alloc
-# assertions of the scalar annealer swap path and the ScorerBatch
-# price/commit cycle (the benchmarks only report allocs, they don't fail on
-# them) plus one iteration of each annealer/priced/placement/GA benchmark, of mesh
+# assertions of the Scorer's price/commit cycle, its read-only pricing and
+# its commit on their own (the benchmarks only report
+# allocs, they don't fail on them) plus one iteration of each annealer
+# (priced and full re-evaluation), placement and GA benchmark, of mesh
 # construction on every Table II wafer and mesh-switch (BenchmarkMeshNew,
 # which every search pays once) and of the cold single-worker search
 # (BenchmarkSearchSequential, where GCMR and BuildOptions run), so a broken
 # or allocating hot path fails in seconds without waiting for the full
 # bench run.
 bench-smoke:
-	go test -run 'TestScorerSwapZeroAlloc|TestScorerBatchZeroAlloc' -count=1 ./internal/placement
-	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkAnnealSwapBatch|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkMeshNew|BenchmarkSearchSequential$$' -benchtime=1x -benchmem .
+	go test -run 'TestScorer(Batch|Swap)?ZeroAlloc' -count=1 ./internal/placement
+	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkMeshNew|BenchmarkSearchSequential$$' -benchtime=1x -benchmem .
 
 # Compare two recorded perf trajectories (ns/op + allocs/op ratios, with a
 # regression threshold). Usage:

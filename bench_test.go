@@ -303,20 +303,20 @@ func BenchmarkEvaluateWarm(b *testing.B) {
 	}
 }
 
-// benchAnnealSwap measures one annealer iteration — propose a random
-// two-anchor swap, score it, accept or revert — on the incremental Scorer
-// or the PR3-era full Eq 2 re-evaluation. The substrate comes from
-// internal/benchutil, shared with cmd/bench so the smoke gate and the
-// recorded trajectory measure the same workload.
-func benchAnnealSwap(b *testing.B, m *mesh.Mesh, tp, pp, npairs int, incremental bool) {
+// benchAnnealSwap measures one annealer iteration: a random two-anchor
+// swap priced read-only by the Scorer and committed on a 1-in-8 coin, or
+// the PR3-era full Eq 2 re-evaluation kept on a coin flip. The substrate
+// and cycles come from internal/benchutil, shared with cmd/bench so the
+// smoke gate and the recorded trajectory measure the same workload.
+func benchAnnealSwap(b *testing.B, m *mesh.Mesh, tp, pp, npairs int, priced bool) {
 	anchors, w, err := benchutil.AnnealSubstrate(m, tp, pp, npairs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	var cycle func()
-	if incremental {
-		cycle = benchutil.AnnealSwapCycle(placement.NewScorer(m, anchors, w), pp, rng)
+	if priced {
+		cycle = benchutil.AnnealBatchCycle(placement.NewScorer(m, anchors, w), pp, rng)
 	} else {
 		cycle = benchutil.AnnealSwapCycleFull(m, anchors, w, m.NewLinkSet(), pp, rng)
 	}
@@ -327,41 +327,15 @@ func benchAnnealSwap(b *testing.B, m *mesh.Mesh, tp, pp, npairs int, incremental
 	}
 }
 
-// BenchmarkAnnealSwap compares the incremental Scorer against the PR3-era
-// full re-evaluation per annealer iteration, at production scale (12×12
-// wafer, pp=128 single-die stages, 32 Mem_pairs) and at the Config3 scale
-// (pp=32, 8 pairs). The incremental variants stay allocation-free.
+// BenchmarkAnnealSwap compares the Scorer's price/commit iteration against
+// the PR3-era full re-evaluation per annealer iteration, at production
+// scale (12×12 wafer, pp=128 single-die stages, 32 Mem_pairs) and at the
+// Config3 scale (pp=32, 8 pairs). The priced variants stay allocation-free.
 func BenchmarkAnnealSwap(b *testing.B) {
-	b.Run("incremental", func(b *testing.B) { benchAnnealSwap(b, benchutil.ScaleWafer(), 1, 128, 32, true) })
+	b.Run("priced", func(b *testing.B) { benchAnnealSwap(b, benchutil.ScaleWafer(), 1, 128, 32, true) })
 	b.Run("full-reeval", func(b *testing.B) { benchAnnealSwap(b, benchutil.ScaleWafer(), 1, 128, 32, false) })
-	b.Run("pp32-incremental", func(b *testing.B) { benchAnnealSwap(b, mesh.New(hw.Config3()), 1, 32, 8, true) })
+	b.Run("pp32-priced", func(b *testing.B) { benchAnnealSwap(b, mesh.New(hw.Config3()), 1, 32, 8, true) })
 	b.Run("pp32-full-reeval", func(b *testing.B) { benchAnnealSwap(b, mesh.New(hw.Config3()), 1, 32, 8, false) })
-}
-
-// benchAnnealSwapBatch measures one read-only annealer iteration on a
-// ScorerBatch sharing the Scorer's committed state: price one proposal,
-// commit on a 1-in-8 coin. The cycle comes from internal/benchutil, shared
-// with cmd/bench.
-func benchAnnealSwapBatch(b *testing.B, m *mesh.Mesh, tp, pp, npairs int) {
-	anchors, w, err := benchutil.AnnealSubstrate(m, tp, pp, npairs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := placement.NewScorerBatch(placement.NewScorer(m, anchors, w))
-	cycle := benchutil.AnnealBatchCycle(batch, pp, rand.New(rand.NewSource(1)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
-	}
-}
-
-// BenchmarkAnnealSwapBatch measures the read-only priced iteration against
-// the scalar BenchmarkAnnealSwap numbers, at the production scale (12×12
-// wafer, pp=128, 32 pairs) and the Config3 scale (pp=32, 8 pairs).
-func BenchmarkAnnealSwapBatch(b *testing.B) {
-	b.Run("priced", func(b *testing.B) { benchAnnealSwapBatch(b, benchutil.ScaleWafer(), 1, 128, 32) })
-	b.Run("pp32-priced", func(b *testing.B) { benchAnnealSwapBatch(b, mesh.New(hw.Config3()), 1, 32, 8) })
 }
 
 // BenchmarkOptimizePlacement measures the full §IV-C-1 annealing search

@@ -18,21 +18,12 @@
 // completion rate (1.0 = no job was lost for good) plus the mean failover
 // latency of re-dispatching the lost jobs to the surviving replicas.
 //
-// The annealer-iteration benchmarks compare the incremental Eq 2 Scorer
-// against the PR3-era full re-evaluation measured in the same run (tagged
-// pr3-full-reeval in the baselines list), and a testing.AllocsPerRun guard
-// fails the run outright if the incremental inner loop ever allocates. The
-// read-only pricer (placement.ScorerBatch) is measured per iteration as
-// anneal-swap*-priced next to the scalar per-iteration numbers, under the
-// same zero-allocation guard, and the end-to-end annealing searches
+// The annealer-iteration benchmarks (anneal-swap, anneal-swap-pp32) measure
+// the Scorer's price/commit cycle against the PR3-era full re-evaluation
+// measured in the same run (tagged pr3-full-reeval in the baselines list),
+// and a testing.AllocsPerRun guard fails the run outright if the priced
+// cycle ever allocates. The end-to-end annealing searches
 // (optimize-placement-*) record what Optimize costs.
-//
-// Each timed loop is repeated -reps times and the best repetition is
-// recorded: the CI-class container is single-CPU and run-to-run noise
-// reaches ±15%, so min-of-N is the stable estimator of the code's cost
-// (allocation counts are deterministic and taken from the first rep).
-//
-// Usage:
 //
 // The saturation benchmarks drive a single-worker daemon at a sustained
 // 2x+ offered load twice — once with overload protection on (per-class
@@ -45,6 +36,13 @@
 // daemon, pulls it back over GET /v1/trace, and replays it against fresh
 // daemons with the speculative prefetch lane on vs off; the run fails
 // outright unless prefetch wins the warm-hit rate strictly.
+//
+// Each timed loop is repeated -reps times and the best repetition is
+// recorded: the CI-class container is single-CPU and run-to-run noise
+// reaches ±15%, so min-of-N is the stable estimator of the code's cost
+// (allocation counts are deterministic and taken from the first rep).
+//
+// Usage:
 //
 //	go run ./cmd/bench                # writes BENCH_pr10.json
 //	go run ./cmd/bench -out perf.json # custom output path
@@ -1057,10 +1055,10 @@ func main() {
 		fail(err)
 	}))
 
-	// Annealer iteration: incremental Scorer vs the PR3-era full Eq 2
-	// re-evaluation, measured in the same run on the scale wafer (12×12
-	// dies, pp=128 single-die stages, 32 Mem_pairs) and at Config3 scale
-	// (pp=32, 8 pairs). The full-re-evaluation numbers are recorded as
+	// Annealer iteration: the Scorer's price/commit cycle vs the PR3-era
+	// full Eq 2 re-evaluation, measured in the same run on the scale wafer
+	// (12×12 dies, pp=128 single-die stages, 32 Mem_pairs) and at Config3
+	// scale (pp=32, 8 pairs). The full-re-evaluation numbers are recorded as
 	// pr3-full-reeval baselines so the speedup travels with the file.
 	for _, cfg := range []struct {
 		name   string
@@ -1072,42 +1070,19 @@ func main() {
 	} {
 		anchors, wl, err := benchutil.AnnealSubstrate(cfg.mesh, 1, cfg.pp, cfg.np)
 		fail(err)
-		sc := placement.NewScorer(cfg.mesh, anchors, wl)
-		swap := benchutil.AnnealSwapCycle(sc, cfg.pp, rand.New(rand.NewSource(1)))
-		// Warm the inverted link index to steady-state capacities, then
-		// enforce the zero-allocation contract of the inner loop.
-		for i := 0; i < 20000; i++ {
-			swap()
-		}
-		if allocs := testing.AllocsPerRun(5000, swap); allocs != 0 {
+		cycle := benchutil.AnnealBatchCycle(placement.NewScorer(cfg.mesh, anchors, wl), cfg.pp, rand.New(rand.NewSource(1)))
+		// Enforce the zero-allocation contract of the inner loop.
+		if allocs := testing.AllocsPerRun(5000, cycle); allocs != 0 {
 			fail(fmt.Errorf("%s: annealer inner loop allocates %.2f objects/op, want 0", cfg.name, allocs))
 		}
-		inc := run(cfg.name, swap)
-		rep.Benchmarks = append(rep.Benchmarks, inc)
+		priced := run(cfg.name, cycle)
+		rep.Benchmarks = append(rep.Benchmarks, priced)
 
-		refAnchors, refWL, err := benchutil.AnnealSubstrate(cfg.mesh, 1, cfg.pp, cfg.np)
-		fail(err)
 		full := run(cfg.name+"-full-reeval",
-			benchutil.AnnealSwapCycleFull(cfg.mesh, refAnchors, refWL, cfg.mesh.NewLinkSet(), cfg.pp, rand.New(rand.NewSource(1))))
+			benchutil.AnnealSwapCycleFull(cfg.mesh, anchors, wl, cfg.mesh.NewLinkSet(), cfg.pp, rand.New(rand.NewSource(1))))
 		full.Name = cfg.name
 		rep.Baselines = append(rep.Baselines, taggedEntry{Tag: "pr3-full-reeval", entry: full})
-		rep.SpeedupNs["pr3-full-reeval("+cfg.name+")"] = full.NsPerOp / inc.NsPerOp
-
-		// Read-only pricing on the same substrate and Scorer: one priced
-		// proposal per iteration, committed on a 1-in-8 coin, next to the
-		// scalar per-iteration cost. It carries the same zero-allocation
-		// contract.
-		batch := placement.NewScorerBatch(sc)
-		priced := benchutil.AnnealBatchCycle(batch, cfg.pp, rand.New(rand.NewSource(1)))
-		for i := 0; i < 20000; i++ {
-			priced()
-		}
-		if allocs := testing.AllocsPerRun(5000, priced); allocs != 0 {
-			fail(fmt.Errorf("%s-priced: priced inner loop allocates %.2f objects/op, want 0", cfg.name, allocs))
-		}
-		pe := run(cfg.name+"-priced", priced)
-		rep.Benchmarks = append(rep.Benchmarks, pe)
-		rep.SpeedupNs["scalar("+cfg.name+")/priced"] = inc.NsPerOp / pe.NsPerOp
+		rep.SpeedupNs["pr3-full-reeval("+cfg.name+")"] = full.NsPerOp / priced.NsPerOp
 	}
 
 	// End-to-end §IV-C-1 annealing searches (200·pp iterations each),

@@ -47,46 +47,28 @@ func AnnealSubstrate(m *mesh.Mesh, tp, pp, npairs int) ([]mesh.DieID, placement.
 	return anchors, w, nil
 }
 
-// AnnealSwapCycle returns one annealer iteration over the incremental
-// Scorer — propose a random two-anchor swap, score it, accept or revert by
-// coin flip. The closure is the measured body of the annealer-iteration
-// benchmarks and the AllocsPerRun zero-alloc guard; both harnesses share
-// it so they cannot drift apart.
-func AnnealSwapCycle(sc *placement.Scorer, pp int, rng *rand.Rand) func() {
+// AnnealBatchCycle returns one annealer iteration over a Scorer — price a
+// random two-anchor swap against the committed state and commit it on a
+// 1-in-8 coin (the late-anneal acceptance shape, where most proposals are
+// rejected). The closure is the measured body of the priced annealer
+// benchmarks and their zero-alloc guard; both harnesses share it so they
+// cannot drift apart.
+func AnnealBatchCycle(sc *placement.Scorer, pp int, rng *rand.Rand) func() {
 	return func() {
 		a, b := rng.Intn(pp), rng.Intn(pp)
 		if a == b {
 			return
 		}
-		sc.SwapDelta(a, b)
-		if rng.Intn(2) == 0 {
-			sc.Apply()
-		} else {
-			sc.Revert()
-		}
-	}
-}
-
-// AnnealBatchCycle returns one read-only annealer iteration over a
-// ScorerBatch — price a random two-anchor swap against the committed state
-// and commit it on a 1-in-8 coin (the late-anneal acceptance shape, where
-// most proposals are rejected). The closure is the measured body of the
-// priced anneal-swap benchmarks and their zero-alloc guard.
-func AnnealBatchCycle(batch *placement.ScorerBatch, pp int, rng *rand.Rand) func() {
-	return func() {
-		a, b := rng.Intn(pp), rng.Intn(pp)
-		if a == b {
-			return
-		}
-		batch.SwapCost(a, b)
+		sc.SwapCost(a, b)
 		if rng.Intn(8) == 0 {
-			batch.Commit(a, b)
+			sc.Commit(a, b)
 		}
 	}
 }
 
-// AnnealSwapCycleFull is the PR3-era mirror of AnnealSwapCycle: the same
-// RNG protocol, scored by a full Eq 2 re-evaluation per iteration.
+// AnnealSwapCycleFull is the PR3-era annealer iteration: propose a random
+// two-anchor swap, score it by a full Eq 2 re-evaluation, and keep or undo
+// it on a coin flip.
 func AnnealSwapCycleFull(m *mesh.Mesh, anchors []mesh.DieID, w placement.Workload, occupied *mesh.LinkSet, pp int, rng *rand.Rand) func() {
 	return func() {
 		a, b := rng.Intn(pp), rng.Intn(pp)

@@ -94,11 +94,11 @@ func (p *Problem) Fitness(g Genome) float64 {
 
 // fitness is Fitness with an optional per-worker scratch: component-level
 // caches (t_max keyed by the (RecompChoice, Pairs) fingerprint, placement
-// cost keyed by (Perm, Pairs)) over a reusable incremental Scorer, so the
-// GA inner loop re-derives only the component a mutation touched. Cached
-// and uncached paths return bit-identical values: the caches memoize exact
-// results of pure functions, and the Scorer's full evaluation follows the
-// accumulation order of GlobalCost.
+// cost keyed by (Perm, Pairs)) over reusable anchor and occupied-link
+// buffers, so the GA inner loop re-derives only the component a mutation
+// touched. Cached and uncached paths return bit-identical values: the
+// caches memoize exact results of pure functions, and EvalAnchors is the
+// evaluation GlobalCost runs.
 func (p *Problem) fitness(g Genome, s *evalScratch) float64 {
 	if !p.validPerm(g.Perm) {
 		return math.Inf(1)
@@ -130,11 +130,10 @@ func (p *Problem) fitness(g Genome, s *evalScratch) float64 {
 			for _, r := range g.Perm {
 				s.anchors = append(s.anchors, anchors[r])
 			}
-			s.sc.Reset(s.anchors, placement.Workload{
+			cost = placement.EvalAnchors(p.Mesh, s.anchors, placement.Workload{
 				PipelineBytes: p.PipelineBytes,
 				Pairs:         g.Pairs,
-			})
-			cost = s.sc.Cost()
+			}, s.occ)
 			s.cost[string(s.key)] = cost
 		}
 	} else {
@@ -158,12 +157,12 @@ type tmaxEntry struct {
 	ok bool
 }
 
-// evalScratch is the per-worker fitness state: an incremental Scorer plus
-// the component memo tables. Each pool worker owns one, so fitness
-// evaluation takes no locks and — on cache hits and interned meshes — does
-// not allocate.
+// evalScratch is the per-worker fitness state: the anchor table and
+// occupied-link set the Eq 2 evaluation reuses, plus the component memo
+// tables. Each pool worker owns one, so fitness evaluation takes no locks
+// and — on cache hits and interned meshes — does not allocate.
 type evalScratch struct {
-	sc      *placement.Scorer
+	occ     *mesh.LinkSet
 	anchors []mesh.DieID
 	key     []byte
 	tmax    map[string]tmaxEntry
@@ -172,7 +171,7 @@ type evalScratch struct {
 
 func (p *Problem) newScratch() *evalScratch {
 	return &evalScratch{
-		sc:      placement.NewScorer(p.Mesh, nil, placement.Workload{}),
+		occ:     p.Mesh.NewLinkSet(),
 		anchors: make([]mesh.DieID, 0, p.stages()),
 		key:     make([]byte, 0, 64),
 		tmax:    map[string]tmaxEntry{},
@@ -318,7 +317,7 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
 	// Genome generation stays sequential (it consumes the RNG stream), but
 	// fitness — the expensive, pure part — is scored on the worker pool.
-	// Each worker owns an evalScratch (incremental Scorer + component memo
+	// Each worker owns an evalScratch (evaluation buffers + component memo
 	// tables), so a mutation that touched only the permutation re-derives
 	// only the placement cost and vice versa. Fitness depends only on the
 	// genome and the caches memoize exact values, so the result is

@@ -227,71 +227,24 @@ func TestLinkSet(t *testing.T) {
 	if got := s.CountIn(path); got != len(path) {
 		t.Fatalf("conflicts on own path = %d, want %d", got, len(path))
 	}
+	// Re-adding a member keeps it; an ID in the second word is a member.
+	s.Add(int(path[0]))
+	s.Add(64)
+	if !s.Has(int(path[0])) || !s.Has(64) || s.Has(65) {
+		t.Fatal("re-Add or second-word membership wrong")
+	}
 	s.Clear()
 	if got := s.CountIn(path); got != 0 {
 		t.Fatalf("conflicts after Clear = %d, want 0", got)
+	}
+	for id := 0; id < m.NumLinks(); id++ {
+		if s.Has(id) {
+			t.Fatalf("link %d still a member after Clear", id)
+		}
 	}
 	// Ignore off-mesh IDs.
 	s.Add(-1)
 	if s.Has(-1) {
 		t.Error("negative link ID should never be a member")
-	}
-}
-
-// TestLinkSetDirtyTracking exercises the membership-flip recorder behind
-// the incremental placement scorer: only genuine flips — Add of an absent
-// ID, Remove of a present ID — land in the dirty mask.
-func TestLinkSetDirtyTracking(t *testing.T) {
-	m := New(hw.Config3())
-	s := m.NewLinkSet()
-	dirty := m.NewLinkSet()
-	s.TrackDirty(dirty)
-
-	if s.Any() || dirty.Any() {
-		t.Fatal("fresh sets should be empty")
-	}
-	s.Add(5)
-	if !s.Has(5) || !dirty.Has(5) {
-		t.Fatal("Add of an absent ID must flip membership and mark dirty")
-	}
-	dirty.Clear()
-	s.Add(5) // re-Add: no flip
-	if dirty.Any() {
-		t.Fatal("re-Add of a member must not mark dirty")
-	}
-	s.Remove(7) // absent: no flip
-	if dirty.Any() {
-		t.Fatal("Remove of a non-member must not mark dirty")
-	}
-	s.Remove(5)
-	if s.Has(5) || !dirty.Has(5) {
-		t.Fatal("Remove of a member must flip membership and mark dirty")
-	}
-	// Off-mesh IDs stay ignored under tracking.
-	s.Add(-1)
-	s.Remove(-1)
-	if dirty.Has(-1) {
-		t.Fatal("negative IDs must not reach the dirty mask")
-	}
-	// Words exposes the shared bit storage.
-	s.Add(64)
-	w := s.Words()
-	if len(w) < 2 || w[1]&1 == 0 {
-		t.Fatalf("Words()[1] should carry bit 64, got %#x", w)
-	}
-	// Clear is a scratch reset, not a flip.
-	dirty.Clear()
-	s.Clear()
-	if dirty.Any() {
-		t.Fatal("Clear must bypass dirty tracking")
-	}
-	if s.Any() {
-		t.Fatal("Clear must empty the set")
-	}
-	// Detach.
-	s.TrackDirty(nil)
-	s.Add(3)
-	if dirty.Any() {
-		t.Fatal("TrackDirty(nil) must stop recording")
 	}
 }

@@ -11,8 +11,8 @@
 // (InternedMaskArena), so the evaluator's hot path performs no per-call map
 // operations or route allocations; interned routes are shared, read-only
 // slices — callers must not modify them. Past the bound, routes are built
-// per call and InternedMaskArena is nil, so placement's annealer runs its
-// scalar loop.
+// per call and InternedMaskArena is nil, so placement's annealer prices each
+// proposal with a full Eq 2 evaluation instead of its Scorer.
 //
 // The fault injectors (InjectLinkFault, InjectDieFault,
 // InjectRandomLinkFaults, InjectRandomDieFaults) are the only methods that
@@ -66,7 +66,8 @@ func (l Link) Reverse() Link { return Link{From: l.To, To: l.From} }
 // grow with the square of the die count. Every wafer in the paper's design
 // space is far below it. Past it, XYPathIDs and ShortestPathIDs build each
 // route per call, InternedMaskArena is nil, and placement's annealer prices
-// with its scalar loop instead of the read-only pricer that reads the masks.
+// each proposal with a full Eq 2 evaluation instead of the Scorer, which
+// reads the masks.
 const maxInternedDies = 160
 
 // dirDelta enumerates the four mesh neighbours of a die in canonical DieLess
@@ -424,16 +425,10 @@ func (m *Mesh) TransferTime(path []Link, bytes float64) float64 {
 }
 
 // LinkSet is a dense bitset over the mesh's link IDs — the allocation-free
-// replacement for map[Link]bool occupied-link bookkeeping on the Eq 2 hot
-// path (placement search, memory allocation).
-//
-// A set can optionally record membership flips into a second set via
-// TrackDirty; the incremental placement scorer uses this to know which
-// links' occupancy changed across a swap so it only re-scores the Mem_pairs
-// whose candidate paths cross a flipped link.
+// replacement for map[Link]bool occupied-link bookkeeping in the full Eq 2
+// evaluation and memory allocation.
 type LinkSet struct {
-	bits  []uint64
-	dirty *LinkSet
+	bits []uint64
 }
 
 // NewLinkSet returns an empty set sized for the mesh's links.
@@ -441,54 +436,18 @@ func (m *Mesh) NewLinkSet() *LinkSet {
 	return &LinkSet{bits: make([]uint64, (len(m.links)+63)/64)}
 }
 
-// TrackDirty directs the set to record every membership flip — an Add of an
-// absent ID or a Remove of a present ID — into d, which must be sized for
-// the same mesh. Pass nil to stop tracking. Clear bypasses tracking (it is
-// a scratch reset, not a flip).
-func (s *LinkSet) TrackDirty(d *LinkSet) { s.dirty = d }
-
 // Add inserts a link ID; negative IDs (off-mesh links) are ignored.
 func (s *LinkSet) Add(i int) {
 	if i < 0 {
 		return
 	}
-	w, b := i>>6, uint64(1)<<(uint(i)&63)
-	if s.dirty != nil && s.bits[w]&b == 0 {
-		s.dirty.bits[w] |= b
-	}
-	s.bits[w] |= b
-}
-
-// Remove deletes a link ID; negative IDs are ignored.
-func (s *LinkSet) Remove(i int) {
-	if i < 0 {
-		return
-	}
-	w, b := i>>6, uint64(1)<<(uint(i)&63)
-	if s.dirty != nil && s.bits[w]&b != 0 {
-		s.dirty.bits[w] |= b
-	}
-	s.bits[w] &^= b
+	s.bits[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // Has reports membership of a link ID.
 func (s *LinkSet) Has(i int) bool {
 	return i >= 0 && s.bits[i>>6]&(1<<(uint(i)&63)) != 0
 }
-
-// Any reports whether the set holds at least one ID.
-func (s *LinkSet) Any() bool {
-	for _, w := range s.bits {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Words exposes the underlying bit words (shared, read-only) so callers can
-// intersect link masks without per-bit Has calls.
-func (s *LinkSet) Words() []uint64 { return s.bits }
 
 // CountIn returns how many of the given link IDs are members — the γ
 // conflict count of a route against an occupied set.
@@ -502,8 +461,7 @@ func (s *LinkSet) CountIn(ids []int32) int {
 	return n
 }
 
-// Clear empties the set in place (scratch reuse). Flips are not recorded
-// into a TrackDirty target.
+// Clear empties the set in place (scratch reuse).
 func (s *LinkSet) Clear() {
 	for i := range s.bits {
 		s.bits[i] = 0

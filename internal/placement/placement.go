@@ -130,10 +130,10 @@ func GlobalCost(m *mesh.Mesh, p *Placement, w Workload) float64 {
 	return anchorCost(m, anchors, w, m.NewLinkSet())
 }
 
-// anchorCost is the Eq 2 core shared by GlobalCost and the annealing loop:
-// it evaluates the cost of a stage→anchor assignment directly, reusing the
-// caller's occupied-link scratch set. anchors[s] is the routing endpoint of
-// stage s.
+// anchorCost is the Eq 2 core shared by GlobalCost, EvalAnchors and the
+// annealing loop past the interning bound: it evaluates the cost of a
+// stage→anchor assignment directly, reusing the caller's occupied-link
+// scratch set. anchors[s] is the routing endpoint of stage s.
 func anchorCost(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.LinkSet) float64 {
 	pp := len(anchors)
 	occupied.Clear()
@@ -172,6 +172,14 @@ func anchorCost(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.L
 	return cost
 }
 
+// EvalAnchors evaluates Eq 2 for an explicit stage→anchor table in one full
+// pass. It is the GA's placement-cost evaluator and the reference the
+// Scorer's cross-check tests and the annealer-iteration benchmark compare
+// against; occupied is caller-provided scratch (cleared here).
+func EvalAnchors(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.LinkSet) float64 {
+	return anchorCost(m, anchors, w, occupied)
+}
+
 // Optimize searches stage→region assignments for the minimal GlobalCost
 // (the spatial location-aware strategy of Fig 11b). Regions keep their
 // geometry; the search permutes which pipeline stage occupies which region
@@ -181,27 +189,27 @@ func anchorCost(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.L
 // cooling.
 //
 // On a mesh with interned routes each proposal is priced read-only by a
-// ScorerBatch against the committed state, and only an accepted one is
-// applied; past the interning bound it is priced by Scorer.SwapDelta and a
-// rejection undone with Revert. Both paths price every proposal to the same
-// float bits, so every draw from rng, every acceptance and the returned
-// placement are the same on either (pinned by
+// Scorer against the committed state, and only an accepted one is
+// committed; past the interning bound each proposal is a full evaluation of
+// the swapped anchor table, undone on rejection. Both pricers return the
+// same float bits, so every draw from rng, every acceptance and the
+// returned placement are the same on either (pinned by
 // TestOptimizeSpeculativeMatchesScalar and the sched golden SHA).
 func Optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (*Placement, error) {
 	return optimize(m, tp, pp, w, rng, m.InternedMaskArena() != nil)
 }
 
-// optimize is Optimize with the pricing path chosen by the caller: readOnly
-// prices through a ScorerBatch, which needs interned routes; otherwise
-// through SwapDelta and Revert, the tests' scalar reference.
-func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, readOnly bool) (*Placement, error) {
+// optimize is Optimize with the pricer chosen by the caller: priced uses a
+// Scorer, which needs interned routes; otherwise each proposal is priced by
+// anchorCost, the tests' full-evaluation reference.
+func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, priced bool) (*Placement, error) {
 	base, err := Partition(m, tp, pp)
 	if err != nil {
 		return nil, err
 	}
-	baseAnchors := make([]mesh.DieID, pp)
+	anchors := make([]mesh.DieID, pp)
 	for i := range base {
-		baseAnchors[i] = base[i].Anchor()
+		anchors[i] = base[i].Anchor()
 	}
 	perm := make([]int, pp)
 	for i := range perm {
@@ -214,39 +222,42 @@ func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, readOnly boo
 		}
 		return &Placement{Regions: regions}
 	}
-	sc := NewScorer(m, baseAnchors, w)
-	curCost := sc.Cost()
+	if pp <= 1 {
+		return build(perm), nil
+	}
+	var sc *Scorer
+	var occupied *mesh.LinkSet
+	var curCost float64
+	if priced {
+		sc = NewScorer(m, anchors, w)
+		curCost = sc.Cost()
+	} else {
+		occupied = m.NewLinkSet()
+		curCost = anchorCost(m, anchors, w, occupied)
+	}
 	bestPerm := append([]int(nil), perm...)
 	bestCost := curCost
-	if pp <= 1 {
-		return build(bestPerm), nil
-	}
 
 	temp := curCost * 0.1
 	if temp <= 0 {
 		temp = 1
 	}
 	iters := 200 * pp
-	var batch *ScorerBatch
-	if readOnly {
-		batch = NewScorerBatch(sc)
-	}
 	for i := 0; i < iters; i++ {
 		a, b := rng.Intn(pp), rng.Intn(pp)
 		if a == b {
 			continue
 		}
 		var c float64
-		if batch != nil {
-			c = batch.SwapCost(a, b)
+		if sc != nil {
+			c = sc.SwapCost(a, b)
 		} else {
-			c, _ = sc.SwapDelta(a, b)
+			anchors[a], anchors[b] = anchors[b], anchors[a]
+			c = anchorCost(m, anchors, w, occupied)
 		}
 		if c <= curCost || rng.Float64() < math.Exp((curCost-c)/math.Max(temp, 1e-12)) {
-			if batch != nil {
-				batch.Commit(a, b)
-			} else {
-				sc.Apply()
+			if sc != nil {
+				sc.Commit(a, b)
 			}
 			perm[a], perm[b] = perm[b], perm[a]
 			curCost = c
@@ -254,8 +265,8 @@ func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, readOnly boo
 				bestCost = c
 				copy(bestPerm, perm)
 			}
-		} else if batch == nil {
-			sc.Revert()
+		} else if sc == nil {
+			anchors[a], anchors[b] = anchors[b], anchors[a]
 		}
 		temp *= 0.995
 	}

@@ -168,8 +168,9 @@ func TestTotalHopsIgnoresInvalidPairs(t *testing.T) {
 }
 
 // TestOptimizePastInterningBound pins the annealer on a mesh past the
-// route-interning bound, where no ScorerBatch can run: Optimize must return
-// exactly the scalar loop's placement and never cost more than serpentine.
+// route-interning bound, where no Scorer can run: Optimize must return
+// exactly the full-evaluation loop's placement and never cost more than
+// serpentine.
 func TestOptimizePastInterningBound(t *testing.T) {
 	m := pastBoundMesh()
 	const tp, pp = 7, 24
@@ -194,12 +195,12 @@ func TestOptimizePastInterningBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar, err := optimize(m, tp, pp, w, rand.New(rand.NewSource(seed)), false)
+		full, err := optimize(m, tp, pp, w, rand.New(rand.NewSource(seed)), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(opt, scalar) {
-			t.Fatalf("seed %d: Optimize differs from the scalar loop", seed)
+		if !reflect.DeepEqual(opt, full) {
+			t.Fatalf("seed %d: Optimize differs from the full-evaluation loop", seed)
 		}
 		if co, cs := GlobalCost(m, opt, w), GlobalCost(m, serp, w); co > cs {
 			t.Errorf("seed %d: optimized cost %g exceeds serpentine %g", seed, co, cs)
@@ -241,5 +242,86 @@ func TestOptimizeNeverWorseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOptimizeDeterministic pins the annealer: the same seed yields the same
+// placement, on the square and mesh-switch meshes and past the interning
+// bound.
+func TestOptimizeDeterministic(t *testing.T) {
+	for _, tc := range append(internedTopologies(), topology{"mesh13x13", pastBoundMesh(), 7, 24}) {
+		t.Run(tc.name, func(t *testing.T) {
+			pipe := make([]float64, tc.pp)
+			for i := range pipe {
+				pipe[i] = 1e9
+			}
+			w := Workload{
+				PipelineBytes: pipe,
+				Pairs: []recompute.MemPair{
+					memPair(0, tc.pp-1, 2e9),
+					memPair(1, tc.pp-2, 2e9),
+				},
+			}
+			a, err := Optimize(tc.m, tc.tp, tc.pp, w, rand.New(rand.NewSource(21)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Optimize(tc.m, tc.tp, tc.pp, w, rand.New(rand.NewSource(21)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatal("same seed, different placements")
+			}
+		})
+	}
+}
+
+// TestOptimizeSpeculativeMatchesScalar pins the priced annealer's
+// trajectory: across seeds and topologies the placement the Scorer loop
+// returns must be identical to the full-evaluation loop's, and the two must
+// consume exactly the same draws from the generator.
+func TestOptimizeSpeculativeMatchesScalar(t *testing.T) {
+	for _, tc := range internedTopologies() {
+		t.Run(tc.name, func(t *testing.T) {
+			pipe := make([]float64, tc.pp)
+			for i := range pipe {
+				pipe[i] = 1e9
+			}
+			w := Workload{
+				PipelineBytes: pipe,
+				Pairs: []recompute.MemPair{
+					memPair(0, tc.pp-1, 2e9),
+					memPair(1, tc.pp-2, 2e9),
+					memPair(2, 2, 5e8),
+				},
+			}
+			for seed := int64(1); seed <= 5; seed++ {
+				fullRNG, priceRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				full, err := optimize(tc.m, tc.tp, tc.pp, w, fullRNG, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				priced, err := optimize(tc.m, tc.tp, tc.pp, w, priceRNG, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(full, priced) {
+					t.Fatalf("seed %d: priced placement differs from the full-evaluation loop's", seed)
+				}
+				if a, b := fullRNG.Int63(), priceRNG.Int63(); a != b {
+					t.Fatalf("seed %d: generators diverged after the run: %d vs %d", seed, a, b)
+				}
+			}
+		})
+	}
+}
+
+// TestAnchorEmptyRegion guards the empty-region edge case: Anchor must
+// return the zero die instead of panicking on r.Dies[0].
+func TestAnchorEmptyRegion(t *testing.T) {
+	var r Region
+	if got := r.Anchor(); got != (mesh.DieID{}) {
+		t.Fatalf("empty region anchor = %v, want zero die", got)
 	}
 }

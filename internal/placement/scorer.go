@@ -1,257 +1,238 @@
-// Incremental Eq 2 scoring for the annealer and GA inner loops.
+// Eq 2 swap pricing for the annealer on meshes with interned routes.
 //
-// A Scorer holds the Eq 2 evaluation of one stage→anchor assignment in
-// decomposed form — the per-pipeline-edge path terms, an incrementally
-// maintained occupied-link multiset, and a per-pair cache of the best
-// punished path — so that a two-anchor swap re-scores only the ≤4 pipeline
-// edges adjacent to the swapped stages plus the pairs whose endpoints moved
-// or whose candidate shortest paths cross a link whose occupancy flipped.
-// Occupancy flips are recorded in a mesh.LinkSet dirty mask (exposed via
-// DirtyLinks and cross-checked in tests) and pushed through a
-// link→(pair, path) inverted index, so a flip adjusts a handful of integer
-// γ counters — and marks exactly the pairs whose punished minimum could
-// have changed — instead of re-walking candidate paths. Everything else
-// keeps its stored term, and the total is re-summed from the stored terms
-// in the exact accumulation order of the full evaluation, so Cost is
-// bit-identical to anchorCost at every step (pinned by
-// TestScorerMatchesFullEval and the sched golden SHA).
+// A Scorer holds one committed stage→anchor assignment in the layout its
+// pricing reads. SwapCost prices a proposed two-anchor swap against it
+// without mutating it; Commit applies an accepted one. Routes are read as
+// the mesh's interned link bitmasks (mesh.InternedMaskArena) at the
+// committed anchors' offsets. The Scorer owns:
 //
-// On meshes small enough for route interning a SwapDelta/Apply/Revert cycle
-// performs no steady-state allocations (the inverted index's per-link
-// lists grow to a stable capacity during the first sweeps); beyond the
-// interning bound the per-call route construction allocates, but the
-// asymptotic win stands.
+//   - the dense die index of every committed anchor, so a route mask is a
+//     pure arena offset;
+//   - the pipeline-path link multiset with its occupied and
+//     multiplicity-exactly-one word vectors;
+//   - a term vector (pipeline-edge terms in stage order, then the valid pair
+//     terms in declaration order) with its running prefix sums, plus a lane
+//     copy patched only at a proposal's dirty entries (≤4 pipeline edges,
+//     moved pairs, γ-touched pairs);
+//   - the link→pair transpose linkPB, so the pairs whose committed paths
+//     cross a flipped link accumulate as a few OR operations.
 //
-// The Scorer is the GA's fitness scratch and holds the annealer's committed
-// state on every mesh. Past the interning bound the annealer prices each
-// proposal with SwapDelta and undoes a rejection with Revert; within it the
-// read-only pricer ScorerBatch (scorer_batch.go) prices proposals against
-// the committed state and commits accepted ones through SwapDelta and
-// Apply.
+// A proposal's rerouted pipeline edges become word planes of removed and
+// added links, distilled into an occupancy-after word vector, so pair γ
+// counts are flat AND+popcount loops over link masks. Every lane entry is
+// either the committed term (bit-copied) or recomputed with the expression
+// of the full evaluation, and the lane sum visits terms in its accumulation
+// order, so SwapCost is bit-identical to EvalAnchors of the swapped anchor
+// table — pinned by TestScorerMatchesFullEval. Invalid and infinite pair
+// terms appear as +0.0 lane entries, an exact additive identity, so layout
+// never perturbs a single float bit.
+//
+// NewScorer panics unless the mesh has interned routes and every anchor is
+// on the mesh; past the interning bound Optimize prices each proposal with a
+// full evaluation instead.
 package placement
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/mesh"
 )
 
-// pairRef locates one pair's candidate path in the inverted link index.
-type pairRef struct {
-	pair int32
-	path int32
-}
-
-// Scorer incrementally maintains the Eq 2 GlobalCost of a stage→anchor
-// assignment under two-anchor swaps. It is single-goroutine scratch state:
-// share one per worker, never across workers.
+// Scorer prices two-anchor swaps of a committed stage→anchor assignment
+// under Eq 2. It is not safe for concurrent use.
 type Scorer struct {
-	m  *mesh.Mesh
 	w  Workload
 	pp int
 
-	anchors []mesh.DieID
+	// anchorIdx holds the dense die index of every committed stage anchor.
+	anchorIdx []int32
 
-	// pipeIDs[s]/pipeTerm[s] decompose the pipeline summand of Eq 2:
-	// term = len(path(anchors[s], anchors[s+1])) · PipelineBytes[s].
-	pipeIDs  [][]int32
-	pipeTerm []float64
-
-	// occCount is the pipeline-path link multiset; occ is its boolean view
-	// (the γ-conflict set of Eq 2), with membership flips recorded in the
-	// dirty mask each swap. occOne is the "multiplicity exactly one" word
-	// vector, maintained in lock-step: together with occ it lets
-	// ScorerBatch decide a zero crossing under a ±1 delta with two word
-	// operations.
+	// occCount is the committed pipeline-path link multiset; occW is its
+	// boolean view (the γ-conflict set of Eq 2) and occOne the links of
+	// multiplicity exactly one. Together they decide a zero crossing under a
+	// ±1 delta with two word operations.
 	occCount []int32
-	occ      *mesh.LinkSet
+	occW     []uint64
 	occOne   []uint64
-	dirty    *mesh.LinkSet
 
-	// Per-pair state: candidate path ID sequences (1 or 2), their γ
-	// conflict counters, and the best punished cost.
-	pairValid []bool
-	pairN     []int8
-	pairIDs   [][2][]int32
-	pairGamma [][2]int32
-	pairTerm  []float64
-
-	// linkPairs[id] lists the (pair, path) candidates crossing link id, so
-	// an occupancy flip adjusts exactly the affected γ counters;
-	// stagePairs[s] lists the valid pairs with an endpoint at stage s, so
-	// a swap re-attaches exactly the pairs whose endpoints moved.
-	linkPairs  [][]pairRef
+	// stagePairs[s] lists the valid pairs with an endpoint at stage s: the
+	// pairs a swap involving s moves.
 	stagePairs [][]int32
 
-	// Per-swap epoch marking: touched collects the pairs whose γ counters
-	// changed (their punished minimum is re-derived), movedStamp guards
-	// against re-attaching a pair twice when both its endpoints moved.
-	stamp        int64
-	touched      []int32
-	touchedStamp []int64
-	movedStamp   []int64
+	// Term vector of the committed state: pipeline-edge terms in stage
+	// order followed by the valid pairs' terms in declaration order (+0.0
+	// for infinite terms). pairSlot maps pair index → term slot (-1 when the
+	// pair is invalid). pfx[i] is the running sum of base[0..i-1] in the
+	// full evaluation's order — the exact partial-sum sequence its
+	// accumulator passes through. Every slot a proposal dirties is ≥ its
+	// d0 = max(0, min(x,y)-1) (pipeline slots x-1..y are; pair slots start
+	// at pp-1), so the sum can start from pfx[d0] bit-exactly and skip the
+	// clean prefix.
+	//
+	// lane is kept equal to base between proposals: a pricing writes only
+	// its dirty slots (the patched list), sums lane[d0:] in order, then
+	// restores the patched slots from base; a commit copies them into base.
+	pairSlot []int32
+	base     []float64
+	pfx      []float64
+	lane     []float64
+	patched  []int32
 
-	cost float64
+	// linkPB holds, per link, an npw-word bitmask of the valid pairs whose
+	// committed candidate paths cross it.
+	linkPB []uint64
+	npw    int
+	affW   []uint64
 
-	// gen counts committed-state changes (Reset, Apply). ScorerBatch keys
-	// its term vector on it: a Revert restores every stored term bit for
-	// bit, so only commits invalidate the pricer's copy.
-	gen int64
+	// maskArena is the mesh's flat interned route-mask store (2·nw words
+	// per ordered die pair: XY mask then YX mask, zero when the route is
+	// straight); nDies is its row stride. Hop counts are popcounts of the
+	// mask words the pricing loads anyway.
+	maskArena []uint64
+	nDies     int
+	nw        int
+	// remA/addA accumulate the proposal's net removal/addition planes and
+	// ovA the overlap plane. They are struct scratch rather than locals
+	// purely to avoid duffzero of full maskWStack-wide arrays per proposal
+	// — they are zeroed explicitly up to the mesh's word count only.
+	remA [maskWStack]uint64
+	addA [maskWStack]uint64
+	ovA  [maskWStack]uint64
+	// eoP/enP are the per-dirty-edge removal/addition planes backing the
+	// overlap probes, and Commit's multiset update. Struct scratch for the
+	// same reason: only [0:ne][0:nw] is ever written then read.
+	eoP [4][maskWStack]uint64
+	enP [4][maskWStack]uint64
 
-	// pending swap, held until Apply or Revert.
-	pending      bool
-	pendA, pendB int
-	prevCost     float64
+	// Per-proposal scratch: occAfter is the committed occupancy word vector
+	// with the proposal's flipped links toggled; movedEpoch marks the pairs
+	// a proposal already re-derived, reused across proposals through epoch
+	// stamping (no clearing passes).
+	epoch      int64
+	occAfter   []uint64
+	movedEpoch []int64
 }
 
-// NewScorer builds a Scorer for the assignment. anchors[s] is the routing
-// endpoint of stage s; the slice is copied. The full evaluation it performs
-// is the same one GlobalCost runs, term for term.
+// NewScorer builds a Scorer for the assignment: anchors[s] is the routing
+// endpoint of stage s. It panics unless m has interned routes and every
+// anchor is on m.
 func NewScorer(m *mesh.Mesh, anchors []mesh.DieID, w Workload) *Scorer {
-	sc := &Scorer{
-		m:         m,
-		occCount:  make([]int32, m.NumLinks()),
-		occOne:    make([]uint64, (m.NumLinks()+63)/64),
-		occ:       m.NewLinkSet(),
-		dirty:     m.NewLinkSet(),
-		linkPairs: make([][]pairRef, m.NumLinks()),
+	arena := m.InternedMaskArena()
+	if arena == nil {
+		panic("placement: Scorer needs a mesh with interned routes")
 	}
-	sc.occ.TrackDirty(sc.dirty)
-	sc.Reset(anchors, w)
+	pp, np, nl := len(anchors), len(w.Pairs), m.NumLinks()
+	nw, npw := (nl+63)/64, (np+63)/64
+	sc := &Scorer{
+		w:          w,
+		pp:         pp,
+		anchorIdx:  make([]int32, pp),
+		occCount:   make([]int32, nl),
+		occW:       make([]uint64, nw),
+		occOne:     make([]uint64, nw),
+		stagePairs: make([][]int32, pp),
+		pairSlot:   make([]int32, np),
+		linkPB:     make([]uint64, nl*npw),
+		npw:        npw,
+		affW:       make([]uint64, npw),
+		maskArena:  arena,
+		nDies:      m.Dies(),
+		nw:         nw,
+		occAfter:   make([]uint64, nw),
+		movedEpoch: make([]int64, np),
+	}
+	for s, a := range anchors {
+		di := m.DieIndex(a)
+		if di < 0 {
+			panic("placement: Scorer anchor off the mesh")
+		}
+		sc.anchorIdx[s] = int32(di)
+	}
+	nterm := max(pp-1, 0)
+	for i, pr := range w.Pairs {
+		if pr.Sender < 0 || pr.Sender >= pp || pr.Helper < 0 || pr.Helper >= pp {
+			sc.pairSlot[i] = -1
+			continue
+		}
+		sc.pairSlot[i] = int32(nterm)
+		nterm++
+		sc.stagePairs[pr.Sender] = append(sc.stagePairs[pr.Sender], int32(i))
+		if pr.Helper != pr.Sender {
+			sc.stagePairs[pr.Helper] = append(sc.stagePairs[pr.Helper], int32(i))
+		}
+	}
+	sc.base = make([]float64, nterm)
+	sc.pfx = make([]float64, nterm+1)
+	sc.lane = make([]float64, nterm)
+	sc.patched = make([]int32, 0, nterm)
+
+	for s := 0; s+1 < pp; s++ {
+		e := sc.routeOff(sc.anchorIdx[s], sc.anchorIdx[s+1])
+		xy := arena[e : e+nw]
+		h := 0
+		for _, word := range xy {
+			h += bits.OnesCount64(word)
+		}
+		sc.base[s] = float64(h) * sc.pipeVol(s)
+		sc.addLinks(xy, +1)
+	}
+	for i, slot := range sc.pairSlot {
+		if slot >= 0 {
+			pr := &w.Pairs[i]
+			sc.base[slot] = sc.pairCost(pr.Bytes, sc.anchorIdx[pr.Sender], sc.anchorIdx[pr.Helper], sc.occW)
+			sc.markPair(i, true)
+		}
+	}
+	for i, t := range sc.base {
+		sc.pfx[i+1] = sc.pfx[i] + t
+	}
+	copy(sc.lane, sc.base)
 	return sc
 }
 
-// Reset re-targets the Scorer at a new assignment and workload, reusing
-// every buffer (the per-worker scratch path of the GA fitness evaluator).
-func (sc *Scorer) Reset(anchors []mesh.DieID, w Workload) {
-	sc.pp = len(anchors)
-	sc.w = w
-	sc.pending = false
-	sc.gen++
-	if cap(sc.anchors) < sc.pp {
-		sc.anchors = make([]mesh.DieID, sc.pp)
-		sc.pipeIDs = make([][]int32, sc.pp)
-		sc.pipeTerm = make([]float64, sc.pp)
-		sc.stagePairs = make([][]int32, sc.pp)
-	}
-	sc.anchors = sc.anchors[:sc.pp]
-	copy(sc.anchors, anchors)
-	sc.pipeIDs = sc.pipeIDs[:sc.pp]
-	sc.pipeTerm = sc.pipeTerm[:sc.pp]
-	sc.stagePairs = sc.stagePairs[:sc.pp]
-	for s := range sc.stagePairs {
-		sc.stagePairs[s] = sc.stagePairs[s][:0]
-	}
-	np := len(w.Pairs)
-	if cap(sc.pairValid) < np {
-		sc.pairValid = make([]bool, np)
-		sc.pairN = make([]int8, np)
-		sc.pairIDs = make([][2][]int32, np)
-		sc.pairGamma = make([][2]int32, np)
-		sc.pairTerm = make([]float64, np)
-		sc.touched = make([]int32, 0, np)
-		sc.touchedStamp = make([]int64, np)
-		sc.movedStamp = make([]int64, np)
-	}
-	sc.pairValid = sc.pairValid[:np]
-	sc.pairN = sc.pairN[:np]
-	sc.pairIDs = sc.pairIDs[:np]
-	sc.pairGamma = sc.pairGamma[:np]
-	sc.pairTerm = sc.pairTerm[:np]
-	sc.touched = sc.touched[:0]
-	sc.touchedStamp = sc.touchedStamp[:np]
-	sc.movedStamp = sc.movedStamp[:np]
-	sc.stamp = 0
-	for i := range sc.touchedStamp {
-		sc.touchedStamp[i] = -1
-		sc.movedStamp[i] = -1
-	}
+// Cost returns the Eq 2 cost of the committed assignment — bit-identical to
+// EvalAnchors of the same anchors.
+func (sc *Scorer) Cost() float64 { return sc.pfx[len(sc.base)] }
 
-	for i := range sc.occCount {
-		sc.occCount[i] = 0
-	}
-	for i := range sc.occOne {
-		sc.occOne[i] = 0
-	}
-	sc.occ.Clear()
-	for id := range sc.linkPairs {
-		sc.linkPairs[id] = sc.linkPairs[id][:0]
-	}
-	for s := 0; s+1 < sc.pp; s++ {
-		ids := sc.m.XYPathIDs(sc.anchors[s], sc.anchors[s+1])
-		sc.pipeIDs[s] = ids
-		sc.pipeTerm[s] = float64(len(ids)) * sc.pipeVol(s)
-		for _, id := range ids {
-			sc.occCount[id]++
-			switch sc.occCount[id] {
-			case 1:
-				sc.occ.Add(int(id))
-				sc.occOne[id>>6] |= 1 << (uint32(id) & 63)
-			case 2:
-				sc.occOne[id>>6] &^= 1 << (uint32(id) & 63)
-			}
-		}
-	}
-	for i, pr := range w.Pairs {
-		sc.pairValid[i] = pr.Sender >= 0 && pr.Sender < sc.pp && pr.Helper >= 0 && pr.Helper < sc.pp
-		if sc.pairValid[i] {
-			sc.stagePairs[pr.Sender] = append(sc.stagePairs[pr.Sender], int32(i))
-			if pr.Helper != pr.Sender {
-				sc.stagePairs[pr.Helper] = append(sc.stagePairs[pr.Helper], int32(i))
-			}
-			sc.attachPair(i)
-		}
-	}
-	sc.resum()
+// SwapCost returns the cost of the committed assignment with the anchors of
+// stages x and y swapped, without touching the committed state.
+func (sc *Scorer) SwapCost(x, y int) float64 {
+	sc.check("SwapCost", x, y)
+	d0, _ := sc.patch(x, y)
+	return sc.sumRestore(d0)
 }
 
-// Cost returns the Eq 2 cost of the current assignment — bit-identical to a
-// fresh full evaluation (EvalAnchors) of the same anchors. While a swap is
-// pending it reflects the proposed assignment.
-func (sc *Scorer) Cost() float64 { return sc.cost }
-
-// Anchors returns the current anchor table (shared, read-only).
-func (sc *Scorer) Anchors() []mesh.DieID { return sc.anchors }
-
-// DirtyLinks returns the mask of links whose occupancy flipped during the
-// most recent SwapDelta/Revert (shared, read-only) — the flip record the
-// cross-check tests validate the incremental bookkeeping against.
-func (sc *Scorer) DirtyLinks() *mesh.LinkSet { return sc.dirty }
-
-// SwapDelta proposes swapping the anchors of stages a and b, re-scoring
-// only the pipeline edges adjacent to a and b and the pairs whose endpoints
-// moved or whose candidate paths cross a link whose occupancy flipped. It
-// returns the proposed assignment's cost and the delta against the previous
-// cost. The swap is held pending: commit it with Apply or undo it with
-// Revert before proposing another.
-func (sc *Scorer) SwapDelta(a, b int) (newCost, delta float64) {
-	if sc.pending {
-		panic("placement: SwapDelta with a pending swap (call Apply or Revert first)")
+// Commit applies the swap of stages x and y and returns the committed cost,
+// the value SwapCost(x, y) returned before it. The swap is re-priced, its
+// patched terms are written into the term vector, each dirty pipeline
+// edge's net removal and addition planes are applied to the link multiset,
+// and the moved pairs' transpose bits are re-marked along their new routes.
+func (sc *Scorer) Commit(x, y int) float64 {
+	sc.check("Commit", x, y)
+	d0, ne := sc.patch(x, y)
+	for _, s := range sc.patched {
+		sc.base[s] = sc.lane[s]
 	}
-	sc.pending, sc.pendA, sc.pendB = true, a, b
-	sc.prevCost = sc.cost
-	sc.applySwap(a, b)
-	return sc.cost, sc.cost - sc.prevCost
+	sc.patched = sc.patched[:0]
+	for i := d0; i < len(sc.base); i++ {
+		sc.pfx[i+1] = sc.pfx[i] + sc.base[i]
+	}
+	for i := 0; i < ne; i++ {
+		sc.addLinks(sc.eoP[i][:sc.nw], -1)
+		sc.addLinks(sc.enP[i][:sc.nw], +1)
+	}
+	sc.markMoved(x, y, false)
+	sc.anchorIdx[x], sc.anchorIdx[y] = sc.anchorIdx[y], sc.anchorIdx[x]
+	sc.markMoved(x, y, true)
+	return sc.Cost()
 }
 
-// Apply commits the pending swap.
-func (sc *Scorer) Apply() {
-	if !sc.pending {
-		panic("placement: Apply without a pending swap")
+// check guards the precondition shared by SwapCost and Commit.
+func (sc *Scorer) check(op string, x, y int) {
+	if x == y {
+		panic("placement: Scorer." + op + " of a degenerate swap")
 	}
-	sc.pending = false
-	sc.gen++
-}
-
-// Revert undoes the pending swap by re-applying it: a two-anchor swap is an
-// involution, and re-scoring the restored state reproduces every stored
-// term bit for bit (pinned by TestScorerMatchesFullEval).
-func (sc *Scorer) Revert() {
-	if !sc.pending {
-		panic("placement: Revert without a pending swap")
-	}
-	sc.applySwap(sc.pendA, sc.pendB)
-	sc.pending = false
 }
 
 func (sc *Scorer) pipeVol(s int) float64 {
@@ -261,190 +242,362 @@ func (sc *Scorer) pipeVol(s int) float64 {
 	return 0
 }
 
-// applySwap swaps anchors[a] and anchors[b] and incrementally restores the
-// Scorer invariants: every stored term equals what a fresh full evaluation
-// of the new assignment would compute.
-func (sc *Scorer) applySwap(a, b int) {
-	sc.anchors[a], sc.anchors[b] = sc.anchors[b], sc.anchors[a]
-	sc.dirty.Clear()
-	sc.stamp++
-	sc.touched = sc.touched[:0]
+// routeOff returns the arena offset of the route masks from die index u to
+// die index v.
+func (sc *Scorer) routeOff(u, v int32) int {
+	return (int(u)*sc.nDies + int(v)) * (2 * sc.nw)
+}
 
-	// The ≤4 pipeline edges touching a moved anchor (edge s joins stages s
-	// and s+1), deduplicated for adjacent or boundary swaps.
-	var edges [4]int
-	ne := 0
-	addEdge := func(s int) {
-		if s < 0 || s+1 >= sc.pp {
-			return
-		}
-		for i := 0; i < ne; i++ {
-			if edges[i] == s {
-				return
+// addLinks adds d to the multiplicity of every link in the mask and keeps
+// the occupied and multiplicity-one words in step.
+func (sc *Scorer) addLinks(mask []uint64, d int32) {
+	for w, word := range mask {
+		for word != 0 {
+			tz := bits.TrailingZeros64(word)
+			word &= word - 1
+			bit := uint64(1) << uint(tz)
+			c := sc.occCount[w<<6+tz] + d
+			sc.occCount[w<<6+tz] = c
+			if c > 0 {
+				sc.occW[w] |= bit
+			} else {
+				sc.occW[w] &^= bit
+			}
+			if c == 1 {
+				sc.occOne[w] |= bit
+			} else {
+				sc.occOne[w] &^= bit
 			}
 		}
-		edges[ne] = s
+	}
+}
+
+// markMoved clears (on == false) or sets the transpose bits of the pairs
+// attached to stages x and y along their committed routes. A pair attached
+// at both is visited twice; both operations are idempotent.
+func (sc *Scorer) markMoved(x, y int, on bool) {
+	for _, pi := range sc.stagePairs[x] {
+		sc.markPair(int(pi), on)
+	}
+	for _, pi := range sc.stagePairs[y] {
+		sc.markPair(int(pi), on)
+	}
+}
+
+// markPair clears or sets pair pi's bit on every link of its committed
+// candidate routes, read from the interned XY and YX masks.
+func (sc *Scorer) markPair(pi int, on bool) {
+	pr := &sc.w.Pairs[pi]
+	e := sc.routeOff(sc.anchorIdx[pr.Sender], sc.anchorIdx[pr.Helper])
+	nw, npw := sc.nw, sc.npw
+	pw, pb := pi>>6, uint64(1)<<(uint(pi)&63)
+	for w := 0; w < nw; w++ {
+		word := sc.maskArena[e+w] | sc.maskArena[e+nw+w]
+		for word != 0 {
+			i := (w<<6+bits.TrailingZeros64(word))*npw + pw
+			word &= word - 1
+			if on {
+				sc.linkPB[i] |= pb
+			} else {
+				sc.linkPB[i] &^= pb
+			}
+		}
+	}
+}
+
+// maskWStack is the word width of the fixed-size delta planes of the
+// word-parallel pricing — 768 links. A mesh of n dies has fewer than 4n
+// directed links, so every mesh within the interning bound of 160 dies fits
+// (the 12×12 scale wafer has 528 links). The accumulator planes are zeroed
+// per proposal only up to the mesh's word count, so the headroom costs
+// nothing on small meshes.
+const maskWStack = 12
+
+// sumRestore finishes a proposal: it sums the patched lane from pfx[d0] in
+// the full evaluation's order, then restores every patched slot to its base
+// value, re-establishing the lane == base invariant for the next proposal.
+func (sc *Scorer) sumRestore(d0 int) float64 {
+	c := sc.pfx[d0]
+	for _, v := range sc.lane[d0:] {
+		c += v
+	}
+	for _, s := range sc.patched {
+		sc.lane[s] = sc.base[s]
+	}
+	sc.patched = sc.patched[:0]
+	return c
+}
+
+// patch prices the swap of x and y word-parallel into the lane and returns
+// the first dirty slot d0 and the number ne of dirty pipeline edges, whose
+// removal/addition planes it leaves in eoP/enP[0:ne]. Per dirty edge, the
+// committed and proposed routes are interned link bitmasks, and AND-NOT
+// cancels their shared links (net delta zero — the word-level form of
+// prefix/suffix trimming). A surviving removal or addition hits its link
+// exactly once unless two different edges touch the same link; those links
+// accumulate in the overlap plane ovA. Outside ovA all deltas are ±1, so a
+// link flips down iff its committed multiplicity is exactly one and up iff
+// it was unoccupied — two word operations against occOne and occW. The few
+// ovA links (pipeline chains are locally collinear, so rerouted paths do
+// retrace neighbouring edges) are resolved exactly by probing the edge
+// planes for the link's net multiset delta.
+func (sc *Scorer) patch(x, y int) (d0, ne int) {
+	ai := sc.anchorIdx
+
+	// The ≤4 dirty edges in the full evaluation's order (x-1, x, y-1, y,
+	// clamped and deduplicated — x ≠ y, so the only possible duplicates are
+	// y-1 == x and y == x-1).
+	var edges [4]int
+	var hops [4]int
+	if x > 0 {
+		edges[ne] = x - 1
 		ne++
 	}
-	addEdge(a - 1)
-	addEdge(a)
-	addEdge(b - 1)
-	addEdge(b)
-	occCount := sc.occCount
-	for i := 0; i < ne; i++ {
-		for _, id := range sc.pipeIDs[edges[i]] {
-			occCount[id]--
-			switch occCount[id] {
-			case 1:
-				sc.occOne[id>>6] |= 1 << (uint32(id) & 63)
-			case 0:
-				// Occupancy flip 1→0: the Remove records the flip in the
-				// dirty mask (TrackDirty), and -1 goes into the γ counters
-				// of the candidate paths crossing the link.
-				sc.occOne[id>>6] &^= 1 << (uint32(id) & 63)
-				sc.occ.Remove(int(id))
-				if refs := sc.linkPairs[id]; len(refs) != 0 {
-					sc.adjustGamma(refs, -1)
-				}
-			}
-		}
+	if x+1 < sc.pp {
+		edges[ne] = x
+		ne++
 	}
+	if y > 0 && y-1 != x {
+		edges[ne] = y - 1
+		ne++
+	}
+	if y+1 < sc.pp && y != x-1 {
+		edges[ne] = y
+		ne++
+	}
+
+	nw := sc.nw
+	arena := sc.maskArena
+	remA, addA, ovA := &sc.remA, &sc.addA, &sc.ovA
+	// Only [0:ne][0:nw] of the per-edge planes is written then read, so they
+	// are never cleared; the first edge initialises the accumulator planes
+	// (ne ≥ 1 whenever pp ≥ 2), so those are never cleared separately
+	// either.
+	eoP, enP := &sc.eoP, &sc.enP
 	for i := 0; i < ne; i++ {
 		s := edges[i]
-		ids := sc.m.XYPathIDs(sc.anchors[s], sc.anchors[s+1])
-		sc.pipeIDs[s] = ids
-		sc.pipeTerm[s] = float64(len(ids)) * sc.pipeVol(s)
-		for _, id := range ids {
-			occCount[id]++
-			switch occCount[id] {
-			case 1:
-				// Occupancy flip 0→1, mirrored.
-				sc.occOne[id>>6] |= 1 << (uint32(id) & 63)
-				sc.occ.Add(int(id))
-				if refs := sc.linkPairs[id]; len(refs) != 0 {
-					sc.adjustGamma(refs, +1)
-				}
-			case 2:
-				sc.occOne[id>>6] &^= 1 << (uint32(id) & 63)
+		u := ai[s]
+		if s == x {
+			u = ai[y]
+		} else if s == y {
+			u = ai[x]
+		}
+		v := ai[s+1]
+		if s+1 == x {
+			v = ai[y]
+		} else if s+1 == y {
+			v = ai[x]
+		}
+		e := sc.routeOff(u, v)
+		nm := arena[e : e+nw]
+		oo := sc.routeOff(ai[s], ai[s+1])
+		om := arena[oo : oo+nw]
+		eoI, enI := &eoP[i], &enP[i]
+		h := 0
+		if i == 0 {
+			for w := 0; w < nw; w++ {
+				omw, nmw := om[w], nm[w]
+				h += bits.OnesCount64(nmw)
+				eo := omw &^ nmw
+				en := nmw &^ omw
+				remA[w] = eo
+				addA[w] = en
+				ovA[w] = 0
+				eoI[w] = eo
+				enI[w] = en
+			}
+		} else {
+			for w := 0; w < nw; w++ {
+				omw, nmw := om[w], nm[w]
+				h += bits.OnesCount64(nmw)
+				eo := omw &^ nmw
+				en := nmw &^ omw
+				ovA[w] |= (remA[w] | addA[w]) & (eo | en)
+				remA[w] |= eo
+				addA[w] |= en
+				eoI[w] = eo
+				enI[w] = en
 			}
 		}
+		hops[i] = h
 	}
 
-	// Pairs with a moved endpoint re-derive their candidate paths against
-	// the settled occupancy (their stale γ adjustments from above are
-	// overwritten by the fresh count).
-	for _, pi := range sc.stagePairs[a] {
-		if sc.movedStamp[pi] != sc.stamp {
-			sc.movedStamp[pi] = sc.stamp
-			sc.detachPair(int(pi))
-			sc.attachPair(int(pi))
-		}
+	d0 = max(min(x, y)-1, 0)
+	for i := 0; i < ne; i++ {
+		s := edges[i]
+		sc.lane[s] = float64(hops[i]) * sc.pipeVol(s)
+		sc.patched = append(sc.patched, int32(s))
 	}
-	for _, pi := range sc.stagePairs[b] {
-		if sc.movedStamp[pi] != sc.stamp {
-			sc.movedStamp[pi] = sc.stamp
-			sc.detachPair(int(pi))
-			sc.attachPair(int(pi))
-		}
-	}
-	// Unmoved pairs whose γ counters changed re-derive only the punished
-	// minimum — two multiplies per candidate, no path walks.
-	for _, pi := range sc.touched {
-		if sc.movedStamp[pi] != sc.stamp {
-			sc.minPair(int(pi))
-		}
-	}
-	sc.resum()
-}
 
-// adjustGamma pushes one occupancy flip into the γ counters of the
-// candidate paths crossing the flipped link, marking the owning pairs for
-// a punished-minimum refresh. A link that flips twice within one swap
-// self-cancels in the counters; the mark only costs an idempotent re-min.
-func (sc *Scorer) adjustGamma(refs []pairRef, delta int32) {
-	for _, ref := range refs {
-		sc.pairGamma[ref.pair][ref.path] += delta
-		if sc.touchedStamp[ref.pair] != sc.stamp {
-			sc.touchedStamp[ref.pair] = sc.stamp
-			sc.touched = append(sc.touched, ref.pair)
+	// Zero crossings, reusing remA as the per-word flip vector: the ±1 word
+	// formula outside the overlap plane, an exact per-link multiset probe
+	// inside it.
+	occW := sc.occW
+	var anyFlip uint64
+	for w := 0; w < nw; w++ {
+		f := ((remA[w] & sc.occOne[w]) | (addA[w] &^ occW[w])) &^ ovA[w]
+		o := ovA[w]
+		for o != 0 {
+			tz := bits.TrailingZeros64(o)
+			bit := uint64(1) << uint(tz)
+			o &^= bit
+			delta := 0
+			for j := 0; j < ne; j++ {
+				if eoP[j][w]&bit != 0 {
+					delta--
+				} else if enP[j][w]&bit != 0 {
+					delta++
+				}
+			}
+			cnt := int(sc.occCount[w<<6+tz])
+			if (cnt > 0) != (cnt+delta > 0) {
+				f |= bit
+			}
 		}
+		remA[w] = f
+		anyFlip |= f
 	}
-}
-
-// attachPair derives pair i's candidate ID paths from the current anchors,
-// registers them in the inverted index, counts γ against the occupied set,
-// and stores the punished minimum.
-func (sc *Scorer) attachPair(i int) {
-	pr := &sc.w.Pairs[i]
-	paths := sc.m.ShortestPathIDs(sc.anchors[pr.Sender], sc.anchors[pr.Helper])
-	sc.pairN[i] = int8(len(paths))
-	for k, ids := range paths {
-		sc.pairIDs[i][k] = ids
-		sc.pairGamma[i][k] = int32(sc.occ.CountIn(ids))
-		for _, id := range ids {
-			sc.linkPairs[id] = append(sc.linkPairs[id], pairRef{pair: int32(i), path: int32(k)})
-		}
-	}
-	sc.minPair(i)
-}
-
-// detachPair removes pair i's candidate paths from the inverted index.
-func (sc *Scorer) detachPair(i int) {
-	for k := int8(0); k < sc.pairN[i]; k++ {
-		for _, id := range sc.pairIDs[i][k] {
-			list := sc.linkPairs[id]
-			for j, ref := range list {
-				if ref.pair == int32(i) && ref.path == int32(k) {
-					list[j] = list[len(list)-1]
-					sc.linkPairs[id] = list[:len(list)-1]
-					break
+	sc.epoch++
+	ep := sc.epoch
+	flipped := anyFlip != 0
+	if flipped {
+		copy(sc.occAfter, occW)
+		npw := sc.npw
+		affW := sc.affW
+		linkPB := sc.linkPB
+		if npw == 1 {
+			// Common case (≤64 pairs): the affected-pair plane is one word.
+			var aff uint64
+			for w := 0; w < nw; w++ {
+				f := remA[w]
+				if f == 0 {
+					continue
+				}
+				sc.occAfter[w] ^= f
+				base := w << 6
+				for f != 0 {
+					aff |= linkPB[base+bits.TrailingZeros64(f)]
+					f &= f - 1
+				}
+			}
+			affW[0] = aff
+		} else {
+			for i := 0; i < npw; i++ {
+				affW[i] = 0
+			}
+			for w := 0; w < nw; w++ {
+				f := remA[w]
+				if f == 0 {
+					continue
+				}
+				sc.occAfter[w] ^= f
+				base := w << 6
+				for f != 0 {
+					id := base + bits.TrailingZeros64(f)
+					f &= f - 1
+					off := id * npw
+					for j := 0; j < npw; j++ {
+						affW[j] |= linkPB[off+j]
+					}
 				}
 			}
 		}
-		sc.pairIDs[i][k] = nil
+		occW = sc.occAfter
+	}
+	sc.patchPairs(x, y, ep, occW, flipped)
+	return d0, ne
+}
+
+// patchPairs patches the proposal's pair terms: pairs with a moved endpoint
+// re-derive their punished minimum from the routes between their proposed
+// anchors, then unmoved pairs with a committed path through a flipped link
+// re-derive it from the routes between their committed anchors — both as
+// flat AND+popcount γ counts against the occupancy-after words. A pair whose
+// flips cancel recomputes the identical term (same γ, same expression —
+// bit-equal to the base copy).
+func (sc *Scorer) patchPairs(x, y int, ep int64, occW []uint64, flipped bool) {
+	ai := sc.anchorIdx
+	for _, pi := range sc.stagePairs[x] {
+		sc.movedPair(int(pi), x, y, ep, occW)
+	}
+	for _, pi := range sc.stagePairs[y] {
+		sc.movedPair(int(pi), x, y, ep, occW)
+	}
+	if !flipped {
+		return
+	}
+	for w, word := range sc.affW {
+		for word != 0 {
+			pi := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if sc.movedEpoch[pi] == ep {
+				continue
+			}
+			pr := &sc.w.Pairs[pi]
+			slot := sc.pairSlot[pi]
+			sc.lane[slot] = sc.pairCost(pr.Bytes, ai[pr.Sender], ai[pr.Helper], occW)
+			sc.patched = append(sc.patched, slot)
+		}
 	}
 }
 
-// minPair recomputes pair i's best punished cost from the maintained γ
-// counters with the expression of the full evaluation: min over candidate
-// paths of len·bytes·(1+γ), in candidate order.
-func (sc *Scorer) minPair(i int) {
-	pr := &sc.w.Pairs[i]
+// movedPair re-derives the term of a pair whose endpoint anchors move under
+// the swap of x and y, once per proposal.
+func (sc *Scorer) movedPair(pi, x, y int, ep int64, occW []uint64) {
+	if sc.movedEpoch[pi] == ep {
+		return
+	}
+	sc.movedEpoch[pi] = ep
+	slot := sc.pairSlot[pi]
+	sc.patched = append(sc.patched, slot)
+	ai := sc.anchorIdx
+	pr := &sc.w.Pairs[pi]
+	u := ai[pr.Sender]
+	if pr.Sender == x {
+		u = ai[y]
+	} else if pr.Sender == y {
+		u = ai[x]
+	}
+	v := ai[pr.Helper]
+	if pr.Helper == x {
+		v = ai[y]
+	} else if pr.Helper == y {
+		v = ai[x]
+	}
+	sc.lane[slot] = sc.pairCost(pr.Bytes, u, v, occW)
+}
+
+// pairCost is a pair's lane term between die indices u and v: the minimum
+// over its candidate routes of len·bytes·(1+γ), in candidate order, with γ
+// counted against the occupancy words occW — +0.0 where the full
+// evaluation's term would be infinite. One pass per route over the arena
+// words yields both the hop count (total popcount — each route link is one
+// mask bit) and γ. The YX slot is all-zero exactly when the pair has one
+// route, which its popcount detects for free; u == v yields 0 either way,
+// same as the full evaluation's empty route.
+func (sc *Scorer) pairCost(bytes float64, u, v int32, occW []uint64) float64 {
+	nw := sc.nw
+	e := sc.routeOff(u, v)
+	m0 := sc.maskArena[e : e+nw]
+	m1 := sc.maskArena[e+nw : e+2*nw]
+	h0, g0, h1, g1 := 0, 0, 0, 0
+	for w, ow := range occW[:nw] {
+		h0 += bits.OnesCount64(m0[w])
+		g0 += bits.OnesCount64(m0[w] & ow)
+		h1 += bits.OnesCount64(m1[w])
+		g1 += bits.OnesCount64(m1[w] & ow)
+	}
 	best := math.Inf(1)
-	for k := int8(0); k < sc.pairN[i]; k++ {
-		c := float64(len(sc.pairIDs[i][k])) * pr.Bytes * (1 + float64(sc.pairGamma[i][k]))
-		if c < best {
+	if c := float64(h0) * bytes * (1 + float64(g0)); c < best {
+		best = c
+	}
+	if h1 > 0 {
+		if c := float64(h1) * bytes * (1 + float64(g1)); c < best {
 			best = c
 		}
 	}
-	sc.pairTerm[i] = best
-}
-
-// resum rebuilds the total from the stored terms in the exact accumulation
-// order of the full evaluation — pipeline edges in stage order, then valid
-// finite pairs in declaration order — so incremental maintenance never
-// drifts from anchorCost by a ULP.
-func (sc *Scorer) resum() {
-	var cost float64
-	for s := 0; s+1 < sc.pp; s++ {
-		cost += sc.pipeTerm[s]
+	if math.IsInf(best, 1) {
+		return 0
 	}
-	for i := range sc.w.Pairs {
-		if !sc.pairValid[i] {
-			continue
-		}
-		if t := sc.pairTerm[i]; !math.IsInf(t, 1) {
-			cost += t
-		}
-	}
-	sc.cost = cost
-}
-
-// EvalAnchors evaluates Eq 2 for an explicit stage→anchor table in one full
-// pass — the non-incremental scoring the annealer ran before the Scorer
-// existed. It is the reference the randomized cross-check tests and the
-// annealer-iteration benchmark compare the Scorer against; occupied is
-// caller-provided scratch (cleared here).
-func EvalAnchors(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.LinkSet) float64 {
-	return anchorCost(m, anchors, w, occupied)
+	return best
 }

@@ -34,12 +34,12 @@ func TestSearchReportGolden(t *testing.T) {
 		// bits. The determinism and equivalence tests still cover them.
 		t.Skipf("golden SHA captured on amd64, running on %s", runtime.GOARCH)
 	}
-	// The SHA must be reproduced with the annealer pricing read-only through
-	// placement.ScorerBatch, which it does on a wafer with interned routes.
-	// If the golden wafer ever fell past the interning bound, this run would
-	// exercise only the scalar SwapDelta path and silently weaken the claim.
+	// The SHA must be reproduced with the annealer pricing through
+	// placement.Scorer, which it does on a wafer with interned routes. If the
+	// golden wafer ever fell past the interning bound, this run would
+	// exercise only the full-evaluation pricer and silently weaken the claim.
 	if mesh.New(hw.Config3()).InternedMaskArena() == nil {
-		t.Fatal("the golden wafer has no interned routes; the golden SHA must pin the read-only placement pricing")
+		t.Fatal("the golden wafer has no interned routes; the golden SHA must pin the Scorer placement pricing")
 	}
 	pred := predictor.NewLookupTable(predictor.TileLevel{})
 	work := model.Workload{GlobalBatch: 64, MicroBatch: 1, SeqLen: 2048}
