@@ -1,7 +1,9 @@
 // Package repro's benchmark harness regenerates every table and figure of
 // the WATOS paper as testing.B benchmarks: `go test -bench=BenchmarkFig15`
 // reruns the Fig 15 architectural DSE and reports its headline metric.
-// Ablation benchmarks cover the design decisions called out in DESIGN.md §5.
+// Ablation benchmarks cover the paper's design decisions: GCMR against
+// local-only recomputation, location-aware placement, the hybrid dataflow,
+// the GA and early pruning.
 package repro
 
 import (
@@ -79,8 +81,8 @@ func benchWork() model.Workload {
 }
 
 // BenchmarkAblationGCMR compares GCMR against naive local-only
-// recomputation (DESIGN.md §5): the ratio of the two searches' throughputs
-// is reported as gcmr-gain-x.
+// recomputation: the ratio of the two searches' throughputs is reported as
+// gcmr-gain-x.
 func BenchmarkAblationGCMR(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {

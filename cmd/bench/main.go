@@ -239,12 +239,13 @@ var priorBaselines = []taggedEntry{
 }
 
 // pr5Placement carries the PR 5 tree's search inner-loop measurements
-// (from BENCH_pr5.json, same reference machine) forward: the annealer and
-// GA entries are judged against them, benchmark by benchmark, via the
-// pr5(<name>) speedup keys.
+// (from BENCH_pr5.json, same reference machine) forward: the placement
+// optimizer and GA entries are judged against them, benchmark by benchmark,
+// via the pr5(<name>) speedup keys. That tree's anneal-swap entries are not
+// carried: they timed a SwapDelta/Apply-or-Revert cycle (1-in-2 coin), while
+// this tree's anneal-swap entries time the Scorer's price/commit cycle
+// (1-in-8 commits), a different iteration.
 var pr5Placement = []taggedEntry{
-	{Tag: "pr5", entry: entry{Name: "anneal-swap", Iterations: 162972, NsPerOp: 1533.7013351986845, AllocsPerOp: 0, BytesPerOp: 0}},
-	{Tag: "pr5", entry: entry{Name: "anneal-swap-pp32", Iterations: 262329, NsPerOp: 1033.058480000305, AllocsPerOp: 0, BytesPerOp: 0}},
 	{Tag: "pr5", entry: entry{Name: "optimize-placement-pp8", Iterations: 1224, NsPerOp: 820168.9232026144, AllocsPerOp: 72, BytesPerOp: 16446}},
 	{Tag: "pr5", entry: entry{Name: "optimize-placement-pp32", Iterations: 178, NsPerOp: 5729976.926966292, AllocsPerOp: 349, BytesPerOp: 24666}},
 	{Tag: "pr5", entry: entry{Name: "ga-generation", Iterations: 4077, NsPerOp: 17063.80866752514, AllocsPerOp: 81, BytesPerOp: 10123}},

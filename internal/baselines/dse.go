@@ -8,7 +8,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/predictor"
 	"repro/internal/sched"
-	"repro/internal/search"
+	"repro/internal/search/pool"
 )
 
 // Framework identifies a DSE comparison framework of Fig 20 / Table I.
@@ -148,8 +148,7 @@ type FrameworkResult struct {
 // sweep; results are identical to running RunFramework in a loop.
 func RunFrameworks(fws []Framework, w hw.WaferConfig, spec model.Spec, work model.Workload,
 	pred predictor.Predictor, workers int) []FrameworkResult {
-	runner := search.NewRunner(workers)
-	return search.Map(runner, len(fws), func(i int) FrameworkResult {
+	return pool.Map(pool.New(workers), len(fws), func(i int) FrameworkResult {
 		opts := fws[i].options()
 		opts.Workers = 1
 		res, err := sched.Search(w, spec, work, pred, opts)

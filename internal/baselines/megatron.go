@@ -3,7 +3,7 @@
 // scheduling policy transplanted onto the wafer ("MG-wafer"), the Cerebras
 // weight-streaming strategy, and the seven DSE frameworks of Fig 20 and
 // Table I, each reproduced as the subset of optimisations the paper credits
-// it with (see DESIGN.md, substitution table).
+// it with, run through this repository's search and evaluator.
 package baselines
 
 import (
@@ -66,10 +66,7 @@ func MegatronGPU(sys hw.GPUSystem, spec model.Spec, w model.Workload) (GPUReport
 	}
 
 	// Activation memory check: retained micro-batches at stage 0.
-	mb := w.MicroBatch
-	if mb <= 0 {
-		mb = 1
-	}
+	mb := w.MicroBatchSize()
 	perReplicaBatch := w.GlobalBatch / dp
 	if perReplicaBatch < 1 {
 		perReplicaBatch = 1

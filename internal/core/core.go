@@ -14,7 +14,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/predictor"
 	"repro/internal/sched"
-	"repro/internal/search"
+	"repro/internal/search/pool"
 )
 
 // Framework is a configured WATOS instance.
@@ -74,8 +74,7 @@ func (f *Framework) Explore(candidates []hw.WaferConfig, spec model.Spec, work m
 	if len(candidates) > 1 {
 		inner.Workers = 1
 	}
-	runner := search.NewRunner(archWorkers)
-	out.PerArch = search.Map(runner, len(candidates), func(i int) ArchResult {
+	out.PerArch = pool.Map(pool.New(archWorkers), len(candidates), func(i int) ArchResult {
 		w := candidates[i]
 		if err := w.Validate(); err != nil {
 			return ArchResult{Wafer: w, Err: err}

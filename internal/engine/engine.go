@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/hw"
+	"repro/internal/memory"
 	"repro/internal/mesh"
 	"repro/internal/model"
 	"repro/internal/opgraph"
@@ -20,7 +21,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/predictor"
 	"repro/internal/recompute"
-	"repro/internal/units"
 )
 
 // Config bundles the inputs of a stage-cost evaluation.
@@ -72,6 +72,51 @@ type StageCompute struct {
 	MeanLinkUtilization float64
 }
 
+// StageModel is the one stage model of a configuration: the recomputation
+// scheduler profiles its stages from it (GCMR's FwdTime/BwdTime) and
+// StageCosts scores the same stages.
+type StageModel struct {
+	// Layers is each stage's layer count (memory.SplitLayers).
+	Layers []int
+	// Graph is one layer's operator graph at the workload's micro-batch
+	// size.
+	Graph *opgraph.LayerGraph
+	// Fwd and Bwd are one layer's per-micro-batch compute times, DRAM its
+	// fwd+bwd DRAM traffic and AllReduce its forward TP all-reduce payload.
+	Fwd, Bwd, DRAM, AllReduce float64
+}
+
+// NewStageModel splits the layers over the stages, builds the layer graph
+// and prices one layer with the predictor, rejecting an invalid latency.
+func NewStageModel(cfg Config) (StageModel, error) {
+	layers, err := memory.SplitLayers(cfg.Spec.Layers, cfg.PP)
+	if err != nil {
+		return StageModel{}, err
+	}
+	g, err := opgraph.Build(cfg.Spec, cfg.TP, cfg.Workload.MicroBatchSize(), cfg.Workload.SeqLen)
+	if err != nil {
+		return StageModel{}, err
+	}
+	sm := StageModel{Layers: layers, Graph: g}
+	die := predictor.Context(cfg.Wafer)
+	for _, op := range g.Ops {
+		est := cfg.Predictor.Predict(op, die)
+		if math.IsInf(est.Latency, 0) || math.IsNaN(est.Latency) {
+			return StageModel{}, fmt.Errorf("engine: predictor returned invalid latency for %s", op.Name)
+		}
+		sm.Fwd += est.Latency
+		// Backward compute scales with the op's FLOP ratio.
+		ratio := 2.0
+		if op.FwdFLOPs > 0 {
+			ratio = op.BwdFLOPs / op.FwdFLOPs
+		}
+		sm.Bwd += est.Latency * ratio
+		sm.DRAM += est.DRAMBytes * (1 + ratio)
+		sm.AllReduce += op.AllReduceBytes
+	}
+	return sm, nil
+}
+
 // StageCosts computes per-stage pipeline costs for the placement's regions.
 // extraBwd supplies the GCMR per-stage recomputation additions (nil = none).
 func StageCosts(cfg Config, m *mesh.Mesh, pl *placement.Placement, extraBwd []float64) ([]pipeline.StageCost, []StageCompute, error) {
@@ -81,42 +126,16 @@ func StageCosts(cfg Config, m *mesh.Mesh, pl *placement.Placement, extraBwd []fl
 	if len(pl.Regions) != cfg.PP {
 		return nil, nil, fmt.Errorf("engine: placement has %d regions, want %d", len(pl.Regions), cfg.PP)
 	}
-	layers, err := splitLayers(cfg.Spec.Layers, cfg.PP)
+	sm, err := NewStageModel(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	mb := cfg.Workload.MicroBatch
-	if mb <= 0 {
-		mb = 1
-	}
-	g, err := opgraph.Build(cfg.Spec, cfg.TP, mb, cfg.Workload.SeqLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	die := predictor.Context(cfg.Wafer)
-
-	// Per-layer compute and DRAM traffic from the predictor.
-	var fwdLayer, bwdLayer, dramLayer, arBytes float64
-	for _, op := range g.Ops {
-		est := cfg.Predictor.Predict(op, die)
-		if math.IsInf(est.Latency, 0) || math.IsNaN(est.Latency) {
-			return nil, nil, fmt.Errorf("engine: predictor returned invalid latency for %s", op.Name)
-		}
-		fwdLayer += est.Latency
-		// Backward compute scales with the op's FLOP ratio.
-		ratio := 2.0
-		if op.FwdFLOPs > 0 {
-			ratio = op.BwdFLOPs / op.FwdFLOPs
-		}
-		bwdLayer += est.Latency * ratio
-		dramLayer += est.DRAMBytes * (1 + ratio)
-		arBytes += op.AllReduceBytes
-	}
+	layers := sm.Layers
 
 	costs := make([]pipeline.StageCost, cfg.PP)
 	computes := make([]StageCompute, cfg.PP)
 	// Inter-stage activation transfer: micro-batch boundary tensor.
-	boundaryBytes := float64(mb*cfg.Workload.SeqLen*cfg.Spec.Hidden) * units.FP16Bytes
+	boundaryBytes := sm.Graph.BoundaryBytes()
 
 	for s := 0; s < cfg.PP; s++ {
 		region := pl.Regions[s].Dies
@@ -124,11 +143,11 @@ func StageCosts(cfg Config, m *mesh.Mesh, pl *placement.Placement, extraBwd []fl
 		var linkBytes map[mesh.Link]float64
 		var busyVec []float64
 		var meanUtil float64
-		if cfg.TP > 1 && arBytes > 0 {
+		if cfg.TP > 1 && sm.AllReduce > 0 {
 			// op.AllReduceBytes already carries the 2(t−1)/t wire factor
 			// of Eq 1; the collective package applies the ring schedule
 			// to the full tensor, so divide the factor back out.
-			res, err := collective.AllReduce(m, region, arBytes/arFactor(cfg.TP), cfg.Collective)
+			res, err := collective.AllReduce(m, region, sm.AllReduce/arFactor(cfg.TP), cfg.Collective)
 			if err != nil {
 				return nil, nil, fmt.Errorf("engine: stage %d collective: %w", s, err)
 			}
@@ -138,12 +157,12 @@ func StageCosts(cfg Config, m *mesh.Mesh, pl *placement.Placement, extraBwd []fl
 			busyVec = res.Loads.Vec()
 			meanUtil = res.MeanLinkUtilization(m)
 		}
-		fwd := fwdLayer*float64(layers[s]) + arFwd*float64(layers[s])
+		fwd := sm.Fwd*float64(layers[s]) + arFwd*float64(layers[s])
 		extra := 0.0
 		if extraBwd != nil && s < len(extraBwd) {
 			extra = extraBwd[s]
 		}
-		bwd := bwdLayer*float64(layers[s]) + arBwd*float64(layers[s]) + extra
+		bwd := sm.Bwd*float64(layers[s]) + arBwd*float64(layers[s]) + extra
 
 		// Inter-stage comm: choose the min-conflict shortest path between
 		// region anchors (PP engine link assignment).
@@ -159,12 +178,12 @@ func StageCosts(cfg Config, m *mesh.Mesh, pl *placement.Placement, extraBwd []fl
 		costs[s] = pipeline.StageCost{Fwd: fwd, Bwd: bwd, CommFwd: commFwd, CommBwd: commBwd}
 		computes[s] = StageCompute{
 			Layers:              layers[s],
-			FwdCompute:          fwdLayer * float64(layers[s]),
-			BwdCompute:          bwdLayer * float64(layers[s]),
+			FwdCompute:          sm.Fwd * float64(layers[s]),
+			BwdCompute:          sm.Bwd * float64(layers[s]),
 			FwdCollective:       arFwd * float64(layers[s]),
 			BwdCollective:       arBwd * float64(layers[s]),
 			RecomputeExtra:      extra,
-			DRAMBytes:           dramLayer * float64(layers[s]),
+			DRAMBytes:           sm.DRAM * float64(layers[s]),
 			CollectiveLinkBytes: linkBytes,
 			MeanLinkUtilization: meanUtil,
 		}
@@ -230,19 +249,4 @@ func GCMRCostFn(cfg Config, m *mesh.Mesh) func(opgraph.Op) recompute.OpCost {
 		}
 		return recompute.OpCost{Latency: est.Latency, CommTime: comm}
 	}
-}
-
-func splitLayers(total, pp int) ([]int, error) {
-	if pp <= 0 || total < pp {
-		return nil, fmt.Errorf("engine: cannot split %d layers into %d stages", total, pp)
-	}
-	out := make([]int, pp)
-	base, rem := total/pp, total%pp
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out, nil
 }

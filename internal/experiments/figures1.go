@@ -48,10 +48,7 @@ func wscCommSplit(w hw.WaferConfig, spec model.Spec, work model.Workload, tp, pp
 	}
 	useful := spec.FLOPsPerIteration(work)
 	compute = useful / (float64(dies) * w.DiePeakFLOPS() * 0.45)
-	mb := work.MicroBatch
-	if mb <= 0 {
-		mb = 1
-	}
+	mb := work.MicroBatchSize()
 	n := work.GlobalBatch / dp / mb
 	if n < 1 {
 		n = 1

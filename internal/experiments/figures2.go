@@ -15,7 +15,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/recompute"
 	"repro/internal/sched"
-	"repro/internal/search"
+	"repro/internal/search/pool"
 	"repro/internal/units"
 )
 
@@ -609,8 +609,7 @@ func Fig25() (*Table, error) {
 	// shared worker pool (each inner search sequential), collecting points
 	// in sweep order so the table is identical for every worker count.
 	dieSweep := hw.DieSweep()
-	runner := search.NewRunner(Workers)
-	swept := search.Map(runner, len(dieSweep), func(i int) *point {
+	swept := pool.Map(pool.New(Workers), len(dieSweep), func(i int) *point {
 		die := dieSweep[i]
 		cands := hw.Enumerate(hw.EnumeratorOptions{Dies: []hw.DieConfig{die}, HBMPerDie: []int{4}})
 		if len(cands) == 0 {

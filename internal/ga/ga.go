@@ -235,11 +235,7 @@ func (p *Problem) maxStageTime(g Genome) (float64, bool) {
 		}
 		o := prof.Options[oi]
 		need := o.CkptBytesPerMB * float64(prof.Retained)
-		local := prof.LocalBytes - prof.ModelPBytes
-		if local < 0 {
-			local = 0
-		}
-		if need-outgoing[s]+incoming[s] > local+1e-6 {
+		if need-outgoing[s]+incoming[s] > prof.LocalCheckpointCapacity()+1e-6 {
 			return 0, false
 		}
 		t := prof.FwdTime + prof.BwdTime + o.ExtraBwdTime

@@ -105,11 +105,7 @@ func PipelineProfile(spec model.Spec, w model.Workload, tp, pp int) ([]Breakdown
 	if err != nil {
 		return nil, err
 	}
-	mb := w.MicroBatch
-	if mb <= 0 {
-		mb = 1
-	}
-	g, err := opgraph.Build(spec, tp, mb, w.SeqLen)
+	g, err := opgraph.Build(spec, tp, w.MicroBatchSize(), w.SeqLen)
 	if err != nil {
 		return nil, err
 	}

@@ -228,6 +228,12 @@ type Workload struct {
 	SeqLen int
 }
 
+// MicroBatchSize returns the sequences per micro-batch: MicroBatch, with an
+// unset (zero) MicroBatch meaning 1.
+func (w Workload) MicroBatchSize() int {
+	return max(w.MicroBatch, 1)
+}
+
 // MicroBatches returns the number of micro-batches per iteration (n in the
 // 1F1B schedule).
 func (w Workload) MicroBatches() int {

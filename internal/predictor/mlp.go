@@ -12,7 +12,7 @@ import (
 // MLP is the "DNN model" of §IV-B: a small feed-forward network that
 // predicts operator latency and memory footprint from operator and hardware
 // features. The paper trains it on measured profiles; here it is trained on
-// the tile-level model (see DESIGN.md, substitution table).
+// the tile-level model's estimates instead.
 //
 // Architecture: featureDim → hidden (tanh) → hidden (tanh) → 2 outputs
 // (log latency, log memory). Trained with mini-batch SGD + momentum on

@@ -3,8 +3,8 @@
 // prediction pipeline of the WATOS paper:
 //
 //   - a detailed tile-level performance model acts as the measurement
-//     substrate (the paper profiles real kernels; this repository's
-//     substitution is documented in DESIGN.md);
+//     substrate (the paper profiles real kernels; this repository
+//     substitutes the tile-level model's estimates for those profiles);
 //   - an analytical first-order roofline model, which misses alignment
 //     overheads and multi-level memory effects and therefore exhibits the
 //     higher error of Fig 10b;

@@ -47,8 +47,9 @@ type StageProfile struct {
 	LocalBytes float64
 }
 
-// localCheckpointCapacity returns the stage's DRAM left for checkpoints.
-func (p StageProfile) localCheckpointCapacity() float64 {
+// LocalCheckpointCapacity returns the stage's DRAM left for checkpoints
+// after its modelP.
+func (p StageProfile) LocalCheckpointCapacity() float64 {
 	c := p.LocalBytes - p.ModelPBytes
 	if c < 0 {
 		return 0
@@ -193,7 +194,7 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 		if len(prof.Options) == 0 {
 			return nil, fmt.Errorf("recompute: stage %d has no options", s)
 		}
-		totalBudget += prof.localCheckpointCapacity()
+		totalBudget += prof.LocalCheckpointCapacity()
 	}
 	// Feasibility: even maximal recomputation must fit the global budget.
 	var minNeed float64
@@ -274,7 +275,7 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 	}
 	var senders, helpers []pressure
 	for t := 0; t < p; t++ {
-		delta := plan.StageCkptBytes[t] - profiles[t].localCheckpointCapacity()
+		delta := plan.StageCkptBytes[t] - profiles[t].LocalCheckpointCapacity()
 		if delta > 1e-6 {
 			senders = append(senders, pressure{t, delta})
 			plan.Senders = append(plan.Senders, t)
@@ -325,7 +326,7 @@ func Naive(profiles []StageProfile) (*Plan, error) {
 		ExtraBwd:       make([]float64, p),
 	}
 	for t, prof := range profiles {
-		local := prof.localCheckpointCapacity()
+		local := prof.LocalCheckpointCapacity()
 		found := false
 		for oi, o := range prof.Options {
 			if o.CkptBytesPerMB*float64(prof.Retained) <= local {

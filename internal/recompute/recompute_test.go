@@ -88,7 +88,7 @@ func TestGCMRRecomputesUnderPressure(t *testing.T) {
 	var used, budget float64
 	for s := range profiles {
 		used += plan.StageCkptBytes[s]
-		budget += profiles[s].localCheckpointCapacity()
+		budget += profiles[s].LocalCheckpointCapacity()
 	}
 	if used > budget+1e-6 {
 		t.Errorf("plan uses %.1f GB, budget %.1f GB", used/1e9, budget/1e9)
@@ -220,7 +220,7 @@ func TestGCMRBudgetRespectedProperty(t *testing.T) {
 		var used, budget float64
 		for s := range profiles {
 			used += plan.StageCkptBytes[s]
-			budget += profiles[s].localCheckpointCapacity()
+			budget += profiles[s].LocalCheckpointCapacity()
 		}
 		if used > budget+1e-3 {
 			return false
@@ -228,7 +228,7 @@ func TestGCMRBudgetRespectedProperty(t *testing.T) {
 		// All pair volumes must be covered by helpers' spare capacity.
 		spare := map[int]float64{}
 		for _, h := range plan.Helpers {
-			spare[h] = profiles[h].localCheckpointCapacity() - plan.StageCkptBytes[h]
+			spare[h] = profiles[h].LocalCheckpointCapacity() - plan.StageCkptBytes[h]
 		}
 		for _, pr := range plan.Pairs {
 			spare[pr.Helper] -= pr.Bytes

@@ -21,7 +21,7 @@ func referenceGCMR(profiles []StageProfile) (*Plan, error) {
 		if len(prof.Options) == 0 {
 			return nil, fmt.Errorf("recompute: stage %d has no options", s)
 		}
-		totalBudget += prof.localCheckpointCapacity()
+		totalBudget += prof.LocalCheckpointCapacity()
 	}
 	// Feasibility: even maximal recomputation must fit the global budget.
 	var minNeed float64
@@ -114,7 +114,7 @@ func referenceGCMR(profiles []StageProfile) (*Plan, error) {
 	}
 	var senders, helpers []pressure
 	for t := 0; t < p; t++ {
-		delta := plan.StageCkptBytes[t] - profiles[t].localCheckpointCapacity()
+		delta := plan.StageCkptBytes[t] - profiles[t].LocalCheckpointCapacity()
 		if delta > 1e-6 {
 			senders = append(senders, pressure{t, delta})
 			plan.Senders = append(plan.Senders, t)

@@ -23,6 +23,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ga"
 	"repro/internal/hw"
+	"repro/internal/lru"
 	"repro/internal/memalloc"
 	"repro/internal/memory"
 	"repro/internal/mesh"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/recompute"
 	"repro/internal/search"
+	"repro/internal/search/pool"
 	"repro/internal/sim"
 )
 
@@ -88,7 +90,7 @@ const candidateCacheCapacity = 1024
 // candidate's cost, so caching only the final evaluation would leave most
 // of the repeated work on the table. Cached candidates (and the strategies
 // they reference) are shared and must be treated as read-only.
-var candidateCache = search.NewLRU[Candidate](candidateCacheCapacity)
+var candidateCache = lru.New[Candidate](candidateCacheCapacity)
 
 // CacheStats reports the candidate-level memoization counters.
 func CacheStats() search.CacheStats { return candidateCache.Stats() }
@@ -176,7 +178,6 @@ func Search(w hw.WaferConfig, spec model.Spec, work model.Workload, pred predict
 	}
 
 	ev := search.New(opts.DisableCache)
-	runner := search.NewRunner(opts.Workers)
 	// Parallelism is applied at one level: when several candidates fan out
 	// concurrently, each candidate's GA scores its population sequentially
 	// (nesting pools would run up to Workers² CPU-bound goroutines). A
@@ -186,7 +187,7 @@ func Search(w hw.WaferConfig, spec model.Spec, work model.Workload, pred predict
 	if len(jobs) > 1 {
 		exploreOpts.Workers = 1
 	}
-	res.Explored = search.Map(runner, len(jobs), func(i int) Candidate {
+	res.Explored = pool.Map(pool.New(opts.Workers), len(jobs), func(i int) Candidate {
 		j := jobs[i]
 		// Each candidate owns a deterministic RNG stream derived from the
 		// search seed and its job index, so the result is byte-identical
@@ -343,19 +344,22 @@ func explore(w hw.WaferConfig, m *mesh.Mesh, spec model.Spec, work model.Workloa
 	// schedulers when modelP + checkpoints overflow).
 	var plan *recompute.Plan
 	var profiles []recompute.StageProfile
+	var wl placement.Workload
 	if !opts.DisableRecompute {
-		var err error
-		profiles, plan, err = buildRecomputePlan(cfg, m, opts)
+		sm, err := engine.NewStageModel(cfg)
+		if err == nil {
+			profiles, plan, err = buildRecomputePlan(cfg, sm, m, opts)
+		}
 		if err != nil {
 			cand.Err = err
 			return cand
 		}
 		strat.Recompute = plan
+		wl = placementWorkload(cfg, sm.Graph, plan)
 	}
 
 	// Memory scheduler: location-aware placement + DRAM allocation.
 	if !opts.DisableMemScheduler && plan != nil && len(plan.Pairs) > 0 {
-		wl := placementWorkload(cfg, plan)
 		if better, err := placement.Optimize(m, tp, pp, wl, rng); err == nil {
 			pl = better
 			strat.Placement = pl
@@ -364,14 +368,14 @@ func explore(w hw.WaferConfig, m *mesh.Mesh, spec model.Spec, work model.Workloa
 
 	// Global optimizer (§IV-D): escape the greedy local optimum by jointly
 	// mutating recomputation, placement and Mem_pairs.
-	if opts.UseGA && plan != nil && profiles != nil {
+	if opts.UseGA && plan != nil {
 		base, err := placement.Partition(m, tp, pp)
 		if err == nil {
 			prob := &ga.Problem{
 				Mesh:          m,
 				Profiles:      profiles,
 				BaseRegions:   base,
-				PipelineBytes: placementWorkload(cfg, plan).PipelineBytes,
+				PipelineBytes: wl.PipelineBytes,
 			}
 			omega := opts.GAOmega
 			if omega == 0 {
@@ -404,7 +408,7 @@ func explore(w hw.WaferConfig, m *mesh.Mesh, spec model.Spec, work model.Workloa
 	}
 
 	if !opts.DisableMemScheduler && plan != nil && len(plan.Pairs) > 0 {
-		local := localCapacity(cfg, m, pl)
+		local := func(s int) float64 { return profiles[s].LocalCheckpointCapacity() }
 		reqs, budgets := memalloc.FromPlan(pl, plan, local)
 		if allocs, err := memalloc.Allocate(m, pl, reqs, budgets, nil); err == nil {
 			strat.Allocations = allocs
@@ -462,36 +466,11 @@ func applyGenome(g ga.Genome, profiles []recompute.StageProfile, prev *recompute
 	return plan
 }
 
-// buildRecomputePlan assembles per-stage recomputation profiles and runs
-// GCMR (or the naive baseline).
-func buildRecomputePlan(cfg engine.Config, m *mesh.Mesh, opts Options) ([]recompute.StageProfile, *recompute.Plan, error) {
-	layers, err := memory.SplitLayers(cfg.Spec.Layers, cfg.PP)
-	if err != nil {
-		return nil, nil, err
-	}
-	mb := cfg.Workload.MicroBatch
-	if mb <= 0 {
-		mb = 1
-	}
-	g, err := opgraph.Build(cfg.Spec, cfg.TP, mb, cfg.Workload.SeqLen)
-	if err != nil {
-		return nil, nil, err
-	}
+// buildRecomputePlan profiles the stage model's stages and runs GCMR (or the
+// naive baseline).
+func buildRecomputePlan(cfg engine.Config, sm engine.StageModel, m *mesh.Mesh, opts Options) ([]recompute.StageProfile, *recompute.Plan, error) {
 	cost := engine.GCMRCostFn(cfg, m)
 	n := cfg.Workload.MicroBatches()
-	die := predictor.Context(cfg.Wafer)
-
-	var fwdLayer, bwdLayer float64
-	for _, op := range g.Ops {
-		est := cfg.Predictor.Predict(op, die)
-		fwdLayer += est.Latency
-		ratio := 2.0
-		if op.FwdFLOPs > 0 {
-			ratio = op.BwdFLOPs / op.FwdFLOPs
-		}
-		bwdLayer += est.Latency * ratio
-	}
-
 	profiles := make([]recompute.StageProfile, cfg.PP)
 	// BuildOptions enumerates the layer graph's recomputation subsets — the
 	// most expensive profiling step — and depends only on the stage's layer
@@ -499,15 +478,15 @@ func buildRecomputePlan(cfg engine.Config, m *mesh.Mesh, opts Options) ([]recomp
 	// split. Memoize per count and hand each stage its own copy (the
 	// footprints are scaled per stage below).
 	optionsByLayers := map[int][]recompute.Option{}
-	for s := 0; s < cfg.PP; s++ {
-		base, ok := optionsByLayers[layers[s]]
+	for s, layers := range sm.Layers {
+		base, ok := optionsByLayers[layers]
 		if !ok {
 			var err error
-			base, err = recompute.BuildOptions(g, cost, layers[s])
+			base, err = recompute.BuildOptions(sm.Graph, cost, layers)
 			if err != nil {
 				return nil, nil, err
 			}
-			optionsByLayers[layers[s]] = base
+			optionsByLayers[layers] = base
 		}
 		options := append([]recompute.Option(nil), base...)
 		// BuildOptions reports per-die checkpoint bytes; stage profiles
@@ -520,9 +499,9 @@ func buildRecomputePlan(cfg engine.Config, m *mesh.Mesh, opts Options) ([]recomp
 		profiles[s] = recompute.StageProfile{
 			Options:     options,
 			Retained:    pipeline.RetainedMicroBatches(cfg.PP, n, s),
-			FwdTime:     fwdLayer * float64(layers[s]),
-			BwdTime:     bwdLayer * float64(layers[s]),
-			ModelPBytes: memory.ModelPPerDie(cfg.Spec, layers[s], cfg.TP, extra) * float64(cfg.TP),
+			FwdTime:     sm.Fwd * float64(layers),
+			BwdTime:     sm.Bwd * float64(layers),
+			ModelPBytes: memory.ModelPPerDie(cfg.Spec, layers, cfg.TP, extra) * float64(cfg.TP),
 			LocalBytes:  cfg.Wafer.DieDRAM() * float64(cfg.TP),
 		}
 	}
@@ -536,33 +515,13 @@ func buildRecomputePlan(cfg engine.Config, m *mesh.Mesh, opts Options) ([]recomp
 	return profiles, plan, err
 }
 
-// placementWorkload derives the Eq 2 weights from the plan.
-func placementWorkload(cfg engine.Config, plan *recompute.Plan) placement.Workload {
-	mb := cfg.Workload.MicroBatch
-	if mb <= 0 {
-		mb = 1
-	}
-	n := cfg.Workload.MicroBatches()
-	boundary := float64(mb*cfg.Workload.SeqLen*cfg.Spec.Hidden) * 2 * float64(n)
+// placementWorkload derives the Eq 2 weights from the plan: every pipeline
+// edge carries the layer-boundary tensor of each micro-batch.
+func placementWorkload(cfg engine.Config, g *opgraph.LayerGraph, plan *recompute.Plan) placement.Workload {
+	boundary := g.BoundaryBytes() * float64(cfg.Workload.MicroBatches())
 	pipe := make([]float64, cfg.PP)
 	for i := range pipe {
 		pipe[i] = boundary
 	}
 	return placement.Workload{PipelineBytes: pipe, Pairs: plan.Pairs}
-}
-
-// localCapacity returns a stage's DRAM left for checkpoints after modelP.
-func localCapacity(cfg engine.Config, m *mesh.Mesh, pl *placement.Placement) func(int) float64 {
-	layers, _ := memory.SplitLayers(cfg.Spec.Layers, cfg.PP)
-	return func(s int) float64 {
-		if layers == nil || s >= len(layers) {
-			return 0
-		}
-		modelP := memory.ModelPPerDie(cfg.Spec, layers[s], cfg.TP, memory.StageExtraParams(cfg.Spec, s, cfg.PP)) * float64(cfg.TP)
-		c := cfg.Wafer.DieDRAM()*float64(cfg.TP) - modelP
-		if c < 0 {
-			return 0
-		}
-		return c
-	}
 }

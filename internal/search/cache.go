@@ -50,28 +50,12 @@ const DefaultCacheCapacity = 8192
 // the dependency-free lru package).
 type CacheStats = lru.Stats
 
-// LRU is a thread-safe, generic LRU memoization cache with hit/miss
-// counters (re-exported from the dependency-free lru package so leaf
-// packages of the simulation stack can share the same primitive). It backs
-// the strategy-evaluation Cache here, the scheduler's candidate-level
-// memoization and the collective plan store.
-type LRU[V any] = lru.Cache[V]
-
-// NewLRU returns an LRU cache bounded to capacity entries (<=0 selects
-// DefaultCacheCapacity).
-func NewLRU[V any](capacity int) *LRU[V] {
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
-	return lru.New[V](capacity)
-}
-
 // Cache is the LRU memoization cache for strategy evaluations: one entry
 // per (configuration, strategy) fingerprint holding the report and the
 // evaluation error (deterministic failures such as OOM strategies are
 // memoized too, so repeated infeasible candidates are also cheap).
 type Cache struct {
-	lru *LRU[evalOutcome]
+	lru *lru.Cache[evalOutcome]
 }
 
 type evalOutcome struct {
@@ -82,7 +66,10 @@ type evalOutcome struct {
 // NewCache returns an evaluation cache bounded to capacity entries (<=0
 // selects DefaultCacheCapacity).
 func NewCache(capacity int) *Cache {
-	return &Cache{lru: NewLRU[evalOutcome](capacity)}
+	if capacity <= 0 {
+		capacity = DefaultCacheCapacity
+	}
+	return &Cache{lru: lru.New[evalOutcome](capacity)}
 }
 
 // Get returns the memoized outcome for the key, counting a hit or miss.

@@ -7,29 +7,31 @@
 //
 //   - Evaluator abstracts (engine.Config, mesh, sim.Strategy) → sim.Report,
 //     with SimEvaluator as the direct sim.Evaluate backend;
-//   - Runner (see the pool subpackage) is a bounded worker pool with a
-//     determinism contract: parallel output is identical to sequential;
 //   - Cache is an LRU memoization layer keyed by a canonical strategy
 //     fingerprint (wafer config, TP/PP factorisation, collective algorithm,
 //     recompute genome, placement, allocations, mesh fault state), with
 //     hit/miss counters exposed for benchmarks.
 //
+// Candidates fan out over the bounded worker pool of the pool subpackage
+// (pool.New, pool.Map), which callers use directly. Its determinism
+// contract: parallel output is identical to sequential.
+//
 // Every evaluation entry point of the repository funnels through this
-// package, so a single -workers knob and one shared cache accelerate the
-// scheduler's (TP, PP) sweep, GA population scoring, the Table II / Fig 25
-// architecture sweeps, and repeated figure reproductions alike.
+// package and the pool, so a single -workers knob and one shared cache
+// accelerate the scheduler's (TP, PP) sweep, GA population scoring, the
+// Table II / Fig 25 architecture sweeps, and repeated figure reproductions
+// alike.
 package search
 
 import (
 	"repro/internal/engine"
 	"repro/internal/mesh"
-	"repro/internal/search/pool"
 	"repro/internal/sim"
 )
 
 // Evaluator turns a configuration and a training strategy into a
-// performance report. Implementations must be safe for concurrent use: the
-// Runner issues Evaluate calls from multiple goroutines.
+// performance report. Implementations must be safe for concurrent use: pool
+// workers issue Evaluate calls from multiple goroutines.
 type Evaluator interface {
 	Evaluate(cfg engine.Config, m *mesh.Mesh, strat sim.Strategy) (sim.Report, error)
 }
@@ -40,20 +42,6 @@ type SimEvaluator struct{}
 // Evaluate implements Evaluator.
 func (SimEvaluator) Evaluate(cfg engine.Config, m *mesh.Mesh, strat sim.Strategy) (sim.Report, error) {
 	return sim.Evaluate(cfg, m, strat)
-}
-
-// Runner is the bounded worker pool (re-exported from the dependency-free
-// pool subpackage so leaf packages can share the same primitive).
-type Runner = pool.Runner
-
-// NewRunner returns a Runner with the given width; workers <= 0 selects
-// GOMAXPROCS, workers == 1 runs strictly sequentially on the caller's
-// goroutine (the reproducible single-threaded mode ablations rely on).
-func NewRunner(workers int) *Runner { return pool.New(workers) }
-
-// Map runs fn over [0, n) on the runner and returns results in index order.
-func Map[T any](r *Runner, n int, fn func(i int) T) []T {
-	return pool.Map(r, n, fn)
 }
 
 // New returns the standard evaluator stack: sim.Evaluate behind the shared

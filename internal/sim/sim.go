@@ -2,8 +2,9 @@
 // training iteration that combines per-operator compute cost (tile-level
 // predictor), DRAM access, NoC & D2D communication, 1F1B pipelining, data
 // parallelism across replicas (and wafers), checkpoint-balancing traffic,
-// and per-die DRAM capacity constraints. It plays the role the paper
-// assigns to its extended ASTRA-sim (see DESIGN.md substitution table).
+// and per-die DRAM capacity constraints. It stands in for the paper's
+// extended ASTRA-sim: the same cost terms, computed by this analytical
+// model instead of a network simulator.
 package sim
 
 import (
@@ -128,7 +129,7 @@ func Evaluate(cfg engine.Config, m *mesh.Mesh, strat Strategy) (Report, error) {
 	// the W2W transfer instead of an on-wafer hop.
 	if pipeWafers > 1 {
 		perWafer := (cfg.PP + pipeWafers - 1) / pipeWafers
-		boundary := float64(max(perReplica.MicroBatch, 1)*perReplica.SeqLen*cfg.Spec.Hidden) * units.FP16Bytes
+		boundary := float64(perReplica.MicroBatchSize()*perReplica.SeqLen*cfg.Spec.Hidden) * units.FP16Bytes
 		for s := 0; s+1 < cfg.PP; s++ {
 			if (s+1)%perWafer == 0 { // wafer boundary
 				t := cfg.Wafer.W2W.Latency + boundary/cfg.Wafer.W2W.Bandwidth
@@ -235,10 +236,6 @@ func memoryMap(cfg engine.Config, m *mesh.Mesh, strat Strategy, n int) (map[mesh
 		return nil, 0, err
 	}
 	capacity := cfg.Wafer.DieDRAM()
-	mb := cfg.Workload.MicroBatch
-	if mb <= 0 {
-		mb = 1
-	}
 	// For multi-wafer pipelines the placement regions repeat per wafer;
 	// charge only the first wafer's stages (they hold the deepest 1F1B
 	// retention and are the binding memory constraint).
@@ -263,7 +260,7 @@ func memoryMap(cfg engine.Config, m *mesh.Mesh, strat Strategy, n int) (map[mesh
 		} else {
 			// No recomputation plan: every operator's activation is
 			// checkpointed for the 1F1B retention window.
-			g, err := opgraph.Build(cfg.Spec, cfg.TP, mb, cfg.Workload.SeqLen)
+			g, err := opgraph.Build(cfg.Spec, cfg.TP, cfg.Workload.MicroBatchSize(), cfg.Workload.SeqLen)
 			if err != nil {
 				return nil, 0, err
 			}
