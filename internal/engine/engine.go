@@ -73,8 +73,8 @@ type StageCompute struct {
 }
 
 // StageModel is the one stage model of a configuration: the recomputation
-// scheduler profiles its stages from it (GCMR's FwdTime/BwdTime) and
-// StageCosts scores the same stages.
+// scheduler profiles its stages from it (GCMR's FwdTime/BwdTime), and the
+// evaluator scores the same stages (StageCosts) and charges their memory.
 type StageModel struct {
 	// Layers is each stage's layer count (memory.SplitLayers).
 	Layers []int
@@ -117,18 +117,12 @@ func NewStageModel(cfg Config) (StageModel, error) {
 	return sm, nil
 }
 
-// StageCosts computes per-stage pipeline costs for the placement's regions.
-// extraBwd supplies the GCMR per-stage recomputation additions (nil = none).
-func StageCosts(cfg Config, m *mesh.Mesh, pl *placement.Placement, extraBwd []float64) ([]pipeline.StageCost, []StageCompute, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
+// StageCosts computes per-stage pipeline costs for the placement's regions
+// from sm, the stage model NewStageModel built for the valid cfg. extraBwd
+// supplies the GCMR per-stage recomputation additions (nil = none).
+func StageCosts(cfg Config, sm StageModel, m *mesh.Mesh, pl *placement.Placement, extraBwd []float64) ([]pipeline.StageCost, []StageCompute, error) {
 	if len(pl.Regions) != cfg.PP {
 		return nil, nil, fmt.Errorf("engine: placement has %d regions, want %d", len(pl.Regions), cfg.PP)
-	}
-	sm, err := NewStageModel(cfg)
-	if err != nil {
-		return nil, nil, err
 	}
 	layers := sm.Layers
 

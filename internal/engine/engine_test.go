@@ -35,7 +35,11 @@ func stageCosts(t *testing.T, tp, pp int, extraBwd []float64) ([]StageCompute, C
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, computes, err := StageCosts(cfg, m, pl, extraBwd)
+	sm, err := NewStageModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, computes, err := StageCosts(cfg, sm, m, pl, extraBwd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,11 +137,7 @@ func (p *Problem) fitness(g Genome, s *evalScratch) float64 {
 			s.cost[string(s.key)] = cost
 		}
 	} else {
-		pl := p.buildPlacement(g)
-		if pl == nil {
-			return math.Inf(1)
-		}
-		cost = placement.GlobalCost(p.Mesh, pl, placement.Workload{
+		cost = placement.GlobalCost(p.Mesh, p.Placement(g), placement.Workload{
 			PipelineBytes: p.PipelineBytes,
 			Pairs:         g.Pairs,
 		})
@@ -233,23 +229,20 @@ func (p *Problem) maxStageTime(g Genome) (float64, bool) {
 		if oi < 0 || oi >= len(prof.Options) {
 			return 0, false
 		}
-		o := prof.Options[oi]
-		need := o.CkptBytesPerMB * float64(prof.Retained)
-		if need-outgoing[s]+incoming[s] > prof.LocalCheckpointCapacity()+1e-6 {
+		if prof.CkptBytes(oi)-outgoing[s]+incoming[s] > prof.LocalCheckpointCapacity()+1e-6 {
 			return 0, false
 		}
-		t := prof.FwdTime + prof.BwdTime + o.ExtraBwdTime
-		if t > tmax {
+		if t := prof.StageTime(oi); t > tmax {
 			tmax = t
 		}
 	}
 	return tmax, true
 }
 
-// buildPlacement materialises the genome's stage→region assignment, or nil
-// when the permutation indexes outside BaseRegions (callers treat that as
-// infeasible; the old code silently aliased regions via a modulo).
-func (p *Problem) buildPlacement(g Genome) *placement.Placement {
+// Placement materialises the genome's stage→region assignment, or nil when
+// the permutation indexes outside BaseRegions. A genome Optimize returns
+// always has a placement.
+func (p *Problem) Placement(g Genome) *placement.Placement {
 	regions := make([]placement.Region, len(g.Perm))
 	for s, r := range g.Perm {
 		if r < 0 || r >= len(p.BaseRegions) {
@@ -451,7 +444,7 @@ func (p *Problem) op4(g *Genome, rng *rand.Rand) {
 		s, h := rng.Intn(n), rng.Intn(n)
 		if s != h {
 			prof := p.Profiles[s]
-			vol := prof.Options[clampChoice(g.RecompChoice[s], len(prof.Options))].CkptBytesPerMB * float64(prof.Retained) * 0.1
+			vol := prof.CkptBytes(clampChoice(g.RecompChoice[s], len(prof.Options))) * 0.1
 			g.Pairs = append(g.Pairs, recompute.MemPair{Sender: s, Helper: h, Bytes: vol})
 		}
 	}

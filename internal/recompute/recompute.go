@@ -57,6 +57,18 @@ func (p StageProfile) LocalCheckpointCapacity() float64 {
 	return c
 }
 
+// CkptBytes returns the stage's checkpoint memory under option i: the
+// option's per-micro-batch footprint times the 1F1B retention count.
+func (p StageProfile) CkptBytes(i int) float64 {
+	return p.Options[i].CkptBytesPerMB * float64(p.Retained)
+}
+
+// StageTime returns the stage's per-micro-batch time under option i
+// (F + B + the option's extra backward time).
+func (p StageProfile) StageTime(i int) float64 {
+	return p.FwdTime + p.BwdTime + p.Options[i].ExtraBwdTime
+}
+
 // ParetoFront filters and sorts options: dominated options (more memory and
 // more time) are dropped; the result is sorted by descending memory.
 func ParetoFront(opts []Option) []Option {
@@ -93,7 +105,8 @@ type MemPair struct {
 	Bytes          float64
 }
 
-// Plan is the GCMR output.
+// Plan is a recomputation plan: one option per stage plus the Mem_pair set.
+// NewPlan builds every plan (GCMR, Naive and the GA's refinement).
 type Plan struct {
 	// Choice is the selected option index per stage.
 	Choice []int
@@ -102,16 +115,59 @@ type Plan struct {
 	StageCkptBytes []float64
 	// ExtraBwd is the per-micro-batch extra backward time per stage.
 	ExtraBwd []float64
-	// MaxStageTime is the minimised bottleneck per-micro-batch stage time
+	// MaxStageTime is the bottleneck per-micro-batch stage time
 	// (F + B + extra).
 	MaxStageTime float64
-	// Senders and Helpers list stage indices by memory pressure (Alg 2
-	// lines 9–12).
+	// Senders are the stages that ship checkpoints in Pairs and Helpers
+	// the rest, both in stage order (Alg 2 lines 9–12).
 	Senders, Helpers []int
 	// Pairs is the Mem_pair set.
 	Pairs []MemPair
 	// OverflowBytes is the total checkpoint volume moved between stages.
 	OverflowBytes float64
+}
+
+// NewPlan assembles the plan of one option per stage (choice) and a Mem_pair
+// set: each stage's checkpoint bytes and extra backward time, the
+// bottleneck stage time and the volume the pairs move. A choice count that
+// differs from the stage count, an out-of-range option or a pair naming no
+// stage is an error.
+func NewPlan(profiles []StageProfile, choice []int, pairs []MemPair) (*Plan, error) {
+	p := len(profiles)
+	if len(choice) != p {
+		return nil, fmt.Errorf("recompute: %d choices for %d stages", len(choice), p)
+	}
+	plan := &Plan{
+		Choice:         append([]int(nil), choice...),
+		StageCkptBytes: make([]float64, p),
+		ExtraBwd:       make([]float64, p),
+		Pairs:          append([]MemPair(nil), pairs...),
+	}
+	sends := make([]bool, p)
+	for _, pr := range pairs {
+		if pr.Sender < 0 || pr.Sender >= p || pr.Helper < 0 || pr.Helper >= p {
+			return nil, fmt.Errorf("recompute: pair %d→%d outside %d stages", pr.Sender, pr.Helper, p)
+		}
+		sends[pr.Sender] = true
+		plan.OverflowBytes += pr.Bytes
+	}
+	for s, oi := range choice {
+		prof := &profiles[s]
+		if oi < 0 || oi >= len(prof.Options) {
+			return nil, fmt.Errorf("recompute: stage %d has no option %d", s, oi)
+		}
+		plan.StageCkptBytes[s] = prof.CkptBytes(oi)
+		plan.ExtraBwd[s] = prof.Options[oi].ExtraBwdTime
+		if t := prof.StageTime(oi); t > plan.MaxStageTime {
+			plan.MaxStageTime = t
+		}
+		if sends[s] {
+			plan.Senders = append(plan.Senders, s)
+		} else {
+			plan.Helpers = append(plan.Helpers, s)
+		}
+	}
+	return plan, nil
 }
 
 // budgetQuanta controls the DP memory discretisation.
@@ -178,7 +234,9 @@ func bestOption(q []int, st, tail []float64, m int) (float64, int32) {
 
 // GCMR runs Alg 2: distribute the global checkpoint budget across stages to
 // minimise the bottleneck stage time, then pair overflowing Senders with
-// spare-capacity Helpers.
+// spare-capacity Helpers. The plan's MaxStageTime is the DP optimum, which
+// is the largest chosen stage time, and every overflowing stage ships in at
+// least one pair, so NewPlan finds the same Senders.
 //
 // Each stage's Options must be a front as ParetoFront returns it: memory
 // non-increasing and time non-decreasing along the slice. The DP relies on
@@ -199,8 +257,7 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 	// Feasibility: even maximal recomputation must fit the global budget.
 	var minNeed float64
 	for _, prof := range profiles {
-		minOpt := prof.Options[len(prof.Options)-1]
-		minNeed += minOpt.CkptBytesPerMB * float64(prof.Retained)
+		minNeed += prof.CkptBytes(len(prof.Options) - 1)
 	}
 	if minNeed > totalBudget {
 		return nil, fmt.Errorf("recompute: OOM — minimal checkpoints need %.1f GB but wafer provides %.1f GB",
@@ -222,9 +279,8 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 	for t := range profiles {
 		prof := &profiles[t]
 		for i := range prof.Options {
-			o := &prof.Options[i]
-			q[off[t]+i] = int(math.Ceil(o.CkptBytesPerMB * float64(prof.Retained) / quantum))
-			st[off[t]+i] = prof.FwdTime + prof.BwdTime + o.ExtraBwdTime
+			q[off[t]+i] = int(math.Ceil(prof.CkptBytes(i) / quantum))
+			st[off[t]+i] = prof.StageTime(i)
 		}
 	}
 
@@ -249,22 +305,14 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 	}
 
 	// Extract the per-stage choices (Alg 2 lines 6–8).
-	plan := &Plan{
-		Choice:         make([]int, p),
-		StageCkptBytes: make([]float64, p),
-		ExtraBwd:       make([]float64, p),
-		MaxStageTime:   next[budgetQuanta],
-	}
+	chosen := make([]int, p)
 	m := budgetQuanta
-	for t := 0; t < p; t++ {
+	for t := range chosen {
 		oi := int(choice[t*cells+m])
 		if oi < 0 {
 			return nil, fmt.Errorf("recompute: extraction failed at stage %d", t)
 		}
-		o := profiles[t].Options[oi]
-		plan.Choice[t] = oi
-		plan.StageCkptBytes[t] = o.CkptBytesPerMB * float64(profiles[t].Retained)
-		plan.ExtraBwd[t] = o.ExtraBwdTime
+		chosen[t] = oi
 		m -= q[off[t]+oi]
 	}
 
@@ -274,18 +322,17 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 		delta float64 // positive = overflow, negative = spare
 	}
 	var senders, helpers []pressure
-	for t := 0; t < p; t++ {
-		delta := plan.StageCkptBytes[t] - profiles[t].LocalCheckpointCapacity()
+	for t, oi := range chosen {
+		delta := profiles[t].CkptBytes(oi) - profiles[t].LocalCheckpointCapacity()
 		if delta > 1e-6 {
 			senders = append(senders, pressure{t, delta})
-			plan.Senders = append(plan.Senders, t)
 		} else {
 			helpers = append(helpers, pressure{t, delta})
-			plan.Helpers = append(plan.Helpers, t)
 		}
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i].delta > senders[j].delta })
 	sort.Slice(helpers, func(i, j int) bool { return helpers[i].delta < helpers[j].delta }) // most spare first
+	var pairs []MemPair
 	hi := 0
 	for _, s := range senders {
 		remaining := s.delta
@@ -296,8 +343,7 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 				continue
 			}
 			take := math.Min(spare, remaining)
-			plan.Pairs = append(plan.Pairs, MemPair{Sender: s.stage, Helper: helpers[hi].stage, Bytes: take})
-			plan.OverflowBytes += take
+			pairs = append(pairs, MemPair{Sender: s.stage, Helper: helpers[hi].stage, Bytes: take})
 			helpers[hi].delta += take
 			remaining -= take
 			if -helpers[hi].delta <= 1e-6 {
@@ -308,7 +354,7 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 			return nil, fmt.Errorf("recompute: sender %d overflow %.1f GB unplaceable", s.stage, remaining/1e9)
 		}
 	}
-	return plan, nil
+	return NewPlan(profiles, chosen, pairs)
 }
 
 // Naive returns the baseline recomputation plan of Fig 8a: each stage only
@@ -316,35 +362,22 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 // locally (no cross-stage balancing). Stages that cannot fit even full
 // recomputation locally return an error (the OOM of Fig 8c).
 func Naive(profiles []StageProfile) (*Plan, error) {
-	p := len(profiles)
-	if p == 0 {
+	if len(profiles) == 0 {
 		return nil, fmt.Errorf("recompute: no stages")
 	}
-	plan := &Plan{
-		Choice:         make([]int, p),
-		StageCkptBytes: make([]float64, p),
-		ExtraBwd:       make([]float64, p),
-	}
+	choice := make([]int, len(profiles))
 	for t, prof := range profiles {
 		local := prof.LocalCheckpointCapacity()
-		found := false
-		for oi, o := range prof.Options {
-			if o.CkptBytesPerMB*float64(prof.Retained) <= local {
-				plan.Choice[t] = oi
-				plan.StageCkptBytes[t] = o.CkptBytesPerMB * float64(prof.Retained)
-				plan.ExtraBwd[t] = o.ExtraBwdTime
-				found = true
+		choice[t] = -1
+		for oi := range prof.Options {
+			if prof.CkptBytes(oi) <= local {
+				choice[t] = oi
 				break
 			}
 		}
-		if !found {
+		if choice[t] < 0 {
 			return nil, fmt.Errorf("recompute: naive plan OOM at stage %d", t)
 		}
-		st := prof.FwdTime + prof.BwdTime + plan.ExtraBwd[t]
-		if st > plan.MaxStageTime {
-			plan.MaxStageTime = st
-		}
-		plan.Helpers = append(plan.Helpers, t)
 	}
-	return plan, nil
+	return NewPlan(profiles, choice, nil)
 }

@@ -2,6 +2,7 @@ package recompute
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -163,6 +164,62 @@ func TestGCMREmptyInput(t *testing.T) {
 	}
 	if _, err := Naive(nil); err == nil {
 		t.Error("empty profiles should fail")
+	}
+}
+
+// TestNewPlan pins the one plan rule: each stage's bytes and extra time come
+// from its chosen option, MaxStageTime is the largest stage time, Senders
+// are the stages that ship in pairs and Helpers the rest (both in stage
+// order), OverflowBytes sums the pairs, and the plan owns its slices.
+func TestNewPlan(t *testing.T) {
+	profiles := []StageProfile{makeProfile(3, 10), makeProfile(2, 10), makeProfile(1, 10)}
+	profiles[2].BwdTime = 2.5
+	choice := []int{0, 2, 1}
+	pairs := []MemPair{{Sender: 2, Helper: 1, Bytes: 1.5e9}, {Sender: 0, Helper: 1, Bytes: 2e9}}
+	plan, err := NewPlan(profiles, choice, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Plan{
+		Choice:         []int{0, 2, 1},
+		StageCkptBytes: []float64{30e9, 4e9, 6e9},
+		ExtraBwd:       []float64{0, 0.3, 0.1},
+		MaxStageTime:   1.0 + 2.5 + 0.1,
+		Senders:        []int{0, 2},
+		Helpers:        []int{1},
+		Pairs:          []MemPair{{Sender: 2, Helper: 1, Bytes: 1.5e9}, {Sender: 0, Helper: 1, Bytes: 2e9}},
+		OverflowBytes:  3.5e9,
+	}
+	if !reflect.DeepEqual(plan, want) {
+		t.Fatalf("plan = %+v\nwant %+v", plan, want)
+	}
+	choice[0], pairs[0].Bytes = 1, 0
+	if plan.Choice[0] != 0 || plan.Pairs[0].Bytes != 1.5e9 {
+		t.Error("the plan shares its choice or pair slice with the caller")
+	}
+
+	// An empty pair set leaves Pairs nil, as GCMR and Naive render it, and
+	// makes every stage a Helper.
+	plan, err = NewPlan(profiles, []int{2, 2, 2}, []MemPair{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Pairs != nil || plan.Senders != nil || !reflect.DeepEqual(plan.Helpers, []int{0, 1, 2}) || plan.OverflowBytes != 0 {
+		t.Errorf("pairless plan = %+v, want nil Pairs and Senders, every stage a Helper", plan)
+	}
+
+	for name, c := range map[string]struct {
+		choice []int
+		pairs  []MemPair
+	}{
+		"short choice":        {[]int{0, 0}, nil},
+		"option out of range": {[]int{0, 3, 0}, nil},
+		"negative option":     {[]int{0, -1, 0}, nil},
+		"pair off the stages": {[]int{0, 0, 0}, []MemPair{{Sender: 3, Helper: 0, Bytes: 1}}},
+	} {
+		if plan, err := NewPlan(profiles, c.choice, c.pairs); err == nil {
+			t.Errorf("%s: NewPlan = %+v, want an error", name, plan)
+		}
 	}
 }
 

@@ -306,37 +306,25 @@ func explore(w hw.WaferConfig, m *mesh.Mesh, spec model.Spec, work model.Workloa
 		return cand
 	}
 
-	// Placement: serpentine baseline, upgraded by the memory scheduler.
-	// Multi-wafer pipelines repeat the per-wafer partition on each wafer.
-	pipeWafers := opts.PipelineWafers
-	if pipeWafers < 1 {
-		pipeWafers = 1
+	// Placement: the serpentine partition of one wafer's stages, repeated
+	// on each wafer the pipeline spans (on one wafer, placement.Serpentine),
+	// upgraded by the memory scheduler.
+	pipeWafers := max(opts.PipelineWafers, 1)
+	if pp%pipeWafers != 0 {
+		cand.Err = fmt.Errorf("sched: pp=%d not divisible by %d wafers", pp, pipeWafers)
+		return cand
 	}
-	var pl *placement.Placement
-	if pipeWafers > 1 {
-		if pp%pipeWafers != 0 {
-			cand.Err = fmt.Errorf("sched: pp=%d not divisible by %d wafers", pp, pipeWafers)
-			return cand
-		}
-		perWafer := pp / pipeWafers
-		base, err := placement.Partition(m, tp, perWafer)
-		if err != nil {
-			cand.Err = err
-			return cand
-		}
-		regions := make([]placement.Region, pp)
-		for s := range regions {
-			regions[s] = base[s%perWafer]
-		}
-		pl = &placement.Placement{Regions: regions}
-	} else {
-		var err error
-		pl, err = placement.Serpentine(m, tp, pp)
-		if err != nil {
-			cand.Err = err
-			return cand
-		}
+	perWafer := pp / pipeWafers
+	base, err := placement.Partition(m, tp, perWafer)
+	if err != nil {
+		cand.Err = err
+		return cand
 	}
+	regions := make([]placement.Region, pp)
+	for s := range regions {
+		regions[s] = base[s%perWafer]
+	}
+	pl := &placement.Placement{Regions: regions}
 
 	strat := sim.Strategy{Placement: pl, PipelineWafers: pipeWafers}
 
@@ -389,18 +377,11 @@ func explore(w hw.WaferConfig, m *mesh.Mesh, spec model.Spec, work model.Workloa
 				Omega: omega, Generations: gens, Seed: opts.Seed,
 				Workers: opts.Workers,
 			}); err == nil {
-				refined := applyGenome(gaRes.Best, profiles, plan)
-				if refined != nil {
+				best := gaRes.Best
+				if refined, err := recompute.NewPlan(profiles, best.RecompChoice, best.Pairs); err == nil {
 					plan = refined
 					strat.Recompute = plan
-					// A finite-fitness genome always carries an in-range
-					// permutation (ga.Fitness rejects anything else), so
-					// the old defensive modulo aliasing is gone.
-					regions := make([]placement.Region, pp)
-					for s, r := range gaRes.Best.Perm {
-						regions[s] = base[r]
-					}
-					pl = &placement.Placement{Regions: regions}
+					pl = prob.Placement(best)
 					strat.Placement = pl
 				}
 			}
@@ -423,47 +404,6 @@ func explore(w hw.WaferConfig, m *mesh.Mesh, spec model.Spec, work model.Workloa
 	cand.Report = report
 	cand.Strategy = strat
 	return cand
-}
-
-// applyGenome converts a GA genome back into a recomputation plan, keeping
-// sender/helper bookkeeping consistent.
-func applyGenome(g ga.Genome, profiles []recompute.StageProfile, prev *recompute.Plan) *recompute.Plan {
-	pp := len(profiles)
-	if len(g.RecompChoice) != pp {
-		return nil
-	}
-	plan := &recompute.Plan{
-		Choice:         append([]int(nil), g.RecompChoice...),
-		StageCkptBytes: make([]float64, pp),
-		ExtraBwd:       make([]float64, pp),
-		Pairs:          append([]recompute.MemPair(nil), g.Pairs...),
-	}
-	for s := 0; s < pp; s++ {
-		oi := plan.Choice[s]
-		if oi < 0 || oi >= len(profiles[s].Options) {
-			return nil
-		}
-		o := profiles[s].Options[oi]
-		plan.StageCkptBytes[s] = o.CkptBytesPerMB * float64(profiles[s].Retained)
-		plan.ExtraBwd[s] = o.ExtraBwdTime
-		t := profiles[s].FwdTime + profiles[s].BwdTime + o.ExtraBwdTime
-		if t > plan.MaxStageTime {
-			plan.MaxStageTime = t
-		}
-	}
-	senders := map[int]bool{}
-	for _, p := range plan.Pairs {
-		plan.OverflowBytes += p.Bytes
-		senders[p.Sender] = true
-	}
-	for s := 0; s < pp; s++ {
-		if senders[s] {
-			plan.Senders = append(plan.Senders, s)
-		} else {
-			plan.Helpers = append(plan.Helpers, s)
-		}
-	}
-	return plan
 }
 
 // buildRecomputePlan profiles the stage model's stages and runs GCMR (or the

@@ -135,6 +135,15 @@ func (r Request) Normalize() (Request, error) {
 	if r.DeadlineMS < 0 {
 		return r, fmt.Errorf("negative deadline_ms %d", r.DeadlineMS)
 	}
+	// A negative pin would run as unset under a fingerprint of its own.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"max_tp", r.MaxTP}, {"fixed_tp", r.FixedTP}, {"fixed_pp", r.FixedPP}, {"pipeline_wafers", r.PipelineWafers}} {
+		if f.v < 0 {
+			return r, fmt.Errorf("negative %s %d", f.name, f.v)
+		}
+	}
 	return r, nil
 }
 

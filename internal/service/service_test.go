@@ -57,6 +57,13 @@ func TestRequestNormalize(t *testing.T) {
 	if _, err := (Request{Batch: 2, Micro: 4}).Normalize(); err == nil {
 		t.Error("invalid workload accepted")
 	}
+	// A negative pin would run as the default search under a second
+	// fingerprint; both tiers answer the error with 400.
+	for _, bad := range []Request{{MaxTP: -1}, {FixedTP: -2}, {FixedPP: -4}, {PipelineWafers: -1}} {
+		if _, err := bad.Normalize(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%+v normalized with error %v, want a negative-field error", bad, err)
+		}
+	}
 }
 
 // TestJobByteIdenticalToInProcessSearch is the acceptance check: a job

@@ -15,7 +15,6 @@ import (
 	"repro/internal/memalloc"
 	"repro/internal/memory"
 	"repro/internal/mesh"
-	"repro/internal/opgraph"
 	"repro/internal/pipeline"
 	"repro/internal/placement"
 	"repro/internal/recompute"
@@ -118,9 +117,15 @@ func Evaluate(cfg engine.Config, m *mesh.Mesh, strat Strategy) (Report, error) {
 	if strat.Recompute != nil {
 		extraBwd = strat.Recompute.ExtraBwd
 	}
+	// One stage model, at the per-replica workload, prices the stages and
+	// charges their memory.
 	engCfg := cfg
 	engCfg.Workload = perReplica
-	costs, computes, err := engine.StageCosts(engCfg, m, strat.Placement, extraBwd)
+	sm, err := engine.NewStageModel(engCfg)
+	if err != nil {
+		return Report{}, err
+	}
+	costs, computes, err := engine.StageCosts(engCfg, sm, m, strat.Placement, extraBwd)
 	if err != nil {
 		return Report{}, err
 	}
@@ -180,7 +185,7 @@ func Evaluate(cfg engine.Config, m *mesh.Mesh, strat Strategy) (Report, error) {
 	}
 
 	// Per-die memory accounting and OOM check.
-	perDie, dramUtil, err := memoryMap(cfg, m, strat, n)
+	perDie, dramUtil, err := memoryMap(cfg, sm, m, strat, n)
 	if err != nil {
 		return Report{}, err
 	}
@@ -220,10 +225,11 @@ func Evaluate(cfg engine.Config, m *mesh.Mesh, strat Strategy) (Report, error) {
 	}, nil
 }
 
-// memoryMap builds the per-die memory occupancy (Fig 17 heatmap) and
-// verifies capacity. Accumulation runs on a dense per-die-index vector; the
-// map is materialised once at the end for the report.
-func memoryMap(cfg engine.Config, m *mesh.Mesh, strat Strategy, n int) (map[mesh.DieID]float64, float64, error) {
+// memoryMap builds the per-die memory occupancy (Fig 17 heatmap) of the
+// stage model's stages and verifies capacity. Accumulation runs on a dense
+// per-die-index vector; the map is materialised once at the end for the
+// report.
+func memoryMap(cfg engine.Config, sm engine.StageModel, m *mesh.Mesh, strat Strategy, n int) (map[mesh.DieID]float64, float64, error) {
 	dense := make([]float64, m.Dies())
 	touched := make([]bool, m.Dies())
 	charge := func(d mesh.DieID, bytes float64) {
@@ -231,10 +237,7 @@ func memoryMap(cfg engine.Config, m *mesh.Mesh, strat Strategy, n int) (map[mesh
 		dense[i] += bytes
 		touched[i] = true
 	}
-	layers, err := memory.SplitLayers(cfg.Spec.Layers, cfg.PP)
-	if err != nil {
-		return nil, 0, err
-	}
+	layers := sm.Layers
 	capacity := cfg.Wafer.DieDRAM()
 	// For multi-wafer pipelines the placement regions repeat per wafer;
 	// charge only the first wafer's stages (they hold the deepest 1F1B
@@ -260,12 +263,8 @@ func memoryMap(cfg engine.Config, m *mesh.Mesh, strat Strategy, n int) (map[mesh
 		} else {
 			// No recomputation plan: every operator's activation is
 			// checkpointed for the 1F1B retention window.
-			g, err := opgraph.Build(cfg.Spec, cfg.TP, cfg.Workload.MicroBatchSize(), cfg.Workload.SeqLen)
-			if err != nil {
-				return nil, 0, err
-			}
 			retained := pipeline.RetainedMicroBatches(cfg.PP, n, s)
-			ckptStage = (g.CheckpointBytes() + g.BoundaryBytes()) *
+			ckptStage = (sm.Graph.CheckpointBytes() + sm.Graph.BoundaryBytes()) *
 				float64(layers[s]) * float64(retained) * float64(cfg.TP)
 		}
 		perDieCkpt := math.Max(ckptStage, 0) / float64(len(region.Dies))

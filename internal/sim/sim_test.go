@@ -6,8 +6,11 @@ import (
 	"repro/internal/collective"
 	"repro/internal/engine"
 	"repro/internal/hw"
+	"repro/internal/memory"
 	"repro/internal/mesh"
 	"repro/internal/model"
+	"repro/internal/opgraph"
+	"repro/internal/pipeline"
 	"repro/internal/placement"
 	"repro/internal/predictor"
 )
@@ -123,6 +126,48 @@ func TestEvaluateOOMForHugeModelWithoutRecompute(t *testing.T) {
 	pl, _ := placement.Serpentine(m, 4, 8)
 	if _, err := Evaluate(cfg, m, Strategy{Placement: pl}); err == nil {
 		t.Fatal("expected OOM for GPT-175B without recomputation at large batch")
+	}
+}
+
+// TestNoRecomputeChargesClampedMicroBatch pins the no-recompute checkpoint
+// charge to the stage model the evaluator prices. Llama2-30B at TP 2, PP 4
+// on Config3 runs 7 replicas, so the per-replica batch of 16/7 = 2 clamps
+// the micro-batch from 4 to 2: each stage's dies hold their modelP plus the
+// checkpoints of micro-batches of 2. Charged at the workload's micro-batch
+// of 4, die (0,0) would need 70.8 GB of its 70 GB.
+func TestNoRecomputeChargesClampedMicroBatch(t *testing.T) {
+	cfg := testCfg(2, 4)
+	cfg.Workload = model.Workload{GlobalBatch: 16, MicroBatch: 4, SeqLen: 512}
+	m := mesh.New(cfg.Wafer)
+	pl, err := placement.Serpentine(m, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Evaluate(cfg, m, Strategy{Placement: pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DP != 7 || rep.MicroBatches != 1 {
+		t.Fatalf("dp=%d n=%d, want 7 replicas of 1 micro-batch", rep.DP, rep.MicroBatches)
+	}
+	g, err := opgraph.Build(cfg.Spec, 2, 2, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers, err := memory.SplitLayers(cfg.Spec.Layers, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, region := range pl.Regions {
+		modelP := memory.ModelPPerDie(cfg.Spec, layers[s], 2, memory.StageExtraParams(cfg.Spec, s, 4))
+		retained := pipeline.RetainedMicroBatches(4, 1, s)
+		ckpt := (g.CheckpointBytes() + g.BoundaryBytes()) * float64(layers[s]) * float64(retained) * 2
+		want := modelP + ckpt/float64(len(region.Dies))
+		for _, d := range region.Dies {
+			if got := rep.PerDieMemory[d]; got != want {
+				t.Errorf("stage %d die %v holds %.4g bytes, want %.4g", s, d, got, want)
+			}
+		}
 	}
 }
 
