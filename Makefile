@@ -11,17 +11,20 @@ race:
 
 # Tier-2 performance trajectory: runs the benchmark suite in-process with
 # -benchmem semantics (best of 3 timed loops per benchmark) and writes
-# BENCH_pr10.json (ns/op, allocs/op, B/op per benchmark, service +
-# routed-shard jobs/sec and dedup rates, the kill-one-shard-mid-burst
-# resilience numbers, the async-sweep time-to-first-row /
-# priority-latency / result-cache-repeat entries, the 2x-saturation
-# goodput + interactive-p95 pair with overload protection on vs off —
-# which fails the run if protection does not win both — the trace-replay
-# prefetch pair (warm-hit rate + mean demand latency with the speculative
-# lane on vs off, failing the run unless prefetch wins the hit rate) —
-# plus the speedups vs the recorded PR-1..PR-9 baselines and the in-run
-# PR3-era annealer full-re-evaluation baseline of the Scorer's price/commit
-# iteration).
+# BENCH_pr10.json, stamped with the host's CPU count and model: ns/op,
+# allocs/op, B/op per benchmark; the service-tier entries, every one run
+# against the same in-process daemon or router fleet (direct + routed
+# jobs/sec and dedup rates, sweeps, the kill-one-shard-mid-burst
+# resilience numbers, async-sweep time-to-first-row, priority latency,
+# result-cache repeats); the saturation pair, whose 2x schedule is sized
+# from the single-job service time measured in the same run and which
+# fails the run unless overload protection wins both goodput and
+# interactive p95; the trace-replay prefetch pair over the Table II
+# architectures (warm-hit rate + mean demand latency with the speculative
+# lane on vs off, failing the run unless prefetch wins the hit rate); plus
+# the speedups vs the recorded PR-1..PR-9 baselines and the in-run PR3-era
+# annealer full-re-evaluation baseline of the Scorer's price/commit
+# iteration.
 bench:
 	go run ./cmd/bench -out BENCH_pr10.json
 

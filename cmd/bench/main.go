@@ -6,17 +6,18 @@
 // disabled, i.e. the cache-cold inner loop. Prior PRs' acceptance numbers
 // are carried forward in the baselines list.
 //
-// The service benchmarks drive an in-process watosd (internal/service)
-// through its HTTP API with concurrent identical and distinct jobs,
-// reporting the dedup hit rate and sustained jobs/sec. The router
-// benchmarks put the sharded tier (internal/shard) in front: the same
-// bursts routed by fingerprint across 1 vs 2 watosd shards (scaling), an
-// identical burst through the router (routed-dedup hit rate — stable
-// hashing keeps shard-side singleflight firing), and scatter-gathered
-// Table II sweeps. The kill-mid-burst benchmark tears one replicated
-// shard's listener down in the middle of a distinct burst and reports the
-// completion rate (1.0 = no job was lost for good) plus the mean failover
-// latency of re-dispatching the lost jobs to the surviving replicas.
+// Every service benchmark runs against one in-process tier, built by
+// newFleet: a single watosd (internal/service) addressed directly, or n
+// watosd shards behind the routing front-end (internal/shard), all on
+// httptest listeners and driven through the typed client. The burst
+// benchmarks submit concurrent identical and distinct jobs through one
+// driver and report the dedup hit rate and sustained jobs/sec, direct and
+// routed by fingerprint across 1 vs 2 shards (scaling, and routed dedup —
+// stable hashing keeps shard-side singleflight firing); scatter-gathered
+// Table II sweeps follow. The kill-mid-burst benchmark tears one replicated
+// shard down in the middle of a distinct burst and reports the completion
+// rate (1.0 = no job was lost for good) plus the mean failover latency of
+// re-dispatching the lost jobs to the surviving replicas.
 //
 // The annealer-iteration benchmarks (anneal-swap, anneal-swap-pp32) measure
 // the Scorer's price/commit cycle against the PR3-era full re-evaluation
@@ -25,22 +26,27 @@
 // cycle ever allocates. The end-to-end annealing searches
 // (optimize-placement-*) record what Optimize costs.
 //
-// The saturation benchmarks drive a single-worker daemon at a sustained
-// 2x+ offered load twice — once with overload protection on (per-class
-// admission budgets, end-to-end deadlines) and once with everything
-// admitted — and record goodput (completed within target / offered) plus
-// the interactive p95; the run fails outright if protection does not win
-// both.
+// The saturation benchmarks first time one job of their shape on an idle
+// daemon, size a schedule from that service time (arrivals at 2x one
+// worker's capacity, latency targets as multiples of it), and replay the
+// schedule against a single-worker daemon twice — once with overload
+// protection on (per-class admission budgets, end-to-end deadlines) and
+// once with everything admitted — recording goodput (completed within
+// target / offered) plus the interactive p95; the run fails outright if
+// protection does not win both.
 //
-// The prefetch-replay pair records a sweep trajectory on a throwaway
-// daemon, pulls it back over GET /v1/trace, and replays it against fresh
-// daemons with the speculative prefetch lane on vs off; the run fails
-// outright unless prefetch wins the warm-hit rate strictly.
+// The prefetch-replay pair records a sweep trajectory (the Table II
+// architectures at two batch sizes) on a throwaway daemon, pulls it back
+// over GET /v1/trace, and replays it against fresh daemons with the
+// speculative prefetch lane on vs off; the run fails outright unless
+// prefetch wins the warm-hit rate strictly, and both sides' mean demand
+// latency is recorded.
 //
 // Each timed loop is repeated -reps times and the best repetition is
-// recorded: the CI-class container is single-CPU and run-to-run noise
-// reaches ±15%, so min-of-N is the stable estimator of the code's cost
-// (allocation counts are deterministic and taken from the first rep).
+// recorded: on shared CI-class containers run-to-run noise reaches ±15%,
+// so min-of-N is the stable estimator of the code's cost (allocation
+// counts are deterministic and taken from the first rep). The report
+// records the host it ran on: CPU count and model.
 //
 // Usage:
 //
@@ -130,6 +136,9 @@ type serviceEntry struct {
 	// admission (429) vs cancelled by their own deadline while queued.
 	ShedJobs    int `json:"shed_jobs,omitempty"`
 	ExpiredJobs int `json:"expired_jobs,omitempty"`
+	// ServiceTimeMs is the single-job service time the saturation schedule
+	// was sized from, measured in the same run (saturation benchmarks only).
+	ServiceTimeMs float64 `json:"service_time_ms,omitempty"`
 	// WarmHitRate is the fraction of fresh demand submissions that found
 	// their caches already warm (prefetch-replay benchmarks only).
 	WarmHitRate float64 `json:"warm_hit_rate,omitempty"`
@@ -149,6 +158,7 @@ type report struct {
 	GOOS       string         `json:"goos"`
 	GOARCH     string         `json:"goarch"`
 	NumCPU     int            `json:"num_cpu"`
+	CPUModel   string         `json:"cpu_model"` // see cpuModel
 	Benchmarks []entry        `json:"benchmarks"`
 	Service    []serviceEntry `json:"service_benchmarks"`
 	// Baselines carries the acceptance benchmark of every prior PR
@@ -251,6 +261,18 @@ var pr5Placement = []taggedEntry{
 	{Tag: "pr5", entry: entry{Name: "ga-generation", Iterations: 4077, NsPerOp: 17063.80866752514, AllocsPerOp: 81, BytesPerOp: 10123}},
 }
 
+// cpuModel returns the first "model name" line's value in /proc/cpuinfo, or
+// "" where the file or the line is absent.
+func cpuModel() string {
+	data, _ := os.ReadFile("/proc/cpuinfo")
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
 // benchTarget is the wall-clock budget of one measured run. The iteration
 // count is derived from a single warmup run, clamped to [minIters, maxIters].
 const (
@@ -312,58 +334,137 @@ func run(name string, fn func()) entry {
 	return e
 }
 
-// burst fires jobs concurrently through the typed client, waits for every
-// terminal state, and reports the wall time plus the dedup observed in the
-// endpoint's stats — one driver for the direct-daemon and routed benchmarks,
-// so both burst families measure identically. distinct jobs vary the seed so
-// each is a separate fingerprint; identical jobs coalesce.
-func burst(name string, c *client.Client, shards, jobs int, distinct bool) serviceEntry {
-	ctx := context.Background()
-	start := time.Now()
-	ids := make([]string, jobs)
-	var wg sync.WaitGroup
-	var submitErr error
-	var mu sync.Mutex
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := service.Request{Model: "Llama2-30B", Config: "config3", Seq: 2048, Seed: 7}
-			if distinct {
-				req.Seed = int64(100 + i)
-			}
-			j, err := c.Submit(ctx, req)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				submitErr = err
-				return
-			}
-			ids[i] = j.ID
-		}(i)
-	}
-	wg.Wait()
-	if submitErr != nil {
-		fmt.Fprintln(os.Stderr, "bench:", submitErr)
-		os.Exit(1)
-	}
-	for _, id := range ids {
-		if _, err := c.Wait(ctx, id); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-	}
-	wall := time.Since(start)
-	// Against a router this reads the flattened fleet aggregate, so the
-	// plain client reads fleet-wide dedup the same way it reads one daemon's.
-	st, err := c.Stats(ctx)
+// check ends the run on a non-nil error — the one fatal exit of every
+// benchmark and gate.
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
+}
+
+// coldCaches empties the process-wide evaluation and candidate memo caches,
+// so the next measurement pays its own cold start.
+func coldCaches() {
+	search.DefaultCache().Reset()
+	sched.ResetCache()
+}
+
+// fleet is the in-process service tier one measurement runs against: n
+// watosd shards behind a probed shard map and a router, every one on an
+// httptest listener, or — when n is 0 — a single daemon addressed directly.
+// c talks to the front (router or daemon) and polls every millisecond.
+type fleet struct {
+	c       *client.Client
+	shards  int
+	daemons []*service.Server
+	servers []*httptest.Server // daemons[i] listens on servers[i]
+	router  *httptest.Server   // nil for a direct daemon
+	m       *shard.Map
+}
+
+// newFleet stands the tier up: every daemon runs with opts and shares pred,
+// so cache keys agree across fleets. resultCache is the router's
+// completed-result cache capacity: 0 turns it off, so every routed job pays
+// for real routing (unused when n is 0).
+func newFleet(n int, opts service.Options, resultCache int, pred predictor.Predictor) *fleet {
+	f := &fleet{shards: n}
+	var addrs []string
+	for i := 0; i < max(n, 1); i++ {
+		d := service.NewServer(opts, pred)
+		ts := httptest.NewServer(d.Handler())
+		f.daemons = append(f.daemons, d)
+		f.servers = append(f.servers, ts)
+		addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
+	}
+	front := f.servers[0]
+	if n > 0 {
+		f.m = shard.NewMap(addrs, shard.Options{})
+		f.m.Probe(context.Background())
+		r := shard.NewRouter(f.m)
+		r.Cache = shard.NewResultCache(resultCache)
+		f.router = httptest.NewServer(r.Handler())
+		front = f.router
+	}
+	f.c = client.New(front.URL)
+	f.c.PollInterval = time.Millisecond
+	return f
+}
+
+// kill tears shard i down — the in-process equivalent of SIGKILL: its
+// connections abort and its in-memory jobs are lost.
+func (f *fleet) kill(i int) {
+	f.servers[i].CloseClientConnections()
+	f.servers[i].Close()
+	f.daemons[i].Close()
+}
+
+// close tears the tier down, front first.
+func (f *fleet) close() {
+	if f.router != nil {
+		f.router.Close()
+		f.m.Close()
+	}
+	for i, d := range f.daemons {
+		f.servers[i].Close()
+		d.Close()
+	}
+}
+
+// burstRequests is the burst benchmarks' job mix: n copies of one config3
+// search, or — distinct — n searches that differ only in seed, each a
+// separate fingerprint.
+func burstRequests(n int, distinct bool) []service.Request {
+	reqs := make([]service.Request, n)
+	for i := range reqs {
+		reqs[i] = service.Request{Model: "Llama2-30B", Config: "config3", Seq: 2048, Seed: 7}
+		if distinct {
+			reqs[i].Seed = int64(100 + i)
+		}
+	}
+	return reqs
+}
+
+// submitAll submits every request concurrently and returns the job IDs in
+// request order — the one submit driver of the burst benchmarks.
+func submitAll(c *client.Client, reqs []service.Request) []string {
+	ids := make([]string, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := c.Submit(context.Background(), reqs[i])
+			ids[i], errs[i] = j.ID, err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		check(err)
+	}
+	return ids
+}
+
+// burst fires jobs concurrently at the fleet, waits for every terminal
+// state, and reports the wall time plus the dedup observed in the front's
+// stats — one driver for the direct-daemon and routed benchmarks, so both
+// burst families measure identically.
+func burst(name string, f *fleet, jobs int, distinct bool) serviceEntry {
+	ctx := context.Background()
+	start := time.Now()
+	for _, id := range submitAll(f.c, burstRequests(jobs, distinct)) {
+		_, err := f.c.Wait(ctx, id)
+		check(err)
+	}
+	wall := time.Since(start)
+	// Against a router this reads the flattened fleet aggregate, so the
+	// plain client reads fleet-wide dedup the same way it reads one daemon's.
+	st, err := f.c.Stats(ctx)
+	check(err)
 	e := serviceEntry{
 		Name:        name,
-		Shards:      shards,
+		Shards:      f.shards,
 		Jobs:        jobs,
 		Coalesced:   st.JobsCoalesced,
 		DedupRate:   st.DedupRate(),
@@ -371,155 +472,47 @@ func burst(name string, c *client.Client, shards, jobs int, distinct bool) servi
 		JobsPerSec:  float64(jobs) / wall.Seconds(),
 	}
 	suffix := fmt.Sprintf("(%d jobs)", jobs)
-	if shards > 0 {
-		suffix = fmt.Sprintf("(%d jobs, %d shards)", jobs, shards)
+	if f.shards > 0 {
+		suffix = fmt.Sprintf("(%d jobs, %d shards)", jobs, f.shards)
 	}
 	fmt.Printf("%-32s %12.2f jobs/s %9.0f%% dedup %12.3f s wall   %s\n",
 		name, e.JobsPerSec, e.DedupRate*100, e.WallSeconds, suffix)
 	return e
 }
 
-// serviceThroughput bursts against one in-process watosd behind a real HTTP
-// listener. The shared predictor keeps cache keys stable across bursts, so
-// the second burst genuinely runs over the caches the first one warmed.
-func serviceThroughput(name string, jobs int, distinct bool, pred predictor.Predictor) serviceEntry {
-	srv := service.NewServer(service.Options{EvalWorkers: 1, JobWorkers: 2, Backlog: jobs + 1}, pred)
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	c := client.New(ts.URL)
-	c.PollInterval = time.Millisecond
-	return burst(name, c, 0, jobs, distinct)
-}
-
-// routedFleet stands up n in-process watosd shards behind a probed shard
-// map and a router listener, returning a client bound to the router.
-// resultCache > 0 enables the router's completed-result cache at that
-// capacity (the throughput benchmarks keep it off so every burst pays for
-// real routing).
-func routedFleet(n int, pred predictor.Predictor, resultCache int) (*client.Client, func()) {
-	var shards []*service.Server
-	var servers []*httptest.Server
-	var addrs []string
-	for i := 0; i < n; i++ {
-		s := service.NewServer(service.Options{EvalWorkers: 1, JobWorkers: 2, Backlog: 64}, pred)
-		ts := httptest.NewServer(s.Handler())
-		shards = append(shards, s)
-		servers = append(servers, ts)
-		addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
-	}
-	m := shard.NewMap(addrs, shard.Options{})
-	m.Probe(context.Background())
-	r := shard.NewRouter(m)
-	r.Cache = shard.NewResultCache(resultCache)
-	router := httptest.NewServer(r.Handler())
-	c := client.New(router.URL)
-	c.PollInterval = time.Millisecond
-	cleanup := func() {
-		router.Close()
-		m.Close()
-		for i := range shards {
-			servers[i].Close()
-			shards[i].Close()
-		}
-	}
-	return c, cleanup
-}
-
-// routerThroughput fires a burst of jobs through the routing front-end over
-// an n-shard fleet and reports sustained jobs/sec plus the fleet-wide dedup
-// rate (the routed-dedup hit rate: identical jobs only coalesce because
-// stable hashing sends them to one shard's singleflight).
-func routerThroughput(name string, shards, jobs int, distinct bool, pred predictor.Predictor) serviceEntry {
-	c, cleanup := routedFleet(shards, pred, 0)
-	defer cleanup()
-	return burst(name, c, shards, jobs, distinct)
-}
-
 // routerChaosBurst measures fleet resilience under a mid-burst crash: a
 // distinct burst is submitted through the replicated router, then one
-// shard's listener and state are torn down — the in-process equivalent of
-// SIGKILL, aborting its connections and losing its in-memory jobs. Waits on
-// jobs that died with the shard fail fast (the router has excluded it
-// in-band), and each lost job is re-dispatched through the router, which now
-// routes its fingerprint to a surviving replica. Reported: the completion
-// rate with re-dispatches included (1 = the fleet lost nothing for good),
-// the recovered-job count, and the mean failover latency — loss detected to
-// recomputed result in hand on a survivor.
-func routerChaosBurst(name string, nShards, jobs int, pred predictor.Predictor) serviceEntry {
-	var shards []*service.Server
-	var servers []*httptest.Server
-	var addrs []string
-	for i := 0; i < nShards; i++ {
-		s := service.NewServer(service.Options{EvalWorkers: 1, JobWorkers: 2, Backlog: 64}, pred)
-		ts := httptest.NewServer(s.Handler())
-		shards = append(shards, s)
-		servers = append(servers, ts)
-		addrs = append(addrs, strings.TrimPrefix(ts.URL, "http://"))
-	}
-	m := shard.NewMap(addrs, shard.Options{})
-	m.Probe(context.Background())
-	router := httptest.NewServer(shard.NewRouter(m).Handler())
-	defer func() {
-		router.Close()
-		m.Close()
-		for i := range shards {
-			servers[i].Close()
-			shards[i].Close()
-		}
-	}()
-	c := client.New(router.URL)
-	c.PollInterval = time.Millisecond
-
+// shard is killed, aborting its connections and losing its in-memory jobs.
+// Waits on jobs that died with the shard fail fast (the router has excluded
+// it in-band), and each lost job is re-dispatched through the router, which
+// now routes its fingerprint to a surviving replica. Reported: the
+// completion rate with re-dispatches included (1 = the fleet lost nothing
+// for good), the recovered-job count, and the mean failover latency — loss
+// detected to recomputed result in hand on a survivor.
+func routerChaosBurst(name string, shards, jobs int, pred predictor.Predictor) serviceEntry {
+	f := newFleet(shards, shardOptions, 0, pred)
+	defer f.close()
 	ctx := context.Background()
 	start := time.Now()
-	ids := make([]string, jobs)
-	reqs := make([]service.Request, jobs)
-	var wg sync.WaitGroup
-	var submitErr error
-	var mu sync.Mutex
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reqs[i] = service.Request{Model: "Llama2-30B", Config: "config3", Seq: 2048, Seed: int64(100 + i)}
-			j, err := c.Submit(ctx, reqs[i])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				submitErr = err
-				return
-			}
-			ids[i] = j.ID
-		}(i)
-	}
-	wg.Wait()
-	if submitErr != nil {
-		fmt.Fprintln(os.Stderr, "bench:", submitErr)
-		os.Exit(1)
-	}
+	reqs := burstRequests(jobs, true)
+	ids := submitAll(f.c, reqs)
 
 	// The whole burst is accepted and mostly still queued (2 workers per
 	// shard): kill shard 0 now, at the worst moment.
-	servers[0].CloseClientConnections()
-	servers[0].Close()
-	shards[0].Close()
+	f.kill(0)
 
 	var completed, recovered int
 	var failoverNs time.Duration
 	for i, id := range ids {
-		if _, err := c.Wait(ctx, id); err == nil {
+		if _, err := f.c.Wait(ctx, id); err == nil {
 			completed++
 			continue
 		}
 		t0 := time.Now()
-		j, err := c.Run(ctx, reqs[i])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
+		j, err := f.c.Run(ctx, reqs[i])
+		check(err)
 		if j.State != service.StateDone {
-			fmt.Fprintf(os.Stderr, "bench: recovered job %s state = %s, want done\n", j.ID, j.State)
-			os.Exit(1)
+			check(fmt.Errorf("recovered job %s state = %s, want done", j.ID, j.State))
 		}
 		failoverNs += time.Since(t0)
 		recovered++
@@ -528,7 +521,7 @@ func routerChaosBurst(name string, nShards, jobs int, pred predictor.Predictor) 
 	wall := time.Since(start)
 	e := serviceEntry{
 		Name:           name,
-		Shards:         nShards,
+		Shards:         f.shards,
 		Jobs:           jobs,
 		WallSeconds:    wall.Seconds(),
 		JobsPerSec:     float64(completed) / wall.Seconds(),
@@ -547,24 +540,21 @@ func routerChaosBurst(name string, nShards, jobs int, pred predictor.Predictor) 
 // n-shard fleet (4 per-architecture parts fanned out by fingerprint, async
 // handle + polled gather — the only sweep path since the async subsystem).
 func routerSweep(name string, shards int, pred predictor.Predictor) serviceEntry {
-	c, cleanup := routedFleet(shards, pred, 0)
-	defer cleanup()
+	f := newFleet(shards, shardOptions, 0, pred)
+	defer f.close()
 	start := time.Now()
-	sw, err := c.Sweep(context.Background(), service.Request{Model: "Llama2-30B", Seq: 2048, Seed: 7})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
+	sw, err := f.c.Sweep(context.Background(), service.Request{Model: "Llama2-30B", Seq: 2048, Seed: 7})
+	check(err)
 	wall := time.Since(start)
 	e := serviceEntry{
 		Name:        name,
-		Shards:      shards,
+		Shards:      f.shards,
 		Jobs:        len(sw.Jobs),
 		WallSeconds: wall.Seconds(),
 		JobsPerSec:  float64(len(sw.Jobs)) / wall.Seconds(),
 	}
 	fmt.Printf("%-32s %12.2f parts/s %9s %12.3f s wall   (%d parts, %d shards)\n",
-		name, e.JobsPerSec, "", e.WallSeconds, e.Jobs, shards)
+		name, e.JobsPerSec, "", e.WallSeconds, e.Jobs, f.shards)
 	return e
 }
 
@@ -573,37 +563,33 @@ func routerSweep(name string, shards int, pred predictor.Predictor) serviceEntry
 // time to the fully merged record, in one scattered sweep. The gap is what
 // a synchronous caller used to spend staring at a blocked request.
 func asyncSweepRows(shards int, pred predictor.Predictor) (first, merged serviceEntry) {
-	c, cleanup := routedFleet(shards, pred, 0)
-	defer cleanup()
+	f := newFleet(shards, shardOptions, 0, pred)
+	defer f.close()
 	ctx := context.Background()
 	start := time.Now()
-	st, err := c.StartSweep(ctx, service.Request{Model: "Llama2-30B", Seq: 2048, Seed: 7})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
+	st, err := f.c.StartSweep(ctx, service.Request{Model: "Llama2-30B", Seq: 2048, Seed: 7})
+	check(err)
 	var firstRow time.Duration
-	st, err = c.WaitSweep(ctx, st.ID, func(leg service.SweepLeg) {
+	st, err = f.c.WaitSweep(ctx, st.ID, func(leg service.SweepLeg) {
 		if firstRow == 0 {
 			firstRow = time.Since(start)
 		}
 	})
 	if err != nil || st.State != service.StateDone {
-		fmt.Fprintf(os.Stderr, "bench: async sweep: %v (%s %s)\n", err, st.State, st.Error)
-		os.Exit(1)
+		check(fmt.Errorf("async sweep: %v (%s %s)", err, st.State, st.Error))
 	}
 	wall := time.Since(start)
-	name := fmt.Sprintf("router-%dshard-async-sweep", shards)
+	name := fmt.Sprintf("router-%dshard-async-sweep", f.shards)
 	first = serviceEntry{
-		Name: name + "-first-row", Shards: shards, Jobs: 1,
+		Name: name + "-first-row", Shards: f.shards, Jobs: 1,
 		WallSeconds: firstRow.Seconds(), JobsPerSec: 1 / firstRow.Seconds(),
 	}
 	merged = serviceEntry{
-		Name: name + "-merged", Shards: shards, Jobs: st.Total,
+		Name: name + "-merged", Shards: f.shards, Jobs: st.Total,
 		WallSeconds: wall.Seconds(), JobsPerSec: float64(st.Total) / wall.Seconds(),
 	}
 	fmt.Printf("%-32s %12.3f s to first row %7.3f s to merge   (%d parts, %d shards)\n",
-		name, first.WallSeconds, merged.WallSeconds, st.Total, shards)
+		name, first.WallSeconds, merged.WallSeconds, st.Total, f.shards)
 	return first, merged
 }
 
@@ -614,26 +600,19 @@ func asyncSweepRows(shards int, pred predictor.Predictor) (first, merged service
 // waits out every leg. The pair quantifies what priority dispatch buys an
 // interactive caller under bulk load.
 func priorityLatency(name, priority string, pred predictor.Predictor) serviceEntry {
-	srv := service.NewServer(service.Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 64}, pred)
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	c := client.New(ts.URL)
-	c.PollInterval = time.Millisecond
+	f := newFleet(0, service.Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 64}, 0, pred)
+	defer f.close()
 	ctx := context.Background()
-
 	for seed := int64(1); seed <= 4; seed++ {
-		if _, err := c.StartSweep(ctx, service.Request{Model: "Llama2-30B", Seq: 2048, Seed: seed}); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
+		_, err := f.c.StartSweep(ctx, service.Request{Model: "Llama2-30B", Seq: 2048, Seed: seed})
+		check(err)
 	}
 	start := time.Now()
-	j, err := c.Run(ctx, service.Request{
+	j, err := f.c.Run(ctx, service.Request{
 		Model: "Llama2-30B", Config: "config3", Seq: 2048, Seed: 99, Priority: priority,
 	})
 	if err != nil || j.State != service.StateDone {
-		fmt.Fprintf(os.Stderr, "bench: %s: %v (%s)\n", name, err, j.State)
-		os.Exit(1)
+		check(fmt.Errorf("%s: %v (%s)", name, err, j.State))
 	}
 	wall := time.Since(start)
 	e := serviceEntry{
@@ -651,28 +630,24 @@ func priorityLatency(name, priority string, pred predictor.Predictor) serviceEnt
 // terminally at the router, without one submission crossing the fleet. The
 // recorded entry is the repeat burst.
 func cacheRepeatBurst(name string, shards, jobs int, pred predictor.Predictor) serviceEntry {
-	c, cleanup := routedFleet(shards, pred, 4096)
-	defer cleanup()
+	f := newFleet(shards, shardOptions, 4096, pred)
+	defer f.close()
 	ctx := context.Background()
-	reqs := make([]service.Request, jobs)
-	for i := range reqs {
-		reqs[i] = service.Request{Model: "Llama2-30B", Config: "config3", Seq: 2048, Seed: int64(100 + i)}
-		if _, err := c.Run(ctx, reqs[i]); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
+	reqs := burstRequests(jobs, true)
+	for _, req := range reqs {
+		_, err := f.c.Run(ctx, req)
+		check(err)
 	}
 	start := time.Now()
-	for i := range reqs {
-		j, err := c.Run(ctx, reqs[i])
+	for i, req := range reqs {
+		j, err := f.c.Run(ctx, req)
 		if err != nil || !strings.HasPrefix(j.ID, "cache/") {
-			fmt.Fprintf(os.Stderr, "bench: repeat %d not cache-served: %v (job %s)\n", i, err, j.ID)
-			os.Exit(1)
+			check(fmt.Errorf("repeat %d not cache-served: %v (job %s)", i, err, j.ID))
 		}
 	}
 	wall := time.Since(start)
 	e := serviceEntry{
-		Name: name, Shards: shards, Jobs: jobs,
+		Name: name, Shards: f.shards, Jobs: jobs,
 		WallSeconds: wall.Seconds(), JobsPerSec: float64(jobs) / wall.Seconds(),
 	}
 	fmt.Printf("%-32s %12.2f jobs/s %9s %12.3f s wall   (%d repeats, all cache-served)\n",
@@ -680,38 +655,95 @@ func cacheRepeatBurst(name string, shards, jobs int, pred predictor.Predictor) s
 	return e
 }
 
-// saturationBurst drives one single-worker daemon at a sustained ~2x+
-// offered load — rounds of distinct full-sweep GA jobs, bulk background
-// legs plus an interactive pair per round — and reports goodput (the
-// fraction of OFFERED work that completed within its latency target) and
-// the interactive p95 of what completed. With protect=true the daemon
-// sheds over-budget background work at admission (429) and every request
-// carries its target as a hard deadline, so hopeless jobs fail fast and
-// the worker only burns time on work that can still be good; with
-// protect=false everything is admitted and runs to completion, so the
-// queue grows without bound and late jobs drag both metrics down. The
-// pair is the overload-protection acceptance measurement: protection must
-// win on goodput and on interactive p95.
-func saturationBurst(name string, protect bool, pred predictor.Predictor) serviceEntry {
+// shardOptions is every routed fleet's daemon configuration.
+var shardOptions = service.Options{EvalWorkers: 1, JobWorkers: 2, Backlog: 64}
+
+// satSchedule is the saturation pair's offered load: Rounds rounds, Gap
+// apart, of Background background and Interactive interactive jobs, each
+// job carrying its class's latency target, all sized from the single-job
+// service time Service.
+type satSchedule struct {
+	Rounds, Background, Interactive                   int
+	Service, Gap, BackgroundTarget, InteractiveTarget time.Duration
+}
+
+// offered is the schedule's job count.
+func (s satSchedule) offered() int { return s.Rounds * (s.Background + s.Interactive) }
+
+// saturationSchedule sizes the saturation pair from the single-job service
+// time svc. Arrivals come at twice one worker's capacity: a round of n jobs
+// every n·svc/2. Seven of each round's eight jobs are interactive, so that
+// class alone overloads the worker: unprotected, its queue grows through
+// the run and its p95 with it, while admission and deadlines cap it when
+// protected. The targets are multiples of svc, the interactive one loose
+// enough that the unprotected side still completes its first twenty-odd
+// interactive jobs in time, and ten rounds let each side's goodput count
+// twenty or more jobs, so neither gate turns on a handful of them.
+func saturationSchedule(svc time.Duration) satSchedule {
+	s := satSchedule{Rounds: 10, Background: 1, Interactive: 7, Service: svc}
+	s.Gap = time.Duration(s.Background+s.Interactive) * svc / 2
+	s.InteractiveTarget = 12 * svc
+	s.BackgroundTarget = 24 * svc
+	return s
+}
+
+// saturationRequest is the saturation pair's job: a full Table II GA
+// co-exploration whose batch follows the seed, so every seed is its own
+// fingerprint and its own workload.
+func saturationRequest(seed int64) service.Request {
+	return service.Request{UseGA: true, Batch: 64 + int(seed), Seed: seed}
+}
+
+// saturationOptions is the saturation daemon: one job worker, a backlog deep
+// enough to admit everything offered, and with protect a background budget
+// of two queued jobs.
+func saturationOptions(protect bool) service.Options {
 	opts := service.Options{EvalWorkers: 1, JobWorkers: 1, Backlog: 256}
 	if protect {
 		opts.ClassBudgets[pool.Background] = 2
 	}
-	srv := service.NewServer(opts, pred)
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	c := client.New(ts.URL)
-	c.PollInterval = time.Millisecond
+	return opts
+}
+
+// serviceTime measures the saturation pair's single-job service time on a
+// fresh idle daemon: one job of the pair's shape, timed right behind a
+// first one (both seeds outside the offered set). Within a side every job
+// but the first finds the batch-independent cache entries its predecessors
+// left warm; on cold caches the same job shape ran about 13% slower (eight
+// back-to-back jobs on a 2-vCPU host: 270 vs 235 ms mean).
+func serviceTime(pred predictor.Predictor) time.Duration {
+	f := newFleet(0, saturationOptions(false), 0, pred)
+	defer f.close()
+	var svc time.Duration
+	for _, seed := range []int64{-2, -1} {
+		start := time.Now()
+		j, err := f.c.Run(context.Background(), saturationRequest(seed))
+		if err != nil || j.State != service.StateDone {
+			check(fmt.Errorf("service-time job: %v (%s)", err, j.State))
+		}
+		svc = time.Since(start)
+	}
+	fmt.Printf("%-32s %12.1f ms per job\n", "saturation-service-time", float64(svc.Microseconds())/1e3)
+	return svc
+}
+
+// saturationBurst drives one single-worker daemon at the schedule's ~2x
+// offered load — distinct full-sweep GA jobs, background plus a larger
+// interactive share per round — and reports goodput (the fraction of
+// OFFERED work that completed within its latency target) and the
+// interactive p95 of what completed. With protect=true the daemon sheds
+// over-budget background work at admission (429) and every request carries
+// its target as a hard deadline, so hopeless jobs fail fast and the worker
+// only burns time on work that can still be good; with protect=false
+// everything is admitted and runs to completion, so the queue grows without
+// bound and late jobs drag both metrics down. The pair is the
+// overload-protection acceptance measurement: protection must win on
+// goodput and on interactive p95.
+func saturationBurst(name string, protect bool, s satSchedule, pred predictor.Predictor) serviceEntry {
+	f := newFleet(0, saturationOptions(protect), 0, pred)
+	defer f.close()
 	ctx := context.Background()
 
-	const (
-		rounds      = 6
-		bgPerRound  = 3
-		intPerRound = 2
-		roundGap    = 300 * time.Millisecond
-		bgTarget    = 2500 * time.Millisecond
-		intTarget   = 1200 * time.Millisecond
-	)
 	type outcome struct {
 		interactive bool
 		done        bool
@@ -720,22 +752,20 @@ func saturationBurst(name string, protect bool, pred predictor.Predictor) servic
 		latency     time.Duration
 		target      time.Duration
 	}
-	offered := rounds * (bgPerRound + intPerRound)
+	offered := s.offered()
 	outcomes := make([]outcome, offered)
 	var wg sync.WaitGroup
 	start := time.Now()
 	idx := 0
 	launch := func(interactive bool) {
 		o := &outcomes[idx]
-		seed := int64(idx)
+		req := saturationRequest(int64(idx))
 		idx++
 		o.interactive = interactive
-		o.target = bgTarget
-		req := service.Request{
-			UseGA: true, Batch: 64 + int(seed), Seed: seed, Priority: "background",
-		}
+		o.target = s.BackgroundTarget
+		req.Priority = "background"
 		if interactive {
-			o.target = intTarget
+			o.target = s.InteractiveTarget
 			req.Priority = "interactive"
 		}
 		if protect {
@@ -745,7 +775,7 @@ func saturationBurst(name string, protect bool, pred predictor.Predictor) servic
 		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			j, err := c.Run(ctx, req)
+			j, err := f.c.Run(ctx, req)
 			o.latency = time.Since(t0)
 			var se *client.StatusError
 			switch {
@@ -755,20 +785,19 @@ func saturationBurst(name string, protect bool, pred predictor.Predictor) servic
 				o.expired = true
 			case errors.As(err, &se) && se.Code == 429:
 				o.shed = true
-			case err != nil:
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
+			default:
+				check(err)
 			}
 		}()
 	}
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < bgPerRound; i++ {
+	for r := 0; r < s.Rounds; r++ {
+		for i := 0; i < s.Background; i++ {
 			launch(false)
 		}
-		for i := 0; i < intPerRound; i++ {
+		for i := 0; i < s.Interactive; i++ {
 			launch(true)
 		}
-		time.Sleep(roundGap)
+		time.Sleep(s.Gap)
 	}
 	wg.Wait()
 	wall := time.Since(start)
@@ -791,11 +820,12 @@ func saturationBurst(name string, protect bool, pred predictor.Predictor) servic
 	}
 	e := serviceEntry{
 		Name: name, Jobs: offered,
-		WallSeconds: wall.Seconds(),
-		JobsPerSec:  float64(good) / wall.Seconds(),
-		GoodputRate: float64(good) / float64(offered),
-		ShedJobs:    shed,
-		ExpiredJobs: expired,
+		WallSeconds:   wall.Seconds(),
+		JobsPerSec:    float64(good) / wall.Seconds(),
+		GoodputRate:   float64(good) / float64(offered),
+		ShedJobs:      shed,
+		ExpiredJobs:   expired,
+		ServiceTimeMs: float64(s.Service.Microseconds()) / 1e3,
 	}
 	if len(intLat) > 0 {
 		sort.Slice(intLat, func(a, b int) bool { return intLat[a] < intLat[b] })
@@ -829,15 +859,16 @@ func recordRatio(m map[string]float64, key string, num, den float64) {
 }
 
 // sweepTrail is the demand trajectory of the prefetch-replay pair: a client
-// stepping through adjacent TP points of a fixed-config sweep at two batch
-// sizes — exactly the spatial locality the neighbor predictor mines (each
-// step's successor is the step's own TP-doubling neighbor).
+// stepping through the Table II architectures at two batch sizes. Every step
+// is a different architecture's default search, so it changes the work and
+// is cold on its own, and each step's successor is the next sibling row the
+// neighbor predictor (service.Request.SweepNeighbors) proposes.
 func sweepTrail() []service.Request {
 	var trail []service.Request
 	for _, batch := range []int{64, 128} {
-		for _, tp := range []int{1, 2, 4} {
+		for _, cfg := range []string{"config1", "config2", "config3", "config4"} {
 			trail = append(trail, service.Request{
-				Model: "Llama2-30B", Config: "config3", Seq: 2048, Batch: batch, FixedTP: tp,
+				Model: "Llama2-30B", Config: cfg, Seq: 2048, Batch: batch,
 			})
 		}
 	}
@@ -849,27 +880,24 @@ func sweepTrail() []service.Request {
 // requests from the traced coordinates — the replay below runs off the
 // recorded trace, not the generator, so the trace endpoint itself is under
 // test.
-func recordTrail(pred predictor.Predictor, fail func(error)) []service.Request {
-	srv := service.NewServer(service.Options{EvalWorkers: 2, JobWorkers: 1, Backlog: 64}, pred)
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	c := client.New(ts.URL)
-	c.PollInterval = time.Millisecond
+func recordTrail(pred predictor.Predictor) []service.Request {
+	f := newFleet(0, service.Options{EvalWorkers: 2, JobWorkers: 1, Backlog: 64}, 0, pred)
+	defer f.close()
 	ctx := context.Background()
 	for _, req := range sweepTrail() {
-		j, err := c.Run(ctx, req)
+		j, err := f.c.Run(ctx, req)
 		if err == nil && j.State != service.StateDone {
 			err = fmt.Errorf("trail job %s: %s", j.ID, j.State)
 		}
-		fail(err)
+		check(err)
 	}
-	resp, err := http.Get(ts.URL + "/v1/trace")
-	fail(err)
+	resp, err := http.Get(f.servers[0].URL + "/v1/trace")
+	check(err)
 	defer resp.Body.Close()
 	var info service.TraceInfo
-	fail(json.NewDecoder(resp.Body).Decode(&info))
+	check(json.NewDecoder(resp.Body).Decode(&info))
 	if len(info.Entries) != len(sweepTrail()) {
-		fail(fmt.Errorf("trace recorded %d entries, want %d", len(info.Entries), len(sweepTrail())))
+		check(fmt.Errorf("trace recorded %d entries, want %d", len(info.Entries), len(sweepTrail())))
 	}
 	trail := make([]service.Request, len(info.Entries))
 	for i, e := range info.Entries {
@@ -890,14 +918,12 @@ func recordTrail(pred predictor.Predictor, fail func(error)) []service.Request {
 // demand-only reference. Reported per variant: warm-hit rate (the
 // acceptance metric), mean demand latency, and the prefetch counters.
 func prefetchReplay(name string, prefetchOn bool, trail []service.Request, pred predictor.Predictor) serviceEntry {
-	srv := service.NewServer(service.Options{
+	f := newFleet(0, service.Options{
 		EvalWorkers: 2, JobWorkers: 1, Backlog: 64,
 		Prefetch: prefetchOn, PrefetchFanout: 1,
-	}, pred)
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-	c := client.New(ts.URL)
-	c.PollInterval = time.Millisecond
+	}, 0, pred)
+	defer f.close()
+	srv := f.daemons[0]
 	ctx := context.Background()
 
 	// Wait for queue and workers to go fully idle — queued and in-flight
@@ -925,10 +951,9 @@ func prefetchReplay(name string, prefetchOn bool, trail []service.Request, pred 
 	var demand time.Duration
 	for _, req := range trail {
 		t0 := time.Now()
-		j, err := c.Run(ctx, req)
+		j, err := f.c.Run(ctx, req)
 		if err != nil || j.State != service.StateDone {
-			fmt.Fprintf(os.Stderr, "bench: %s: %v (%s)\n", name, err, j.State)
-			os.Exit(1)
+			check(fmt.Errorf("%s: %v (%s)", name, err, j.State))
 		}
 		demand += time.Since(t0)
 		idle()
@@ -951,17 +976,17 @@ func prefetchReplay(name string, prefetchOn bool, trail []service.Request, pred 
 
 // gaGenerationBench runs a fixed-generation GA optimize and reports
 // per-generation cost (total metrics divided by the generation count).
-func gaGenerationBench(name string, fail func(error)) entry {
+func gaGenerationBench(name string) entry {
 	const gens = 16
 	prob, seed, err := benchutil.GAProblem()
-	fail(err)
+	check(err)
 	var iter int64
 	e := run(name, func() {
 		iter++
 		_, err := ga.Optimize(prob, seed, ga.Options{
 			Population: 24, Generations: gens, Omega: 0.5, Seed: iter, Workers: 1,
 		})
-		fail(err)
+		check(err)
 	})
 	e.NsPerOp /= gens
 	e.AllocsPerOp /= gens
@@ -987,6 +1012,7 @@ func main() {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
+		CPUModel:  cpuModel(),
 		Baselines: append(append([]taggedEntry{}, priorBaselines...), pr5Placement...),
 		BaselineNote: "baselines measured on the respective PR trees on the reference dev machine; " +
 			"speedup_ns_vs is only meaningful on comparable hardware — " +
@@ -996,19 +1022,12 @@ func main() {
 		SpeedupAllocs:   map[string]float64{},
 	}
 
-	fail := func(err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-	}
-
 	// Acceptance benchmark: single-worker search with memoization disabled —
 	// the strictly sequential, cache-cold configuration of the seed.
 	seq := run("search-sequential-nocache", func() {
 		_, err := sched.Search(hw.Config3(), model.Llama2_30B(), work, pred,
 			sched.Options{Workers: 1, DisableCache: true})
-		fail(err)
+		check(err)
 	})
 	rep.Benchmarks = append(rep.Benchmarks, seq)
 	for _, b := range priorBaselines {
@@ -1016,18 +1035,17 @@ func main() {
 		rep.SpeedupAllocs[b.Tag] = float64(b.AllocsPerOp) / float64(seq.AllocsPerOp)
 	}
 
-	search.DefaultCache().Reset()
-	sched.ResetCache()
+	coldCaches()
 	rep.Benchmarks = append(rep.Benchmarks, run("search-parallel-cached", func() {
 		_, err := sched.Search(hw.Config3(), model.Llama2_30B(), work, pred,
 			sched.Options{Workers: 0})
-		fail(err)
+		check(err)
 	}))
 
 	// Evaluator micro-benchmarks on the best fixed strategy.
 	res, err := sched.Search(hw.Config3(), model.Llama2_30B(), work, pred,
 		sched.Options{FixedTP: 4, FixedPP: 7})
-	fail(err)
+	check(err)
 	cfg := engine.Config{
 		Wafer: hw.Config3(), Spec: model.Llama2_30B(), Workload: work,
 		TP: res.Best.TP, PP: res.Best.PP, Collective: res.Best.Collective, Predictor: pred,
@@ -1038,22 +1056,22 @@ func main() {
 	rep.Benchmarks = append(rep.Benchmarks, run("evaluate-cold", func() {
 		collective.ResetPlanCache()
 		_, err := sim.Evaluate(cfg, m, strat)
-		fail(err)
+		check(err)
 	}))
 	rep.Benchmarks = append(rep.Benchmarks, run("evaluate-warm", func() {
 		_, err := sim.Evaluate(cfg, m, strat)
-		fail(err)
+		check(err)
 	}))
 
 	group := collective.Rectangle(0, 0, 4, 2)
 	rep.Benchmarks = append(rep.Benchmarks, run("allreduce-plan-warm", func() {
 		_, err := collective.AllReduce(m, group, 1e9, collective.BiRing)
-		fail(err)
+		check(err)
 	}))
 	rep.Benchmarks = append(rep.Benchmarks, run("allreduce-plan-cold", func() {
 		collective.ResetPlanCache()
 		_, err := collective.AllReduce(m, group, 1e9, collective.BiRing)
-		fail(err)
+		check(err)
 	}))
 
 	// Annealer iteration: the Scorer's price/commit cycle vs the PR3-era
@@ -1070,11 +1088,11 @@ func main() {
 		{"anneal-swap-pp32", mesh.New(hw.Config3()), 32, 8},
 	} {
 		anchors, wl, err := benchutil.AnnealSubstrate(cfg.mesh, 1, cfg.pp, cfg.np)
-		fail(err)
+		check(err)
 		cycle := benchutil.AnnealBatchCycle(placement.NewScorer(cfg.mesh, anchors, wl), cfg.pp, rand.New(rand.NewSource(1)))
 		// Enforce the zero-allocation contract of the inner loop.
 		if allocs := testing.AllocsPerRun(5000, cycle); allocs != 0 {
-			fail(fmt.Errorf("%s: annealer inner loop allocates %.2f objects/op, want 0", cfg.name, allocs))
+			check(fmt.Errorf("%s: annealer inner loop allocates %.2f objects/op, want 0", cfg.name, allocs))
 		}
 		priced := run(cfg.name, cycle)
 		rep.Benchmarks = append(rep.Benchmarks, priced)
@@ -1104,16 +1122,16 @@ func main() {
 		// The substrate's pairs and volumes are stage-indexed, so the same
 		// workload drives any (tp, pp) partition of the mesh.
 		_, wl, err := benchutil.AnnealSubstrate(om, 1, cfg.pp, cfg.np)
-		fail(err)
+		check(err)
 		var seed int64
 		rep.Benchmarks = append(rep.Benchmarks, run(cfg.name, func() {
 			seed++
 			_, err := placement.Optimize(om, cfg.tp, cfg.pp, wl, rand.New(rand.NewSource(seed)))
-			fail(err)
+			check(err)
 		}))
 	}
 
-	rep.Benchmarks = append(rep.Benchmarks, gaGenerationBench("ga-generation", fail))
+	rep.Benchmarks = append(rep.Benchmarks, gaGenerationBench("ga-generation"))
 
 	// Per-benchmark improvement over the PR 5 tree, recorded against the
 	// carried-forward baselines.
@@ -1127,36 +1145,39 @@ func main() {
 
 	// Service throughput: concurrent identical jobs coalesce onto one
 	// execution (the dedup path), concurrent distinct jobs stream through
-	// the bounded queue over warm caches (the resident-daemon path). Cold
-	// caches first so the identical burst includes one real execution;
-	// both bursts share the process predictor so their cache keys agree.
-	search.DefaultCache().Reset()
-	sched.ResetCache()
-	rep.Service = append(rep.Service, serviceThroughput("service-identical-burst", 32, false, pred))
-	rep.Service = append(rep.Service, serviceThroughput("service-distinct-burst", 32, true, pred))
-
-	// Sharded tier: the distinct burst through the routing front-end over 1
-	// vs 2 shards (scaling: two daemons drain two bounded queues), the
+	// the bounded queue over warm caches (the resident-daemon path): cold
+	// caches first so the identical burst includes one real execution, and
+	// the distinct burst runs over the caches it warmed. The sharded tier
+	// follows: the distinct burst through the routing front-end over 1 vs 2
+	// shards (scaling: two daemons drain two bounded queues) and the
 	// identical burst through the router (routed-dedup: stable hashing keeps
-	// every duplicate on one shard's singleflight), and scatter-gathered
-	// Table II sweeps. Caches reset before each run so every burst pays its
-	// own cold start.
-	for _, cfg := range []struct {
-		name     string
-		shards   int
-		distinct bool
+	// every duplicate on one shard's singleflight), each from cold caches.
+	// Every fleet shares the process predictor, so cache keys agree.
+	for _, b := range []struct {
+		name           string
+		shards         int
+		distinct, warm bool
 	}{
-		{"router-1shard-distinct-burst", 1, true},
-		{"router-2shard-distinct-burst", 2, true},
-		{"router-2shard-identical-burst", 2, false},
+		{"service-identical-burst", 0, false, false},
+		{"service-distinct-burst", 0, true, true},
+		{"router-1shard-distinct-burst", 1, true, false},
+		{"router-2shard-distinct-burst", 2, true, false},
+		{"router-2shard-identical-burst", 2, false, false},
 	} {
-		search.DefaultCache().Reset()
-		sched.ResetCache()
-		rep.Service = append(rep.Service, routerThroughput(cfg.name, cfg.shards, 32, cfg.distinct, pred))
+		if !b.warm {
+			coldCaches()
+		}
+		opts := shardOptions
+		if b.shards == 0 {
+			opts.Backlog = 33 // the whole direct burst queues
+		}
+		f := newFleet(b.shards, opts, 0, pred)
+		rep.Service = append(rep.Service, burst(b.name, f, 32, b.distinct))
+		f.close()
 	}
+	// Scatter-gathered Table II sweeps over 1 vs 2 shards.
 	for _, shards := range []int{1, 2} {
-		search.DefaultCache().Reset()
-		sched.ResetCache()
+		coldCaches()
 		rep.Service = append(rep.Service, routerSweep(fmt.Sprintf("router-%dshard-sweep", shards), shards, pred))
 	}
 
@@ -1165,45 +1186,42 @@ func main() {
 	// latency under a bulk sweep backlog (priority dispatch), and the
 	// repeat burst answered entirely from the router's completed-result
 	// cache.
-	search.DefaultCache().Reset()
-	sched.ResetCache()
+	coldCaches()
 	first, mergedE := asyncSweepRows(2, pred)
 	rep.Service = append(rep.Service, first, mergedE)
-	search.DefaultCache().Reset()
-	sched.ResetCache()
+	coldCaches()
 	rep.Service = append(rep.Service, priorityLatency("interactive-under-bulk-sweep", "", pred))
-	search.DefaultCache().Reset()
-	sched.ResetCache()
+	coldCaches()
 	rep.Service = append(rep.Service, priorityLatency("background-under-bulk-sweep", "background", pred))
-	search.DefaultCache().Reset()
-	sched.ResetCache()
+	coldCaches()
 	rep.Service = append(rep.Service, cacheRepeatBurst("router-cache-repeat-burst", 2, 32, pred))
 
 	// Fleet resilience: the distinct burst again, but one of the three
 	// replicated shards is killed while the burst is queued.
-	search.DefaultCache().Reset()
-	sched.ResetCache()
+	coldCaches()
 	rep.Service = append(rep.Service, routerChaosBurst("router-3shard-kill-mid-burst", 3, 32, pred))
 
-	// Overload protection: the same 2x+ saturation pattern with admission
+	// Overload protection: the same 2x saturation pattern with admission
 	// control + deadlines on versus everything admitted. Protection must
 	// win on goodput AND on interactive p95, or the run fails — this is the
 	// PR's acceptance measurement, not an informational number.
-	search.DefaultCache().Reset()
-	sched.ResetCache()
-	protected := saturationBurst("saturation-2x-shedding", true, pred)
-	search.DefaultCache().Reset()
-	sched.ResetCache()
-	unprotected := saturationBurst("saturation-2x-no-shedding", false, pred)
+	// Both sides replay one schedule, sized from the single-job service time
+	// measured here.
+	coldCaches()
+	sat := saturationSchedule(serviceTime(pred))
+	coldCaches()
+	protected := saturationBurst("saturation-2x-shedding", true, sat, pred)
+	coldCaches()
+	unprotected := saturationBurst("saturation-2x-no-shedding", false, sat, pred)
 	rep.Service = append(rep.Service, protected, unprotected)
 	if protected.GoodputRate <= unprotected.GoodputRate {
-		fail(fmt.Errorf("shedding lost on goodput: %.2f protected vs %.2f unprotected",
+		check(fmt.Errorf("shedding lost on goodput: %.2f protected vs %.2f unprotected",
 			protected.GoodputRate, unprotected.GoodputRate))
 	}
 	// A side with no completed interactive job has no p95 sample (0): it
 	// compares as +Inf, so protection cannot win on a side it never served.
 	if p95OrInf(protected) >= p95OrInf(unprotected) {
-		fail(fmt.Errorf("shedding lost on interactive p95: %.0f ms protected vs %.0f ms unprotected",
+		check(fmt.Errorf("shedding lost on interactive p95: %.0f ms protected vs %.0f ms unprotected",
 			p95OrInf(protected), p95OrInf(unprotected)))
 	}
 	recordRatio(rep.SpeedupNs, "goodput(shedding/no-shedding)", protected.GoodputRate, unprotected.GoodputRate)
@@ -1213,32 +1231,22 @@ func main() {
 	// back over GET /v1/trace), then replay it against fresh daemons with
 	// the idle-capacity prefetch lane on vs off. Prefetch must strictly win
 	// the warm-hit rate, or the run fails — the PR's acceptance measurement.
-	search.DefaultCache().Reset()
-	sched.ResetCache()
-	trail := recordTrail(pred, fail)
-	search.DefaultCache().Reset()
-	sched.ResetCache()
+	coldCaches()
+	trail := recordTrail(pred)
+	coldCaches()
 	pfOn := prefetchReplay("prefetch-replay-on", true, trail, pred)
-	search.DefaultCache().Reset()
-	sched.ResetCache()
+	coldCaches()
 	pfOff := prefetchReplay("prefetch-replay-off", false, trail, pred)
 	rep.Service = append(rep.Service, pfOn, pfOff)
 	if pfOn.WarmHitRate <= pfOff.WarmHitRate {
-		fail(fmt.Errorf("prefetch lost on warm-hit rate: %.2f on vs %.2f off",
+		check(fmt.Errorf("prefetch lost on warm-hit rate: %.2f on vs %.2f off",
 			pfOn.WarmHitRate, pfOff.WarmHitRate))
 	}
 	recordRatio(rep.SpeedupNs, "mean-latency(no-prefetch/prefetch)", pfOff.MeanLatencyMs, pfOn.MeanLatencyMs)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
+	check(err)
+	check(os.WriteFile(*out, append(data, '\n'), 0o644))
 	fmt.Printf("\nwrote %s  (speedup vs pr2 baseline: %.2fx ns/op, %.2fx allocs/op)\n",
 		*out, rep.SpeedupNs["pr2"], rep.SpeedupAllocs["pr2"])
 }

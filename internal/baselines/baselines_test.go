@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hw"
@@ -123,8 +124,8 @@ func TestFrameworkOrdering(t *testing.T) {
 
 func TestFrameworksAllNamed(t *testing.T) {
 	for _, f := range Frameworks() {
-		if f.String() == "" || f.String()[0] == 'F' && f != WATOS && f.String() != "DFModel" {
-			continue
+		if s := f.String(); s == fmt.Sprintf("Framework(%d)", int(f)) {
+			t.Errorf("framework %d renders the unnamed fallback %q", int(f), s)
 		}
 	}
 	if len(Frameworks()) != 8 {
@@ -135,12 +136,14 @@ func TestFrameworksAllNamed(t *testing.T) {
 	}
 }
 
+// TestFig1Breakdown checks the GPU-cluster split Fig 1 plots: compute
+// (bubble included) and exposed communication, both positive.
 func TestFig1Breakdown(t *testing.T) {
-	comp, comm, err := Fig1Breakdown(hw.NVL72GB300(708e12), model.Llama3_70B(), work())
+	r, err := MegatronGPU(hw.NVL72GB300(708e12), model.Llama3_70B(), work())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp <= 0 || comm <= 0 {
-		t.Fatalf("breakdown = %v, %v; want positive", comp, comm)
+	if r.ComputeTime <= 0 || r.ExposedCommTime <= 0 {
+		t.Fatalf("breakdown = %v, %v; want positive", r.ComputeTime, r.ExposedCommTime)
 	}
 }

@@ -8,7 +8,6 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/hw"
 	"repro/internal/model"
@@ -77,7 +76,7 @@ func MegatronGPU(sys hw.GPUSystem, spec model.Spec, w model.Workload) (GPUReport
 	}
 	actPerLayerPerMB := activationBytesPerLayer(spec, mb, w.SeqLen) / float64(tp)
 	layersPerStage := float64(spec.Layers) / float64(pp)
-	retained := float64(minInt(pp, n))
+	retained := float64(min(pp, n))
 	actNeed := actPerLayerPerMB * layersPerStage * retained
 	free := sys.HBMPerGPU - modelP/float64(tp*pp)
 	recomputed := actNeed > free
@@ -147,22 +146,3 @@ func activationBytesPerLayer(spec model.Spec, mb, seq int) float64 {
 	// Megatron's standard estimate: ~(16 + 2·inter/h + attn terms)·B·S·H.
 	return tokens * (10*h + 3*inter) * units.FP16Bytes / 2
 }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Fig1Breakdown returns the compute vs exposed-communication split of a
-// GPU-cluster run, normalised for the Fig 1 comparison.
-func Fig1Breakdown(sys hw.GPUSystem, spec model.Spec, w model.Workload) (compute, exposedComm float64, err error) {
-	r, err := MegatronGPU(sys, spec, w)
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.ComputeTime, r.ExposedCommTime, nil
-}
-
-var _ = math.Inf

@@ -259,8 +259,8 @@ func (w Workload) Validate() error {
 }
 
 // DefaultWorkload returns the evaluation workload used when an experiment
-// does not specify one: batch 512, micro-batch 1 per stage, model default
-// sequence length.
+// does not specify one: batch 512, micro-batch 4, model default sequence
+// length (4096 where the model has none).
 func DefaultWorkload(s Spec) Workload {
 	seq := s.DefaultSeqLen
 	if seq == 0 {

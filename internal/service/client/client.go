@@ -370,39 +370,20 @@ func (c *Client) SweepStatus(ctx context.Context, id string) (service.SweepStatu
 // leg as the poll first observes it terminal (in sweep order within a
 // poll) — the hook consuming partial Table II rows while the tail runs.
 func (c *Client) WaitSweep(ctx context.Context, id string, onLeg func(service.SweepLeg)) (service.SweepStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
 	seen := make(map[int]bool)
-	failures := 0
-	for {
-		st, err := c.SweepStatus(ctx, id)
-		if err != nil {
-			failures++
-			if failures > waitRetries || ctx.Err() != nil {
-				return st, err
-			}
-		} else {
-			failures = 0
-			if onLeg != nil {
-				for i, leg := range st.Legs {
-					if leg.State.Terminal() && !seen[i] {
-						seen[i] = true
-						onLeg(leg)
-					}
+	return poll(ctx, c.PollInterval, func() (service.SweepStatus, error) {
+		return c.SweepStatus(ctx, id)
+	}, func(st service.SweepStatus) bool {
+		if onLeg != nil {
+			for i, leg := range st.Legs {
+				if leg.State.Terminal() && !seen[i] {
+					seen[i] = true
+					onLeg(leg)
 				}
 			}
-			if st.State.Terminal() {
-				return st, nil
-			}
 		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(interval):
-		}
-	}
+		return st.State.Terminal()
+	})
 }
 
 // Sweep scatters a sweep request into per-architecture jobs (across shards
@@ -440,33 +421,42 @@ func (c *Client) Jobs(ctx context.Context) ([]service.Summary, error) {
 // so one reset connection must not cost the caller the whole result.
 const waitRetries = 5
 
-// Wait polls until the job reaches a terminal state and returns it,
-// tolerating up to waitRetries consecutive transient poll failures.
-func (c *Client) Wait(ctx context.Context, id string) (service.Job, error) {
-	interval := c.PollInterval
+// poll is the wait loop of Wait and WaitSweep: fetch every interval
+// (default 50ms) until terminal accepts a fetched value, tolerating up to
+// waitRetries consecutive fetch failures. The context ends the wait between
+// polls, returning the last value fetched.
+func poll[T any](ctx context.Context, interval time.Duration, fetch func() (T, error), terminal func(T) bool) (T, error) {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
 	failures := 0
 	for {
-		j, err := c.Job(ctx, id)
+		v, err := fetch()
 		if err != nil {
 			failures++
 			if failures > waitRetries || ctx.Err() != nil {
-				return j, err
+				return v, err
 			}
 		} else {
 			failures = 0
-			if j.State.Terminal() {
-				return j, nil
+			if terminal(v) {
+				return v, nil
 			}
 		}
 		select {
 		case <-ctx.Done():
-			return j, ctx.Err()
+			return v, ctx.Err()
 		case <-time.After(interval):
 		}
 	}
+}
+
+// Wait polls until the job reaches a terminal state and returns it,
+// tolerating up to waitRetries consecutive transient poll failures.
+func (c *Client) Wait(ctx context.Context, id string) (service.Job, error) {
+	return poll(ctx, c.PollInterval, func() (service.Job, error) {
+		return c.Job(ctx, id)
+	}, func(j service.Job) bool { return j.State.Terminal() })
 }
 
 // Run submits a job and waits for its terminal state — the remote
