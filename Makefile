@@ -30,8 +30,9 @@ bench:
 
 # Fast regression gate for the search inner loops: the zero-alloc
 # assertions of the Scorer's price/commit cycle, its read-only pricing and
-# its commit on their own (the benchmarks only report
-# allocs, they don't fail on them) plus one iteration of each annealer
+# its commit, and of the GA's fitness on a reused per-worker scratch, on
+# their own (the benchmarks only report allocs, they don't fail on them)
+# plus one iteration of each annealer
 # (priced and full re-evaluation), placement and GA benchmark, of mesh
 # construction on every Table II wafer and mesh-switch (BenchmarkMeshNew,
 # which every search pays once) and of the cold single-worker search
@@ -40,6 +41,7 @@ bench:
 # bench run.
 bench-smoke:
 	go test -run 'TestScorer(Batch|Swap)?ZeroAlloc' -count=1 ./internal/placement
+	go test -run TestFitnessZeroAlloc -count=1 ./internal/ga
 	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkMeshNew|BenchmarkSearchSequential$$' -benchtime=1x -benchmem .
 
 # Compare two recorded perf trajectories (ns/op + allocs/op ratios, with a

@@ -375,8 +375,8 @@ func BenchmarkOptimizePlacement(b *testing.B) {
 }
 
 // BenchmarkGAGeneration is the §IV-D GA inner loop — one generation of
-// mutation, component-cached fitness scoring and selection — via a
-// fixed-generation Optimize run divided by the generation count.
+// mutation, direct fitness scoring on per-worker scratch and selection —
+// via a fixed-generation Optimize run divided by the generation count.
 func BenchmarkGAGeneration(b *testing.B) {
 	const gens = 16
 	prob, seed, err := benchutil.GAProblem()

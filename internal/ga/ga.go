@@ -2,18 +2,16 @@
 // (Fig 12). A genome bundles a recomputation configuration, a stage→region
 // placement permutation, and the Mem_pair set; the five customised operators
 // Op1–Op5 mutate and recombine genomes, a fitness function
-// (t_max × GlobalCost) scores them, and selection mixes elitism with binary
-// tournaments under the ω knob whose convergence/quality trade-off is the
-// Fig 24b experiment.
+// (t_max × (1 + Eq 2 GlobalCost)) prices every genome directly on per-worker
+// scratch, and selection mixes elitism with binary tournaments under the ω
+// knob whose convergence/quality trade-off is the Fig 24b experiment.
 package ga
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/mesh"
 	"repro/internal/placement"
@@ -49,26 +47,9 @@ type Problem struct {
 	BaseRegions []placement.Region
 	// PipelineBytes weights Eq 2's pipeline term.
 	PipelineBytes []float64
-
-	// baseAnchors lazily caches each base region's routing anchor so the
-	// fitness hot path never re-derives centroids; Anchor is deterministic,
-	// so the cached table is exact.
-	anchorsOnce sync.Once
-	baseAnchors []mesh.DieID
 }
 
 func (p *Problem) stages() int { return len(p.Profiles) }
-
-// anchorTable returns the per-base-region anchors, computed once.
-func (p *Problem) anchorTable() []mesh.DieID {
-	p.anchorsOnce.Do(func() {
-		p.baseAnchors = make([]mesh.DieID, len(p.BaseRegions))
-		for i, r := range p.BaseRegions {
-			p.baseAnchors[i] = r.Anchor()
-		}
-	})
-	return p.baseAnchors
-}
 
 // validPerm reports whether the genome's permutation indexes BaseRegions
 // in range. Out-of-range entries used to alias regions via a silent modulo
@@ -85,136 +66,75 @@ func (p *Problem) validPerm(perm []int) bool {
 	return true
 }
 
-// Fitness evaluates t_max × GlobalCost (§IV-D); lower is better. Infeasible
-// genomes (memory overflow beyond helpers' capacity, or a permutation that
-// indexes outside the base regions) return +Inf.
+// Fitness evaluates t_max × (1 + GlobalCost) (§IV-D); lower is better.
+// Infeasible genomes (memory overflow beyond helpers' capacity, or a
+// permutation that indexes outside the base regions) return +Inf.
 func (p *Problem) Fitness(g Genome) float64 {
-	return p.fitness(g, nil)
+	return p.fitness(g, p.newScratch())
 }
 
-// fitness is Fitness with an optional per-worker scratch: component-level
-// caches (t_max keyed by the (RecompChoice, Pairs) fingerprint, placement
-// cost keyed by (Perm, Pairs)) over reusable anchor and occupied-link
-// buffers, so the GA inner loop re-derives only the component a mutation
-// touched. Cached and uncached paths return bit-identical values: the
-// caches memoize exact results of pure functions, and EvalAnchors is the
-// evaluation GlobalCost runs.
+// fitness is Fitness on a worker's scratch. Every genome is priced in full:
+// t_max from its recomputation choices and Mem_pairs, and Eq 2 by
+// EvalAnchors over the stage anchors looked up in the scratch's base-region
+// table, which is the evaluation GlobalCost runs, so the value is the same
+// to the bit. On an interned mesh it does not allocate.
 func (p *Problem) fitness(g Genome, s *evalScratch) float64 {
 	if !p.validPerm(g.Perm) {
 		return math.Inf(1)
 	}
-	var tmax float64
-	var feasible bool
-	if s != nil {
-		s.recompKey(g)
-		if e, ok := s.tmax[string(s.key)]; ok {
-			tmax, feasible = e.t, e.ok
-		} else {
-			tmax, feasible = p.maxStageTime(g)
-			s.tmax[string(s.key)] = tmaxEntry{t: tmax, ok: feasible}
-		}
-	} else {
-		tmax, feasible = p.maxStageTime(g)
-	}
+	tmax, feasible := p.maxStageTime(g, s)
 	if !feasible {
 		return math.Inf(1)
 	}
-	var cost float64
-	if s != nil {
-		s.permKey(g)
-		if c, ok := s.cost[string(s.key)]; ok {
-			cost = c
-		} else {
-			anchors := p.anchorTable()
-			s.anchors = s.anchors[:0]
-			for _, r := range g.Perm {
-				s.anchors = append(s.anchors, anchors[r])
-			}
-			cost = placement.EvalAnchors(p.Mesh, s.anchors, placement.Workload{
-				PipelineBytes: p.PipelineBytes,
-				Pairs:         g.Pairs,
-			}, s.occ)
-			s.cost[string(s.key)] = cost
-		}
-	} else {
-		cost = placement.GlobalCost(p.Mesh, p.Placement(g), placement.Workload{
-			PipelineBytes: p.PipelineBytes,
-			Pairs:         g.Pairs,
-		})
+	s.anchors = s.anchors[:0]
+	for _, r := range g.Perm {
+		s.anchors = append(s.anchors, s.base[r])
 	}
+	cost := placement.EvalAnchors(p.Mesh, s.anchors, placement.Workload{
+		PipelineBytes: p.PipelineBytes,
+		Pairs:         g.Pairs,
+	}, s.occ)
 	// GlobalCost can be zero for trivial single-stage problems; keep the
 	// fitness ordered by time in that case.
 	return tmax * (1 + cost)
 }
 
-// tmaxEntry caches one maxStageTime evaluation, including infeasibility.
-type tmaxEntry struct {
-	t  float64
-	ok bool
-}
-
-// evalScratch is the per-worker fitness state: the anchor table and
-// occupied-link set the Eq 2 evaluation reuses, plus the component memo
-// tables. Each pool worker owns one, so fitness evaluation takes no locks
-// and — on cache hits and interned meshes — does not allocate.
+// evalScratch is one pool worker's fitness state: the base regions'
+// anchors (derived once), the genome's stage→anchor table, the
+// occupied-link set Eq 2 reuses and maxStageTime's per-stage pair volumes.
+// Each worker owns one, so scoring takes no locks.
 type evalScratch struct {
-	occ     *mesh.LinkSet
-	anchors []mesh.DieID
-	key     []byte
-	tmax    map[string]tmaxEntry
-	cost    map[string]float64
+	base, anchors      []mesh.DieID
+	occ                *mesh.LinkSet
+	outgoing, incoming []float64
 }
 
 func (p *Problem) newScratch() *evalScratch {
-	return &evalScratch{
-		occ:     p.Mesh.NewLinkSet(),
-		anchors: make([]mesh.DieID, 0, p.stages()),
-		key:     make([]byte, 0, 64),
-		tmax:    map[string]tmaxEntry{},
-		cost:    map[string]float64{},
+	n := p.stages()
+	s := &evalScratch{
+		base:     make([]mesh.DieID, len(p.BaseRegions)),
+		anchors:  make([]mesh.DieID, 0, n),
+		occ:      p.Mesh.NewLinkSet(),
+		outgoing: make([]float64, n),
+		incoming: make([]float64, n),
 	}
-}
-
-// appendPairs folds the exact Mem_pair set into the key (indices and float
-// bit patterns, no rounding) — both component fingerprints include it.
-func (s *evalScratch) appendPairs(pairs []recompute.MemPair) {
-	for _, pr := range pairs {
-		s.key = binary.LittleEndian.AppendUint64(s.key, uint64(int64(pr.Sender)))
-		s.key = binary.LittleEndian.AppendUint64(s.key, uint64(int64(pr.Helper)))
-		s.key = binary.LittleEndian.AppendUint64(s.key, math.Float64bits(pr.Bytes))
+	for i, r := range p.BaseRegions {
+		s.base[i] = r.Anchor()
 	}
-}
-
-// recompKey fills s.key with the (RecompChoice, Pairs) fingerprint.
-func (s *evalScratch) recompKey(g Genome) {
-	s.key = s.key[:0]
-	for _, c := range g.RecompChoice {
-		s.key = binary.LittleEndian.AppendUint64(s.key, uint64(int64(c)))
-	}
-	s.key = append(s.key, '|')
-	s.appendPairs(g.Pairs)
-}
-
-// permKey fills s.key with the (Perm, Pairs) fingerprint.
-func (s *evalScratch) permKey(g Genome) {
-	s.key = s.key[:0]
-	for _, r := range g.Perm {
-		s.key = binary.LittleEndian.AppendUint64(s.key, uint64(int64(r)))
-	}
-	s.key = append(s.key, '|')
-	s.appendPairs(g.Pairs)
+	return s
 }
 
 // maxStageTime returns the bottleneck stage time and overall feasibility:
 // every stage's retained checkpoints minus outgoing pair volume must fit its
 // local capacity, and incoming pair volume must fit helpers' spare.
-func (p *Problem) maxStageTime(g Genome) (float64, bool) {
+func (p *Problem) maxStageTime(g Genome, s *evalScratch) (float64, bool) {
 	n := p.stages()
 	if len(g.RecompChoice) != n {
 		return 0, false
 	}
-	outgoing := make([]float64, n)
-	incoming := make([]float64, n)
+	outgoing, incoming := s.outgoing, s.incoming
+	clear(outgoing)
+	clear(incoming)
 	for _, pr := range g.Pairs {
 		if pr.Sender < 0 || pr.Sender >= n || pr.Helper < 0 || pr.Helper >= n || pr.Bytes < 0 {
 			return 0, false
@@ -223,13 +143,12 @@ func (p *Problem) maxStageTime(g Genome) (float64, bool) {
 		incoming[pr.Helper] += pr.Bytes
 	}
 	var tmax float64
-	for s := 0; s < n; s++ {
-		prof := p.Profiles[s]
-		oi := g.RecompChoice[s]
+	for st, prof := range p.Profiles {
+		oi := g.RecompChoice[st]
 		if oi < 0 || oi >= len(prof.Options) {
 			return 0, false
 		}
-		if prof.CkptBytes(oi)-outgoing[s]+incoming[s] > prof.LocalCheckpointCapacity()+1e-6 {
+		if prof.CkptBytes(oi)-outgoing[st]+incoming[st] > prof.LocalCheckpointCapacity()+1e-6 {
 			return 0, false
 		}
 		if t := prof.StageTime(oi); t > tmax {
@@ -306,21 +225,16 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
 	// Genome generation stays sequential (it consumes the RNG stream), but
 	// fitness — the expensive, pure part — is scored on the worker pool.
-	// Each worker owns an evalScratch (evaluation buffers + component memo
-	// tables), so a mutation that touched only the permutation re-derives
-	// only the placement cost and vice versa. Fitness depends only on the
-	// genome and the caches memoize exact values, so the result is
-	// identical for every worker count.
+	// Each worker owns an evalScratch, and fitness depends only on the
+	// genome, so the result is identical for every worker count.
 	runner := pool.New(opts.Workers)
 	scratches := make([]*evalScratch, runner.Width(pop))
 	score := func(genomes []Genome) []scored {
 		return pool.MapWorker(runner, len(genomes), func(w, i int) scored {
-			s := scratches[w]
-			if s == nil {
-				s = p.newScratch()
-				scratches[w] = s
+			if scratches[w] == nil {
+				scratches[w] = p.newScratch()
 			}
-			return scored{genomes[i], p.fitness(genomes[i], s)}
+			return scored{genomes[i], p.fitness(genomes[i], scratches[w])}
 		})
 	}
 
@@ -333,27 +247,26 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 	}
 	population := score(initial)
 
+	// A scored genome is never written to: each child is cloned from its
+	// tournament parent before crossover and mutation touch it. So the
+	// elites and the best genome carry over without copies.
 	res := &Result{BestFitness: math.Inf(1)}
-	for gen := 0; gen < gens; gen++ {
+	for gen := 0; ; gen++ {
 		sort.Slice(population, func(i, j int) bool { return population[i].f < population[j].f })
 		if population[0].f < res.BestFitness {
-			res.BestFitness = population[0].f
-			res.Best = population[0].g.Clone()
+			res.BestFitness, res.Best = population[0].f, population[0].g
 		}
 		res.History = append(res.History, res.BestFitness)
+		if gen == gens {
+			break
+		}
 
 		// Selection: ω fraction of parents by elitism, the rest by binary
 		// tournament (preserving diversity).
-		next := make([]scored, 0, pop)
-		elite := int(omega * float64(pop))
-		if elite < 1 {
-			elite = 1
-		}
-		for i := 0; i < elite && i < len(population); i++ {
-			next = append(next, scored{population[i].g.Clone(), population[i].f})
-		}
-		children := make([]Genome, 0, pop-len(next))
-		for len(next)+len(children) < pop {
+		elite := max(1, int(omega*float64(pop)))
+		next := append(make([]scored, 0, pop), population[:elite]...)
+		children := make([]Genome, 0, pop-elite)
+		for elite+len(children) < pop {
 			a := p.tournament(population, rng)
 			child := a.Clone()
 			// Crossover with a second tournament parent half the time.
@@ -364,15 +277,8 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 			p.mutate(&child, rng)
 			children = append(children, child)
 		}
-		next = append(next, score(children)...)
-		population = next
+		population = append(next, score(children)...)
 	}
-	sort.Slice(population, func(i, j int) bool { return population[i].f < population[j].f })
-	if population[0].f < res.BestFitness {
-		res.BestFitness = population[0].f
-		res.Best = population[0].g.Clone()
-	}
-	res.History = append(res.History, res.BestFitness)
 	if math.IsInf(res.BestFitness, 1) {
 		return nil, fmt.Errorf("ga: no feasible genome found")
 	}

@@ -55,7 +55,9 @@ type Options struct {
 	DisablePruning bool
 	// NaiveRecompute replaces GCMR with the local-only baseline.
 	NaiveRecompute bool
-	// FixedTP/FixedPP pin the parallelism (baseline reproduction).
+	// FixedTP/FixedPP pin the parallelism (baseline reproduction): both
+	// set yield the single (FixedTP, FixedPP) candidate; one alone fixes
+	// that degree and searches the other (see factorisations).
 	FixedTP, FixedPP int
 	// PipelineWafers spreads the PP stages over this many wafers of a
 	// multi-wafer node (§VI-F); 0/1 keeps the pipeline on one wafer.
@@ -245,15 +247,31 @@ func firstFailure(cands []Candidate) string {
 }
 
 // factorisations enumerates (tp, pp) pairs with tp·pp ≤ dies (Alg 1 line 4).
+// A lone pin fixes its own degree and searches the other: FixedTP keeps
+// every pp the enumeration gives that tp, FixedPP every power-of-two
+// tp ≤ maxTP with tp·FixedPP ≤ dies and FixedPP ≤ layers.
 func factorisations(dies, maxTP, layers int, opts Options) [][2]int {
-	var out [][2]int
 	if opts.FixedTP > 0 && opts.FixedPP > 0 {
 		return [][2]int{{opts.FixedTP, opts.FixedPP}}
 	}
+	var tps []int
 	for tp := 1; tp <= maxTP; tp *= 2 {
+		tps = append(tps, tp)
+	}
+	if opts.FixedTP > 0 {
+		tps = []int{opts.FixedTP}
+	}
+	var out [][2]int
+	for _, tp := range tps {
 		maxPP := dies / tp
 		if layers < maxPP {
 			maxPP = layers
+		}
+		if opts.FixedPP > 0 {
+			if opts.FixedPP <= maxPP {
+				out = append(out, [2]int{tp, opts.FixedPP})
+			}
+			continue
 		}
 		// Meaningful pipeline depths: powers of two plus divisors of the
 		// remaining die budget (full-wafer coverage points).

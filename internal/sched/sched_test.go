@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/collective"
@@ -112,6 +113,43 @@ func TestGAImprovesOrMatchesGreedy(t *testing.T) {
 	if withGA.Best.Report.Throughput < greedy.Best.Report.Throughput*0.95 {
 		t.Errorf("GA (%.3g) should not regress far below greedy (%.3g)",
 			withGA.Best.Report.Throughput, greedy.Best.Report.Throughput)
+	}
+}
+
+// TestLoneParallelismPin pins the meaning of one pin alone: FixedTP fixes
+// the tensor degree and explores every pipeline depth the default search
+// gives it, FixedPP fixes the pipeline depth and explores every tensor
+// degree the default search pairs with it.
+func TestLoneParallelismPin(t *testing.T) {
+	points := func(opts Options) [][2]int {
+		t.Helper()
+		res, err := Search(hw.Config3(), model.Llama2_30B(), smallWork(), testPred, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][2]int
+		for _, c := range res.Explored {
+			out = append(out, [2]int{c.TP, c.PP})
+		}
+		return out
+	}
+	var tp2, pp4 [][2]int
+	for _, pt := range points(Options{}) {
+		if pt[0] == 2 {
+			tp2 = append(tp2, pt)
+		}
+		if pt[1] == 4 {
+			pp4 = append(pp4, pt)
+		}
+	}
+	if len(tp2) < 2 || len(pp4) < 2 {
+		t.Fatalf("default search has too few TP-2 (%v) or PP-4 (%v) points", tp2, pp4)
+	}
+	if got := points(Options{FixedTP: 2}); !reflect.DeepEqual(got, tp2) {
+		t.Errorf("lone FixedTP 2 explored %v, want the default search's TP-2 points %v", got, tp2)
+	}
+	if got := points(Options{FixedPP: 4}); !reflect.DeepEqual(got, pp4) {
+		t.Errorf("lone FixedPP 4 explored %v, want the default search's PP-4 points %v", got, pp4)
 	}
 }
 

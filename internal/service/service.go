@@ -68,7 +68,9 @@ type Request struct {
 	UseGA bool `json:"ga,omitempty"`
 	// MaxTP caps the tensor-parallel degree (0 = number of dies).
 	MaxTP int `json:"max_tp,omitempty"`
-	// FixedTP/FixedPP pin the parallelism (baseline reproduction).
+	// FixedTP/FixedPP pin the parallelism (baseline reproduction): both
+	// set evaluate the one candidate, one alone fixes that degree and
+	// searches the other (sched.Options).
 	FixedTP int `json:"fixed_tp,omitempty"`
 	FixedPP int `json:"fixed_pp,omitempty"`
 	// PipelineWafers spreads the pipeline over a multi-wafer node.

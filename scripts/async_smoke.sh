@@ -10,26 +10,11 @@
 #   4. a repeat of the finished interactive job is served from the router's
 #      completed-result cache without crossing the fleet.
 set -euo pipefail
-
-BIN=$(mktemp -d)
-WORK=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; wait; rm -rf "$BIN" "$WORK"' EXIT
-
-go build -o "$BIN/watosd" ./cmd/watosd
-go build -o "$BIN/watos-router" ./cmd/watos-router
-go build -o "$BIN/watos" ./cmd/watos
+. "$(dirname "$0")/lib.sh"
+build watosd watos-router watos
 
 PORT_A=${PORT_A:-8795}
 PORT_R=${PORT_R:-8794}
-
-wait_healthy() {
-  for _ in $(seq 1 50); do
-    curl -sf "http://127.0.0.1:$1/v1/healthz" >/dev/null && return 0
-    sleep 0.2
-  done
-  echo "endpoint on port $1 never became healthy" >&2
-  return 1
-}
 
 # One shard, ONE job worker: every sweep leg queues behind its predecessor,
 # giving the interactive job a backlog to overtake.

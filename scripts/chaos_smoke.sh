@@ -10,28 +10,13 @@
 #      inheritor, which then serves the full sweep with zero cold cache
 #      misses (stats-delta assertion).
 set -euo pipefail
-
-BIN=$(mktemp -d)
-WORK=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; wait; rm -rf "$BIN" "$WORK"' EXIT
-
-go build -o "$BIN/watosd" ./cmd/watosd
-go build -o "$BIN/watos-router" ./cmd/watos-router
-go build -o "$BIN/watos" ./cmd/watos
+. "$(dirname "$0")/lib.sh"
+build watosd watos-router watos
 
 PORT_A=${PORT_A:-8795}
 PORT_B=${PORT_B:-8796}
 PORT_C=${PORT_C:-8797}
 PORT_R=${PORT_R:-8798}
-
-wait_healthy() {
-  for _ in $(seq 1 50); do
-    curl -sf "http://127.0.0.1:$1/v1/healthz" >/dev/null && return 0
-    sleep 0.2
-  done
-  echo "endpoint on port $1 never became healthy" >&2
-  return 1
-}
 
 # wait_idle blocks until a daemon has no queued or running job.
 wait_idle() {

@@ -12,28 +12,13 @@
 #      the fast shard, and once the stall clears a half-open trial readmits
 #      the shard (breaker closed again).
 set -euo pipefail
-
-BIN=$(mktemp -d)
-WORK=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; wait; rm -rf "$BIN" "$WORK"' EXIT
-
-go build -o "$BIN/watosd" ./cmd/watosd
-go build -o "$BIN/watos-router" ./cmd/watos-router
-go build -o "$BIN/watos" ./cmd/watos
+. "$(dirname "$0")/lib.sh"
+build watosd watos-router watos
 
 PORT_D=${PORT_D:-8805}
 PORT_A=${PORT_A:-8806}
 PORT_B=${PORT_B:-8807}
 PORT_R=${PORT_R:-8808}
-
-wait_healthy() {
-  for _ in $(seq 1 50); do
-    curl -sf "http://127.0.0.1:$1/v1/healthz" >/dev/null && return 0
-    sleep 0.2
-  done
-  echo "endpoint on port $1 never became healthy" >&2
-  return 1
-}
 
 submit() { # submit <port> <json-body> -> "HTTPCODE RETRY_AFTER BODY"
   curl -s -o "$WORK/submit-body.json" -w '%{http_code} %header{retry-after}' \

@@ -11,24 +11,11 @@
 #      the queued prefetch jobs are cancelled (state cancelled, counted in
 #      prefetch_cancelled), never letting speculation delay demand.
 set -euo pipefail
-
-BIN=$(mktemp -d)
-WORK=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; wait; rm -rf "$BIN" "$WORK"' EXIT
-
-go build -o "$BIN/watosd" ./cmd/watosd
+. "$(dirname "$0")/lib.sh"
+build watosd
 
 PORT_A=${PORT_A:-8815}
 PORT_B=${PORT_B:-8816}
-
-wait_healthy() {
-  for _ in $(seq 1 50); do
-    curl -sf "http://127.0.0.1:$1/v1/healthz" >/dev/null && return 0
-    sleep 0.2
-  done
-  echo "endpoint on port $1 never became healthy" >&2
-  return 1
-}
 
 submit() { # submit <port> <json-body> -> job id
   curl -s -H 'Content-Type: application/json' -d "$2" \
