@@ -17,9 +17,9 @@ race:
 # jobs/sec and dedup rates, sweeps, the kill-one-shard-mid-burst
 # resilience numbers, async-sweep time-to-first-row, priority latency,
 # result-cache repeats); the saturation pair, whose 2x schedule is sized
-# from the single-job service time measured in the same run and which
-# fails the run unless overload protection wins both goodput and
-# interactive p95; the trace-replay prefetch pair over the Table II
+# from the median of three single-job service times measured in the same
+# run and which fails the run unless overload protection wins both goodput
+# and interactive p95; the trace-replay prefetch pair over the Table II
 # architectures (warm-hit rate + mean demand latency with the speculative
 # lane on vs off, failing the run unless prefetch wins the hit rate); plus
 # the speedups vs the recorded PR-1..PR-9 baselines and the in-run PR3-era
@@ -31,16 +31,17 @@ bench:
 # Fast regression gate for the search inner loops: the zero-alloc
 # assertions of the Scorer's price/commit cycle, its read-only pricing and
 # its commit, and of the GA's fitness on a reused per-worker scratch, on
-# their own (the benchmarks only report allocs, they don't fail on them)
-# plus one iteration of each annealer
-# (priced and full re-evaluation), placement and GA benchmark, of mesh
-# construction on every Table II wafer and mesh-switch (BenchmarkMeshNew,
-# which every search pays once) and of the cold single-worker search
-# (BenchmarkSearchSequential, where GCMR and BuildOptions run), so a broken
-# or allocating hot path fails in seconds without waiting for the full
-# bench run.
+# their own (the benchmarks only report allocs, they don't fail on them),
+# the annealer's deterministic pricing count (each distinct swap priced
+# once per committed state, fewer prices than proposals), plus one
+# iteration of each annealer (priced and full re-evaluation), placement
+# and GA benchmark, of mesh construction on every Table II wafer and
+# mesh-switch (BenchmarkMeshNew, which every search pays once) and of the
+# cold single-worker search (BenchmarkSearchSequential, where GCMR and
+# BuildOptions run), so a broken or allocating hot path fails in seconds
+# without waiting for the full bench run.
 bench-smoke:
-	go test -run 'TestScorer(Batch|Swap)?ZeroAlloc' -count=1 ./internal/placement
+	go test -run 'TestScorer(Batch|Swap)?ZeroAlloc|TestOptimizePricingCount' -count=1 ./internal/placement
 	go test -run TestFitnessZeroAlloc -count=1 ./internal/ga
 	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkMeshNew|BenchmarkSearchSequential$$' -benchtime=1x -benchmem .
 

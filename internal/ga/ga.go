@@ -207,6 +207,11 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 	if len(seed.RecompChoice) != p.stages() || len(seed.Perm) != p.stages() {
 		return nil, fmt.Errorf("ga: seed genome shape mismatch")
 	}
+	// Every descendant's Perm takes its entries from the seed's, so a seed
+	// in range keeps crossover's region index in range.
+	if !p.validPerm(seed.Perm) {
+		return nil, fmt.Errorf("ga: seed permutation indexes outside the %d base regions", len(p.BaseRegions))
+	}
 	pop := opts.Population
 	if pop <= 0 {
 		pop = 32
@@ -251,6 +256,7 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 	// tournament parent before crossover and mutation touch it. So the
 	// elites and the best genome carry over without copies.
 	res := &Result{BestFitness: math.Inf(1)}
+	used := make([]bool, len(p.BaseRegions))
 	for gen := 0; ; gen++ {
 		sort.Slice(population, func(i, j int) bool { return population[i].f < population[j].f })
 		if population[0].f < res.BestFitness {
@@ -272,7 +278,7 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 			// Crossover with a second tournament parent half the time.
 			if rng.Float64() < 0.5 {
 				b := p.tournament(population, rng)
-				p.crossover(&child, b, rng)
+				p.crossover(&child, b, used, rng)
 			}
 			p.mutate(&child, rng)
 			children = append(children, child)
@@ -356,8 +362,10 @@ func (p *Problem) op4(g *Genome, rng *rand.Rand) {
 	}
 }
 
-// crossover mixes another genome's placement and recompute choices.
-func (p *Problem) crossover(g *Genome, other Genome, rng *rand.Rand) {
+// crossover mixes another genome's placement and recompute choices. used
+// is scratch with one flag per base region, which both genomes' Perm
+// entries index.
+func (p *Problem) crossover(g *Genome, other Genome, used []bool, rng *rand.Rand) {
 	n := p.stages()
 	cut := rng.Intn(n)
 	for s := cut; s < n; s++ {
@@ -365,7 +373,7 @@ func (p *Problem) crossover(g *Genome, other Genome, rng *rand.Rand) {
 	}
 	// Permutation crossover: adopt the other's ordering for the suffix via
 	// order-preserving fill to keep Perm a permutation.
-	used := map[int]bool{}
+	clear(used)
 	for s := 0; s < cut; s++ {
 		used[g.Perm[s]] = true
 	}

@@ -119,9 +119,18 @@ func TestOptimizeRejectsBadInput(t *testing.T) {
 	if _, err := Optimize(&Problem{}, Genome{}, Options{}); err == nil {
 		t.Error("empty problem should fail")
 	}
-	prob, _ := testProblem(t)
+	prob, seed := testProblem(t)
 	if _, err := Optimize(prob, Genome{RecompChoice: []int{0}}, Options{}); err == nil {
 		t.Error("shape-mismatched seed should fail")
+	}
+	// A seed permutation outside the base regions: crossover indexes its
+	// per-region scratch with Perm entries, so Optimize must reject it.
+	for _, r := range []int{len(prob.BaseRegions), -1} {
+		bad := seed.Clone()
+		bad.Perm[len(bad.Perm)-1] = r
+		if _, err := Optimize(prob, bad, Options{Population: 8, Generations: 4, Workers: 1}); err == nil {
+			t.Errorf("seed permutation entry %d should fail", r)
+		}
 	}
 }
 
@@ -154,7 +163,7 @@ func TestCrossoverPreservesPermutationProperty(t *testing.T) {
 		rng := newRand(seedVal)
 		prob.mutate(&b, rng)
 		prob.mutate(&b, rng)
-		prob.crossover(&a, b, rng)
+		prob.crossover(&a, b, make([]bool, len(prob.BaseRegions)), rng)
 		seen := map[int]bool{}
 		for _, r := range a.Perm {
 			if seen[r] {

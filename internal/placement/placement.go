@@ -188,24 +188,37 @@ func EvalAnchors(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.
 // raise the cost or else with probability exp(−Δ/T) under geometric
 // cooling.
 //
-// On a mesh with interned routes each proposal is priced read-only by a
-// Scorer against the committed state, and only an accepted one is
-// committed; past the interning bound each proposal is a full evaluation of
-// the swapped anchor table, undone on rejection. Both pricers return the
-// same float bits, so every draw from rng, every acceptance and the
-// returned placement are the same on either (pinned by
+// Each distinct swap is priced once per committed state: a memo keyed by
+// the unordered stage pair holds each price stamped with the commit epoch
+// it was taken in, and every accepted proposal starts a new epoch. A
+// rejection leaves the state unchanged, so a swap proposed again in the
+// same epoch reuses its price. Such a repeat is always uphill (a non-worse
+// proposal is always accepted), so it draws its acceptance threshold from
+// rng exactly as a fresh pricing would. This is the lazy form of the delta
+// table of QAP local search (Taillard 1991), invalidated on commit because
+// Eq 2's γ term couples every pair.
+//
+// Behind the memo, on a mesh with interned routes a Scorer prices each swap
+// read-only against the committed state and commits only an accepted one;
+// past the interning bound each price is a full evaluation of the swapped
+// anchor table. Both pricers return the same float bits for either order of
+// a pair, so every draw from rng, every acceptance and the returned
+// placement are those of a loop that fully evaluates every proposal
+// (pinned by TestOptimizeMatchesReference,
 // TestOptimizeSpeculativeMatchesScalar and the sched golden SHA).
 func Optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (*Placement, error) {
-	return optimize(m, tp, pp, w, rng, m.InternedMaskArena() != nil)
+	p, _, err := optimize(m, tp, pp, w, rng, m.InternedMaskArena() != nil)
+	return p, err
 }
 
-// optimize is Optimize with the pricer chosen by the caller: priced uses a
-// Scorer, which needs interned routes; otherwise each proposal is priced by
-// anchorCost, the tests' full-evaluation reference.
-func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, priced bool) (*Placement, error) {
+// optimize is Optimize with the pricer chosen by the caller: useScorer
+// prices with a Scorer, which needs interned routes; otherwise each swap is
+// priced by a full anchorCost evaluation. It also returns how many swaps it
+// priced: the proposals the memo did not answer.
+func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, useScorer bool) (*Placement, int, error) {
 	base, err := Partition(m, tp, pp)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	anchors := make([]mesh.DieID, pp)
 	for i := range base {
@@ -223,21 +236,38 @@ func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, priced bool)
 		return &Placement{Regions: regions}
 	}
 	if pp <= 1 {
-		return build(perm), nil
+		return build(perm), 0, nil
 	}
-	var sc *Scorer
-	var occupied *mesh.LinkSet
+	var price func(a, b int) float64
+	var commit func(a, b int)
 	var curCost float64
-	if priced {
-		sc = NewScorer(m, anchors, w)
+	if useScorer {
+		sc := NewScorer(m, anchors, w)
 		curCost = sc.Cost()
+		price = sc.SwapCost
+		commit = func(a, b int) { sc.Commit(a, b) }
 	} else {
-		occupied = m.NewLinkSet()
+		occupied := m.NewLinkSet()
 		curCost = anchorCost(m, anchors, w, occupied)
+		price = func(a, b int) float64 {
+			anchors[a], anchors[b] = anchors[b], anchors[a]
+			c := anchorCost(m, anchors, w, occupied)
+			anchors[a], anchors[b] = anchors[b], anchors[a]
+			return c
+		}
+		commit = func(a, b int) { anchors[a], anchors[b] = anchors[b], anchors[a] }
 	}
 	bestPerm := append([]int(nil), perm...)
 	bestCost := curCost
 
+	// memo[hi·(hi−1)/2 + lo] prices the swap of stages lo < hi; an entry
+	// is current while its epoch equals epoch. Epochs start at 1, so the
+	// zeroed table holds no current entry.
+	memo := make([]struct {
+		epoch int
+		cost  float64
+	}, pp*(pp-1)/2)
+	epoch, prices := 1, 0
 	temp := curCost * 0.1
 	if temp <= 0 {
 		temp = 1
@@ -248,29 +278,26 @@ func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, priced bool)
 		if a == b {
 			continue
 		}
-		var c float64
-		if sc != nil {
-			c = sc.SwapCost(a, b)
-		} else {
-			anchors[a], anchors[b] = anchors[b], anchors[a]
-			c = anchorCost(m, anchors, w, occupied)
+		lo, hi := min(a, b), max(a, b)
+		e := &memo[hi*(hi-1)/2+lo]
+		if e.epoch != epoch {
+			e.epoch, e.cost = epoch, price(a, b)
+			prices++
 		}
+		c := e.cost
 		if c <= curCost || rng.Float64() < math.Exp((curCost-c)/math.Max(temp, 1e-12)) {
-			if sc != nil {
-				sc.Commit(a, b)
-			}
+			commit(a, b)
+			epoch++
 			perm[a], perm[b] = perm[b], perm[a]
 			curCost = c
 			if c < bestCost {
 				bestCost = c
 				copy(bestPerm, perm)
 			}
-		} else if sc == nil {
-			anchors[a], anchors[b] = anchors[b], anchors[a]
 		}
 		temp *= 0.995
 	}
-	return build(bestPerm), nil
+	return build(bestPerm), prices, nil
 }
 
 // TotalHops returns the total pipeline + balance hop count of a placement
