@@ -30,8 +30,10 @@ bench:
 
 # Fast regression gate for the search inner loops: the zero-alloc
 # assertions of the Scorer's price/commit cycle, its read-only pricing and
-# its commit, and of the GA's fitness on a reused per-worker scratch, on
-# their own (the benchmarks only report allocs, they don't fail on them),
+# its commit, and of the GA's fitness on a reused per-worker scratch, and
+# the GA's flat allocation count in generations (1,000 generations within
+# a small slack of 200), on their own (the benchmarks only report allocs,
+# they don't fail on them),
 # the annealer's deterministic pricing count (each distinct swap priced
 # once per committed state, fewer prices than proposals), plus one
 # iteration of each annealer (priced and full re-evaluation), placement
@@ -42,7 +44,7 @@ bench:
 # without waiting for the full bench run.
 bench-smoke:
 	go test -run 'TestScorer(Batch|Swap)?ZeroAlloc|TestOptimizePricingCount' -count=1 ./internal/placement
-	go test -run TestFitnessZeroAlloc -count=1 ./internal/ga
+	go test -run 'TestFitnessZeroAlloc|TestOptimizeAllocsFlatInGenerations' -count=1 ./internal/ga
 	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkMeshNew|BenchmarkSearchSequential$$' -benchtime=1x -benchmem .
 
 # Compare two recorded perf trajectories (ns/op + allocs/op ratios, with a

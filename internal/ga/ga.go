@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/mesh"
 	"repro/internal/placement"
@@ -31,12 +31,17 @@ type Genome struct {
 
 // Clone deep-copies the genome.
 func (g Genome) Clone() Genome {
-	out := Genome{
-		RecompChoice: append([]int(nil), g.RecompChoice...),
-		Perm:         append([]int(nil), g.Perm...),
-		Pairs:        append([]recompute.MemPair(nil), g.Pairs...),
-	}
+	var out Genome
+	copyGenome(&out, g)
 	return out
+}
+
+// copyGenome overwrites dst with a deep copy of src, reusing dst's slices
+// where their capacity allows.
+func copyGenome(dst *Genome, src Genome) {
+	dst.RecompChoice = append(dst.RecompChoice[:0], src.RecompChoice...)
+	dst.Perm = append(dst.Perm[:0], src.Perm...)
+	dst.Pairs = append(dst.Pairs[:0], src.Pairs...)
 }
 
 // Problem describes the optimisation instance.
@@ -228,62 +233,75 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 		omega = 1
 	}
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
+
+	// The genomes live in two arenas of pop slots, the halves of arena:
+	// population points into one and next into the other. Each generation
+	// overwrites next's genomes in place, then the two swap, so a genome is
+	// never written while it is read. A slot reuses its slices once they
+	// have grown, so with one worker a generation allocates nothing.
+	arena := make([]Genome, 2*pop)
+	population, next := make([]scored, pop), make([]scored, pop)
+	for i := range population {
+		population[i].g, next[i].g = &arena[i], &arena[pop+i]
+	}
+
 	// Genome generation stays sequential (it consumes the RNG stream), but
-	// fitness — the expensive, pure part — is scored on the worker pool.
-	// Each worker owns an evalScratch, and fitness depends only on the
+	// fitness — the expensive, pure part — is scored in place on the worker
+	// pool. Each worker owns an evalScratch, and fitness depends only on the
 	// genome, so the result is identical for every worker count.
 	runner := pool.New(opts.Workers)
 	scratches := make([]*evalScratch, runner.Width(pop))
-	score := func(genomes []Genome) []scored {
-		return pool.MapWorker(runner, len(genomes), func(w, i int) scored {
-			if scratches[w] == nil {
-				scratches[w] = p.newScratch()
-			}
-			return scored{genomes[i], p.fitness(genomes[i], scratches[w])}
-		})
+	var batch []scored
+	score := func(w, i int) {
+		if scratches[w] == nil {
+			scratches[w] = p.newScratch()
+		}
+		batch[i].f = p.fitness(*batch[i].g, scratches[w])
 	}
 
-	initial := make([]Genome, 0, pop)
-	initial = append(initial, seed.Clone())
-	for len(initial) < pop {
-		g := seed.Clone()
-		p.mutate(&g, rng)
-		initial = append(initial, g)
+	for i, s := range population {
+		copyGenome(s.g, seed)
+		if i > 0 {
+			p.mutate(s.g, rng)
+		}
 	}
-	population := score(initial)
+	batch = population
+	runner.RunWorker(len(batch), score)
 
-	// A scored genome is never written to: each child is cloned from its
-	// tournament parent before crossover and mutation touch it. So the
-	// elites and the best genome carry over without copies.
-	res := &Result{BestFitness: math.Inf(1)}
+	// res.Best gets its own copy: an arena slot is overwritten two
+	// generations after it is written.
+	res := &Result{BestFitness: math.Inf(1), History: make([]float64, 0, gens+1)}
 	used := make([]bool, len(p.BaseRegions))
+	// Selection: ω fraction of parents by elitism, the rest by binary
+	// tournament (preserving diversity).
+	elite := max(1, int(omega*float64(pop)))
 	for gen := 0; ; gen++ {
-		sort.Slice(population, func(i, j int) bool { return population[i].f < population[j].f })
+		sortPopulation(population)
 		if population[0].f < res.BestFitness {
-			res.BestFitness, res.Best = population[0].f, population[0].g
+			res.BestFitness = population[0].f
+			copyGenome(&res.Best, *population[0].g)
 		}
 		res.History = append(res.History, res.BestFitness)
 		if gen == gens {
 			break
 		}
 
-		// Selection: ω fraction of parents by elitism, the rest by binary
-		// tournament (preserving diversity).
-		elite := max(1, int(omega*float64(pop)))
-		next := append(make([]scored, 0, pop), population[:elite]...)
-		children := make([]Genome, 0, pop-elite)
-		for elite+len(children) < pop {
-			a := p.tournament(population, rng)
-			child := a.Clone()
+		for i, s := range next {
+			if i < elite {
+				copyGenome(s.g, *population[i].g)
+				next[i].f = population[i].f
+				continue
+			}
+			copyGenome(s.g, p.tournament(population, rng))
 			// Crossover with a second tournament parent half the time.
 			if rng.Float64() < 0.5 {
-				b := p.tournament(population, rng)
-				p.crossover(&child, b, used, rng)
+				p.crossover(s.g, p.tournament(population, rng), used, rng)
 			}
-			p.mutate(&child, rng)
-			children = append(children, child)
+			p.mutate(s.g, rng)
 		}
-		population = append(next, score(children)...)
+		batch = next[elite:]
+		runner.RunWorker(len(batch), score)
+		population, next = next, population
 	}
 	if math.IsInf(res.BestFitness, 1) {
 		return nil, fmt.Errorf("ga: no feasible genome found")
@@ -291,17 +309,37 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// scored is a population member: a genome in one of Optimize's arenas and
+// its fitness. It holds a pointer, not the genome, so sorting moves 16
+// bytes per element.
 type scored struct {
-	g Genome
+	g *Genome
 	f float64
+}
+
+// sortPopulation orders a population by ascending fitness. slices.SortFunc
+// runs the same pattern-defeating quicksort as sort.Slice, and this
+// comparator is negative exactly when sort.Slice's less function,
+// a.f < b.f, holds, so members of equal fitness end where sort.Slice put
+// them (neither sort is stable).
+func sortPopulation(pop []scored) {
+	slices.SortFunc(pop, func(a, b scored) int {
+		if a.f < b.f {
+			return -1
+		}
+		if b.f < a.f {
+			return 1
+		}
+		return 0
+	})
 }
 
 func (p *Problem) tournament(pop []scored, rng *rand.Rand) Genome {
 	a, b := rng.Intn(len(pop)), rng.Intn(len(pop))
 	if pop[a].f <= pop[b].f {
-		return pop[a].g
+		return *pop[a].g
 	}
-	return pop[b].g
+	return *pop[b].g
 }
 
 // mutate applies one of the five §IV-D operators.

@@ -325,6 +325,28 @@ func TestFitnessZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestOptimizeAllocsFlatInGenerations pins the generation loop: with one
+// worker, a run of 1,000 generations may allocate only a little more than
+// one of 200, the slack being genome slots whose Mem_pair slices grow
+// later in the longer run. Every per-generation allocation (a child's
+// copy, a population slice) shows up 800 times over.
+func TestOptimizeAllocsFlatInGenerations(t *testing.T) {
+	prob, seed := testProblem(t)
+	allocs := func(gens int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Optimize(prob, seed, Options{Population: 32, Generations: gens, Omega: 0.5, Seed: 1, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const slack = 64
+	short, long := allocs(200), allocs(1000)
+	t.Logf("allocations per run: %.0f over 200 generations, %.0f over 1,000", short, long)
+	if long > short+slack {
+		t.Fatalf("Optimize allocates %.0f times over 200 generations and %.0f over 1,000, want at most %d more", short, long, slack)
+	}
+}
+
 // TestFitnessRejectsOutOfRangePerm pins the satellite fix: permutations
 // indexing outside BaseRegions are infeasible, not silently aliased through
 // a modulo wraparound.

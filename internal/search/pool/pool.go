@@ -106,10 +106,3 @@ func Map[T any](r *Runner, n int, fn func(i int) T) []T {
 	r.Run(n, func(i int) { out[i] = fn(i) })
 	return out
 }
-
-// MapWorker is Map with worker identity (see RunWorker).
-func MapWorker[T any](r *Runner, n int, fn func(worker, i int) T) []T {
-	out := make([]T, n)
-	r.RunWorker(n, func(w, i int) { out[i] = fn(w, i) })
-	return out
-}

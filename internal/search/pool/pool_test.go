@@ -73,16 +73,6 @@ func TestWidthClamping(t *testing.T) {
 	}
 }
 
-func TestMapWorkerResultsInIndexOrder(t *testing.T) {
-	r := New(4)
-	got := MapWorker(r, 100, func(w, i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("MapWorker[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 func TestRunWorkerIdentity(t *testing.T) {
 	// Worker IDs must stay within [0, Width(n)) and belong to exactly one
 	// live goroutine at a time — the property that makes per-worker

@@ -124,13 +124,29 @@ func TestRouterJobByteIdenticalToInProcess(t *testing.T) {
 
 // TestRouterStableHashing pins stable routing end-to-end: every submission
 // of one fingerprint lands on its rendezvous owner (so shard caches and
-// dedup keep working), and distinct fingerprints reach both shards.
+// dedup keep working), and distinct fingerprints reach both shards. Owners
+// are ranked over the httptest servers' addresses, whose ports change every
+// run, so the test picks its 8 seeds per run: walking up from seed 1, it
+// takes the first 4 that each shard owns. The hash's spread over fixed
+// addresses is pinned by search.TestShardOwnerStable.
 func TestRouterStableHashing(t *testing.T) {
 	f := newFleet(t, 2)
 	ctx := context.Background()
 
+	var seeds []int64
+	owned := make([]int, 2)
+	for seed := int64(1); len(seeds) < 8; seed++ {
+		if seed > 256 {
+			t.Fatalf("seeds 1–256 gave the shards %v fingerprints; want 4 each", owned)
+		}
+		if i := f.ownerIdx(t, testReq(seed)); owned[i] < 4 {
+			owned[i]++
+			seeds = append(seeds, seed)
+		}
+	}
+
 	shardsHit := map[string]bool{}
-	for seed := int64(1); seed <= 8; seed++ {
+	for _, seed := range seeds {
 		req := testReq(seed)
 		want := f.ownerAddr(t, req)
 		for rep := 0; rep < 3; rep++ {
