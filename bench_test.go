@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/benchutil"
 	"repro/internal/collective"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/recompute"
 	"repro/internal/sched"
 	"repro/internal/search"
+	"repro/internal/service"
 	"repro/internal/sim"
 )
 
@@ -375,26 +377,52 @@ func BenchmarkOptimizePlacement(b *testing.B) {
 }
 
 // BenchmarkGAGeneration is the §IV-D GA inner loop — one generation of
-// mutation, direct fitness scoring on per-worker scratch and selection —
-// via a fixed-generation Optimize run divided by the generation count.
+// mutation, direct fitness scoring on per-worker scratch and selection.
+// Each iteration times a 16- and a 48-generation Optimize run from one
+// seed: ns/generation is their difference over the 32 extra generations,
+// and ns/setup the rest of the short run (seeding math/rand, the arenas'
+// first fill, the result), which no generation pays. ns/op, B/op and
+// allocs/op cover the pair of runs.
 func BenchmarkGAGeneration(b *testing.B) {
-	const gens = 16
+	const short, long = 16, 48
 	prob, seed, err := benchutil.GAProblem()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	optimize := func(gens int, s int64) time.Duration {
+		start := time.Now()
 		if _, err := ga.Optimize(prob, seed, ga.Options{
-			Population: 24, Generations: gens, Omega: 0.5, Seed: int64(i), Workers: 1,
+			Population: 24, Generations: gens, Omega: 0.5, Seed: s, Workers: 1,
 		}); err != nil {
 			b.Fatal(err)
 		}
+		return time.Since(start)
+	}
+	var tShort, tLong time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tShort += optimize(short, int64(i))
+		tLong += optimize(long, int64(i))
 	}
 	b.StopTimer()
-	// Report per-generation cost alongside the raw per-run numbers.
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*gens), "ns/generation")
+	perGen := float64(tLong-tShort) / float64(b.N*(long-short))
+	b.ReportMetric(perGen, "ns/generation")
+	b.ReportMetric(float64(tShort)/float64(b.N)-short*perGen, "ns/setup")
+}
+
+// BenchmarkCanonical renders the canonical record of a co-exploration
+// (benchutil.CoExploration: 32 candidates, 133,969 bytes), the text a
+// daemon returns and keeps in its job history for every job.
+func BenchmarkCanonical(b *testing.B) {
+	res, err := benchutil.CoExploration()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		service.Canonical(res)
+	}
 }
 
 // BenchmarkMeshNew measures building a wafer's mesh — dense die and link

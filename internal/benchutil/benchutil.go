@@ -7,11 +7,14 @@ package benchutil
 import (
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/hw"
 	"repro/internal/mesh"
+	"repro/internal/model"
 	"repro/internal/placement"
 	"repro/internal/recompute"
+	"repro/internal/sched"
 )
 
 // ScaleWafer is a 12×12-die wafer (Config3 die and links) — the
@@ -123,4 +126,16 @@ func GAProblem() (*ga.Problem, ga.Genome, error) {
 		PipelineBytes: pipe,
 	}
 	return prob, ga.SeedFromPlan(plan, pp), nil
+}
+
+// CoExploration runs the co-exploration whose canonical record the render
+// benchmark and its allocation pin measure: Llama2-30B on Config3 at the
+// service's default workload (batch 64, micro-batch 1, sequence 4096),
+// greedy, seed 1, one worker. Its record holds 32 candidates in 133,969
+// bytes.
+func CoExploration() (*core.ExploreResult, error) {
+	fw := core.New()
+	fw.Options = sched.Options{Seed: 1, Workers: 1}
+	return fw.Explore([]hw.WaferConfig{hw.Config3()}, model.Llama2_30B(),
+		model.Workload{GlobalBatch: 64, MicroBatch: 1, SeqLen: 4096})
 }

@@ -23,6 +23,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/hw"
 )
@@ -30,7 +31,17 @@ import (
 // DieID identifies a die by its (X, Y) grid coordinate.
 type DieID struct{ X, Y int }
 
-func (d DieID) String() string { return fmt.Sprintf("(%d,%d)", d.X, d.Y) }
+func (d DieID) String() string { return string(d.AppendTo(make([]byte, 0, 16))) }
+
+// AppendTo appends the die's text, "(x,y)", to b: the bytes String returns,
+// which fmt prints for a DieID under %v.
+func (d DieID) AppendTo(b []byte) []byte {
+	b = append(b, '(')
+	b = strconv.AppendInt(b, int64(d.X), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(d.Y), 10)
+	return append(b, ')')
+}
 
 // DieLess is the canonical (Y, X) total order on dies, shared by every
 // consumer that must iterate deterministically (the evaluation runtime's
@@ -57,7 +68,14 @@ func LinkLess(a, b Link) bool {
 	return DieLess(a.To, b.To)
 }
 
-func (l Link) String() string { return l.From.String() + "->" + l.To.String() }
+func (l Link) String() string { return string(l.AppendTo(make([]byte, 0, 32))) }
+
+// AppendTo appends the link's text, "(x,y)->(x,y)", to b.
+func (l Link) AppendTo(b []byte) []byte {
+	b = l.From.AppendTo(b)
+	b = append(b, "->"...)
+	return l.To.AppendTo(b)
+}
 
 // Reverse returns the opposite-direction link.
 func (l Link) Reverse() Link { return Link{From: l.To, To: l.From} }

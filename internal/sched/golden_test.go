@@ -4,12 +4,15 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/mesh"
 	"repro/internal/model"
 	"repro/internal/predictor"
+	"repro/internal/search"
 )
 
 // goldenSHA is the SHA-256 of the canonical rendering of a full Llama2-30B
@@ -95,4 +98,48 @@ func checkGolden(t *testing.T, opts Options, wantLen int, wantSHA string) *Resul
 		t.Errorf("exploration record sha256 = %s, want %s (reports diverged from the pre-refactor implementation)", got, wantSHA)
 	}
 	return res
+}
+
+// fingerprintGoldenSHA and fingerprintGoldenCount pin the evaluation-cache
+// key text (search.Fingerprint): the SHA-256 of the newline-joined keys of
+// every candidate the GA golden search explores, each keyed on the healthy
+// golden mesh and on a mesh with one degraded link and one degraded die (so
+// the fault segment "|f=" is covered), with a nil predictor so the
+// process-local predictor ID reads 0. Snapshots persist these keys, so a
+// change to the text that moves this SHA must bump
+// search.FingerprintSchemeVersion: otherwise every restored cache misses on
+// every lookup and cold-starts silently. A warm-restart check that saves and
+// restores under one scheme version cannot see such a change.
+const (
+	fingerprintGoldenSHA   = "5d689fe22ecf60ce28fbea284830c253e7bebd959a0001f54bf12dd9e1d57f02"
+	fingerprintGoldenCount = 64
+)
+
+// TestFingerprintGolden asserts the evaluation-cache key of every candidate
+// of the GA golden search (Mem_pairs and allocations included) is
+// byte-identical to the pinned key scheme.
+func TestFingerprintGolden(t *testing.T) {
+	res := checkGolden(t, Options{Workers: 1, DisableCache: true, Seed: 7, UseGA: true}, goldenGALen, goldenGASHA)
+	w, spec := hw.Config3(), model.Llama2_30B()
+	work := model.Workload{GlobalBatch: 64, MicroBatch: 1, SeqLen: 2048}
+	faulty := mesh.New(w)
+	faulty.InjectLinkFault(mesh.Link{From: mesh.DieID{X: 1, Y: 0}, To: mesh.DieID{X: 2, Y: 0}}, 0.5)
+	faulty.InjectDieFault(mesh.DieID{X: 3, Y: 2}, 0.25)
+	var keys []string
+	for _, m := range []*mesh.Mesh{mesh.New(w), faulty} {
+		for _, c := range res.Explored {
+			cfg := engine.Config{Wafer: w, Spec: spec, Workload: work, TP: c.TP, PP: c.PP, Collective: c.Collective}
+			keys = append(keys, search.Fingerprint(cfg, m, c.Strategy))
+		}
+	}
+	all := strings.Join(keys, "\n")
+	if !strings.Contains(all, "|f=") || !strings.Contains(all, "|al=") {
+		t.Fatal("the keys miss the fault segment or the allocations")
+	}
+	if len(keys) != fingerprintGoldenCount {
+		t.Errorf("%d keys, want %d", len(keys), fingerprintGoldenCount)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(all))); got != fingerprintGoldenSHA {
+		t.Errorf("evaluation-cache key sha256 = %s, want %s (the key text changed: bump search.FingerprintSchemeVersion)", got, fingerprintGoldenSHA)
+	}
 }

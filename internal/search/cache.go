@@ -2,9 +2,9 @@ package search
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
+	"repro/internal/canon"
 	"repro/internal/engine"
 	"repro/internal/lru"
 	"repro/internal/mesh"
@@ -128,35 +128,56 @@ func (e *cachedEvaluator) Evaluate(cfg engine.Config, m *mesh.Mesh, strat sim.St
 // collective algorithm, predictor identity, mesh fault state, placement
 // regions, recompute genome (choices, per-stage checkpoint bytes, Mem_pairs)
 // and helper-die allocations. Two evaluations with equal fingerprints are
-// guaranteed to produce bit-identical reports, because sim.Evaluate is a
-// pure function of exactly these inputs.
+// meant to produce bit-identical reports, because sim.Evaluate is a pure
+// function of exactly these inputs; but the wafer enters as its String
+// summary, so two wafers that differ only outside it (W2W, latencies)
+// share their keys.
 func Fingerprint(cfg engine.Config, m *mesh.Mesh, strat sim.Strategy) string {
-	var b strings.Builder
-	b.Grow(512)
-	// engine.Config: all value fields; the predictor contributes its
-	// identity (distinct predictors may produce distinct estimates).
-	fmt.Fprintf(&b, "w=%+v|s=%+v|wl=%+v|tp=%d|pp=%d|c=%d|p=%d",
+	return canon.Render(func(b []byte) []byte { return appendFingerprint(b, &cfg, m, &strat) })
+}
+
+// appendFingerprint appends Fingerprint's bytes to b.
+func appendFingerprint(b []byte, cfg *engine.Config, m *mesh.Mesh, strat *sim.Strategy) []byte {
+	// engine.Config through fmt: %+v prints the model spec and the
+	// workload field by field, but the wafer through hw.WaferConfig's
+	// String method, a rounded summary without W2W or the link and NoC
+	// latencies. The predictor contributes its identity (distinct
+	// predictors may produce distinct estimates).
+	b = fmt.Appendf(b, "w=%+v|s=%+v|wl=%+v|tp=%d|pp=%d|c=%d|p=%d",
 		cfg.Wafer, cfg.Spec, cfg.Workload, cfg.TP, cfg.PP, cfg.Collective, PredictorID(cfg.Predictor))
 	if m != nil {
 		if fk := m.FaultKey(); fk != "" {
-			fmt.Fprintf(&b, "|f=%s", fk)
+			b = append(b, "|f="...)
+			b = append(b, fk...)
 		}
 	}
-	fmt.Fprintf(&b, "|pw=%d", strat.PipelineWafers)
+	// The strategy, appended by hand as fmt's %v and %g render it.
+	b = append(b, "|pw="...)
+	b = canon.Int(b, strat.PipelineWafers)
 	if strat.Placement != nil {
-		b.WriteString("|pl=")
+		b = append(b, "|pl="...)
 		for _, r := range strat.Placement.Regions {
-			fmt.Fprintf(&b, "%v;", r.Dies)
+			b = canon.Dies(b, r.Dies)
+			b = append(b, ';')
 		}
 	}
-	if strat.Recompute != nil {
-		fmt.Fprintf(&b, "|rc=%v,%v,%v,%v,%g,%g",
-			strat.Recompute.Choice, strat.Recompute.StageCkptBytes,
-			strat.Recompute.ExtraBwd, strat.Recompute.Pairs,
-			strat.Recompute.OverflowBytes, strat.Recompute.MaxStageTime)
+	if rc := strat.Recompute; rc != nil {
+		b = append(b, "|rc="...)
+		b = canon.Ints(b, rc.Choice)
+		b = append(b, ',')
+		b = canon.Floats(b, rc.StageCkptBytes)
+		b = append(b, ',')
+		b = canon.Floats(b, rc.ExtraBwd)
+		b = append(b, ',')
+		b = canon.Pairs(b, rc.Pairs, false)
+		b = append(b, ',')
+		b = canon.Float(b, rc.OverflowBytes)
+		b = append(b, ',')
+		b = canon.Float(b, rc.MaxStageTime)
 	}
 	if len(strat.Allocations) > 0 {
-		fmt.Fprintf(&b, "|al=%v", strat.Allocations)
+		b = append(b, "|al="...)
+		b = canon.Allocations(b, strat.Allocations)
 	}
-	return b.String()
+	return b
 }

@@ -34,10 +34,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/jobs"
@@ -970,14 +970,19 @@ func BuildResult(res *core.ExploreResult) *Result {
 // exactly "arch=<name> err=<nil>\n" + sched.Result.Canonical(), which is
 // how the service proves byte-identity with an in-process search.
 func Canonical(res *core.ExploreResult) string {
-	var b strings.Builder
-	for _, ar := range res.PerArch {
-		fmt.Fprintf(&b, "arch=%s err=%v\n", ar.Wafer.Name, ar.Err)
-		if ar.Result != nil {
-			b.WriteString(ar.Result.Canonical())
+	return canon.Render(func(b []byte) []byte {
+		for _, ar := range res.PerArch {
+			b = append(b, "arch="...)
+			b = append(b, ar.Wafer.Name...)
+			b = append(b, " err="...)
+			b = canon.Error(b, ar.Err)
+			b = append(b, '\n')
+			if ar.Result != nil {
+				b = ar.Result.AppendCanonical(b)
+			}
 		}
-	}
-	return b.String()
+		return b
+	})
 }
 
 // Job returns a snapshot of one job: jobs.ErrGone once its record has been

@@ -3,7 +3,7 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cliutil"
@@ -112,17 +112,20 @@ func MergeSweep(parts []*Result, configs, degradedErr []string) (*Result, error)
 		out = *best
 	}
 	out.PerArch = nil
-	out.Canonical = ""
+	// The merged record is the legs' records in sweep order, joined into
+	// one buffer of their summed length.
+	records := make([]string, len(parts))
 	for i, p := range parts {
 		if p == nil {
 			msg := "degraded: " + degradedErr[i]
 			out.PerArch = append(out.PerArch, ArchSummary{Name: configs[i], Status: msg})
-			out.Canonical += fmt.Sprintf("arch=%s err=%s\n", configs[i], msg)
+			records[i] = "arch=" + configs[i] + " err=" + msg + "\n"
 			continue
 		}
 		out.PerArch = append(out.PerArch, p.PerArch...)
-		out.Canonical += p.Canonical
+		records[i] = p.Canonical
 	}
+	out.Canonical = strings.Join(records, "")
 	return &out, nil
 }
 
