@@ -29,15 +29,18 @@ bench:
 	go run ./cmd/bench -out BENCH_pr10.json
 
 # Fast regression gate for the search inner loops and the canonical
-# record: the zero-alloc assertions of the Scorer's price/commit cycle,
-# its read-only pricing and its commit, and of the GA's fitness on a
+# record: the zero-alloc assertions of the Scorer's bound/price/commit
+# cycle, its read-only pricing and its commit, and of the GA's fitness on a
 # reused per-worker scratch, the GA's flat allocation count in generations
 # (1,000 generations within a small slack of 200), and the canonical
 # record's allocation bound (TestCanonicalAllocs: at most 32 for a
 # 32-candidate record), on their own (the benchmarks only report allocs,
 # they don't fail on them),
-# the annealer's deterministic pricing count (each distinct swap priced
-# once per committed state, fewer prices than proposals), plus one
+# the annealer's deterministic bound and pricing counts (one lower bound
+# per distinct swap and committed state, fewer prices than bounds), the
+# lower bound never above the price (TestSwapLowerBoundBelowPrice) and the
+# quasi-monotonicity of math.Exp that rejecting on it relies on
+# (TestExpQuasiMonotone), plus one
 # iteration of each annealer (priced and full re-evaluation), placement
 # and GA benchmark (BenchmarkGAGeneration times a 16- and a 48-generation
 # run and reports their difference per generation), of mesh construction
@@ -47,7 +50,7 @@ bench:
 # record render (BenchmarkCanonical), so a broken or allocating hot path
 # fails in seconds without waiting for the full bench run.
 bench-smoke:
-	go test -run 'TestScorer(Batch|Swap)?ZeroAlloc|TestOptimizePricingCount' -count=1 ./internal/placement
+	go test -run 'TestScorer(Batch|Swap)?ZeroAlloc|TestOptimizePricingCount|TestSwapLowerBoundBelowPrice|TestExpQuasiMonotone' -count=1 ./internal/placement
 	go test -run 'TestFitnessZeroAlloc|TestOptimizeAllocsFlatInGenerations' -count=1 ./internal/ga
 	go test -run 'TestCanonicalAllocs' -count=1 ./internal/service
 	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkMeshNew|BenchmarkSearchSequential$$|BenchmarkCanonical' -benchtime=1x -benchmem .

@@ -10,12 +10,16 @@ import (
 	"repro/internal/placement"
 )
 
-// TestOptimizePricingCount pins how often the annealer prices a swap, on
-// the Config3 pp 32 instance of BenchmarkAnnealSwap and
+// TestOptimizePricingCount pins how often the annealer bounds and prices a
+// swap, on the Config3 pp 32 instance of BenchmarkAnnealSwap and
 // BenchmarkOptimizePlacement (8 Mem_pairs), seeds 1–20. Both pricers must
-// price exactly once per distinct (unordered stage pair, commit epoch) key
-// of the memo-free reference trajectory, and so fewer times than it makes
-// non-degenerate proposals.
+// take exactly one bound per distinct (unordered stage pair, commit epoch)
+// key of the memo-free reference trajectory, and there are fewer keys than
+// non-degenerate proposals. Past the interning bound every bound is −Inf,
+// so each key is priced once: prices == bounds == keys. With a Scorer, a
+// bound above the committed cost rejects without a price whenever the
+// Metropolis uniform clears it, while every accepted proposal was priced:
+// accepts ≤ prices < bounds.
 func TestOptimizePricingCount(t *testing.T) {
 	const tp, pp, npairs = 1, 32, 8
 	m := mesh.New(hw.Config3())
@@ -23,27 +27,36 @@ func TestOptimizePricingCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var proposals, prices int
+	var proposals, keys, prices int
 	for seed := int64(1); seed <= 20; seed++ {
-		_, n, keys, err := placement.ReferenceOptimize(m, tp, pp, w, rand.New(rand.NewSource(seed)))
+		_, n, k, accepts, err := placement.ReferenceOptimize(m, tp, pp, w, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if k >= n {
+			t.Fatalf("seed %d: %d distinct keys for %d non-degenerate proposals, want fewer", seed, k, n)
+		}
 		for _, useScorer := range []bool{true, false} {
-			_, got, err := placement.OptimizeCounted(m, tp, pp, w, rand.New(rand.NewSource(seed)), useScorer)
+			_, p, b, err := placement.OptimizeCounted(m, tp, pp, w, rand.New(rand.NewSource(seed)), useScorer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != keys {
-				t.Fatalf("seed %d (Scorer %v): priced %d swaps, want %d distinct (pair, epoch) keys", seed, useScorer, got, keys)
+			if b != k {
+				t.Fatalf("seed %d (Scorer %v): took %d bounds, want %d distinct (pair, epoch) keys", seed, useScorer, b, k)
+			}
+			if useScorer && !(accepts <= p && p < b) {
+				t.Fatalf("seed %d: priced %d swaps for %d bounds and %d accepted proposals, want accepts ≤ prices < bounds", seed, p, b, accepts)
+			}
+			if !useScorer && p != b {
+				t.Fatalf("seed %d (past the bound): priced %d swaps for %d bounds, want one price per bound", seed, p, b)
+			}
+			if useScorer {
+				prices += p
 			}
 		}
-		if keys >= n {
-			t.Fatalf("seed %d: priced %d swaps for %d non-degenerate proposals, want fewer", seed, keys, n)
-		}
 		proposals += n
-		prices += keys
+		keys += k
 	}
-	t.Logf("seeds 1–20: %d of %d non-degenerate proposals priced (%.1f%% answered by the memo)",
-		prices, proposals, 100*float64(proposals-prices)/float64(proposals))
+	t.Logf("seeds 1–20: %d non-degenerate proposals, %d distinct keys (%.1f%% answered by the memo), %d priced with a Scorer (%.1f%% of keys rejected on the bound)",
+		proposals, keys, 100*float64(proposals-keys)/float64(proposals), prices, 100*float64(keys-prices)/float64(keys))
 }

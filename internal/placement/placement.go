@@ -188,15 +188,31 @@ func EvalAnchors(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.
 // raise the cost or else with probability exp(−Δ/T) under geometric
 // cooling.
 //
-// Each distinct swap is priced once per committed state: a memo keyed by
-// the unordered stage pair holds each price stamped with the commit epoch
-// it was taken in, and every accepted proposal starts a new epoch. A
-// rejection leaves the state unchanged, so a swap proposed again in the
-// same epoch reuses its price. Such a repeat is always uphill (a non-worse
-// proposal is always accepted), so it draws its acceptance threshold from
-// rng exactly as a fresh pricing would. This is the lazy form of the delta
-// table of QAP local search (Taillard 1991), invalidated on commit because
-// Eq 2's γ term couples every pair.
+// Each distinct swap is priced at most once per committed state: a memo
+// keyed by the unordered stage pair holds each price stamped with the
+// commit epoch it was taken in, and every accepted proposal starts a new
+// epoch. A rejection leaves the state unchanged, so a swap proposed again
+// in the same epoch reuses its price. Such a repeat is always uphill (a
+// non-worse proposal is always accepted), so it draws its acceptance
+// threshold from rng exactly as a fresh pricing would. This is the lazy
+// form of the delta table of QAP local search (Taillard 1991), invalidated
+// on commit because Eq 2's γ term couples every pair.
+//
+// The first proposal of a key takes a lower bound on its price before
+// pricing it (Scorer.SwapLowerBound; −Inf past the interning bound). A
+// bound above the committed cost proves the swap uphill, so the Metropolis
+// rule would draw its uniform u now: the loop draws it, and rejects without
+// pricing when u exceeds the bound's threshold exp((cur−bound)/T) widened by
+// a relative 2^-30 and an absolute 2^-1000. The price is at least the bound
+// and the division is monotone under rounding, but math.Exp is not
+// guaranteed monotone; the widening absorbs a rise of a few ulps
+// (TestExpQuasiMonotone), so such a u rejects the priced swap too.
+// Otherwise it prices the swap and accepts iff u < exp((cur−price)/T), as
+// the full loop does. The memo keeps the bound under the negated epoch, so
+// a repeat in the same epoch repeats the test with its own u: the committed
+// cost is fixed within an epoch, so the bound still exceeds it. This is the
+// early rejection of MCMC (Solonen et al., Bayesian Analysis 7(3), 2012),
+// which saves work without changing the chain.
 //
 // Behind the memo, on a mesh with interned routes a Scorer prices each swap
 // read-only against the committed state and commits only an accepted one;
@@ -207,18 +223,19 @@ func EvalAnchors(m *mesh.Mesh, anchors []mesh.DieID, w Workload, occupied *mesh.
 // (pinned by TestOptimizeMatchesReference,
 // TestOptimizeSpeculativeMatchesScalar and the sched golden SHA).
 func Optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (*Placement, error) {
-	p, _, err := optimize(m, tp, pp, w, rng, m.InternedMaskArena() != nil)
+	p, _, _, err := optimize(m, tp, pp, w, rng, m.InternedMaskArena() != nil)
 	return p, err
 }
 
 // optimize is Optimize with the pricer chosen by the caller: useScorer
-// prices with a Scorer, which needs interned routes; otherwise each swap is
-// priced by a full anchorCost evaluation. It also returns how many swaps it
-// priced: the proposals the memo did not answer.
-func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, useScorer bool) (*Placement, int, error) {
+// prices and bounds with a Scorer, which needs interned routes; otherwise
+// each swap is priced by a full anchorCost evaluation under a −Inf bound.
+// It also returns how many swaps it priced and how many bounds it took:
+// one bound per distinct (pair, epoch) key.
+func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, useScorer bool) (p *Placement, prices, bounds int, err error) {
 	base, err := Partition(m, tp, pp)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	anchors := make([]mesh.DieID, pp)
 	for i := range base {
@@ -236,15 +253,16 @@ func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, useScorer bo
 		return &Placement{Regions: regions}
 	}
 	if pp <= 1 {
-		return build(perm), 0, nil
+		return build(perm), 0, 0, nil
 	}
-	var price func(a, b int) float64
+	var price, bound func(a, b int) float64
 	var commit func(a, b int)
 	var curCost float64
 	if useScorer {
 		sc := NewScorer(m, anchors, w)
 		curCost = sc.Cost()
 		price = sc.SwapCost
+		bound = sc.SwapLowerBound
 		commit = func(a, b int) { sc.Commit(a, b) }
 	} else {
 		occupied := m.NewLinkSet()
@@ -255,19 +273,21 @@ func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, useScorer bo
 			anchors[a], anchors[b] = anchors[b], anchors[a]
 			return c
 		}
+		bound = func(int, int) float64 { return math.Inf(-1) }
 		commit = func(a, b int) { anchors[a], anchors[b] = anchors[b], anchors[a] }
 	}
 	bestPerm := append([]int(nil), perm...)
 	bestCost := curCost
 
-	// memo[hi·(hi−1)/2 + lo] prices the swap of stages lo < hi; an entry
-	// is current while its epoch equals epoch. Epochs start at 1, so the
-	// zeroed table holds no current entry.
+	// memo[hi·(hi−1)/2 + lo] holds the swap of stages lo < hi: its price
+	// while its epoch equals epoch, a bound above curCost on that price
+	// while it equals −epoch. Epochs start at 1, so the zeroed table holds
+	// no current entry.
 	memo := make([]struct {
 		epoch int
 		cost  float64
 	}, pp*(pp-1)/2)
-	epoch, prices := 1, 0
+	epoch := 1
 	temp := curCost * 0.1
 	if temp <= 0 {
 		temp = 1
@@ -280,12 +300,28 @@ func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, useScorer bo
 		}
 		lo, hi := min(a, b), max(a, b)
 		e := &memo[hi*(hi-1)/2+lo]
-		if e.epoch != epoch {
+		if e.epoch != epoch && e.epoch != -epoch {
+			bounds++
+			e.epoch, e.cost = -epoch, bound(a, b)
+			if !(e.cost > curCost) {
+				e.epoch, e.cost = epoch, price(a, b)
+				prices++
+			}
+		}
+		t := math.Max(temp, 1e-12)
+		accept := false
+		if e.epoch == epoch {
+			accept = e.cost <= curCost || rng.Float64() < math.Exp((curCost-e.cost)/t)
+		} else if u := rng.Float64(); u <= math.Exp((curCost-e.cost)/t)*(1+0x1p-30)+0x1p-1000 {
+			// The bound exceeds curCost and so does the price: u is the
+			// draw the full loop makes here, and only a u within the
+			// widened threshold can accept.
 			e.epoch, e.cost = epoch, price(a, b)
 			prices++
+			accept = u < math.Exp((curCost-e.cost)/t)
 		}
-		c := e.cost
-		if c <= curCost || rng.Float64() < math.Exp((curCost-c)/math.Max(temp, 1e-12)) {
+		if accept {
+			c := e.cost
 			commit(a, b)
 			epoch++
 			perm[a], perm[b] = perm[b], perm[a]
@@ -297,7 +333,7 @@ func optimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand, useScorer bo
 		}
 		temp *= 0.995
 	}
-	return build(bestPerm), prices, nil
+	return build(bestPerm), prices, bounds, nil
 }
 
 // TotalHops returns the total pipeline + balance hop count of a placement

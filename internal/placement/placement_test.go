@@ -195,7 +195,7 @@ func TestOptimizePastInterningBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, _, err := optimize(m, tp, pp, w, rand.New(rand.NewSource(seed)), false)
+		full, _, _, err := optimize(m, tp, pp, w, rand.New(rand.NewSource(seed)), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,11 +298,11 @@ func TestOptimizeSpeculativeMatchesScalar(t *testing.T) {
 			}
 			for seed := int64(1); seed <= 5; seed++ {
 				fullRNG, priceRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-				full, _, err := optimize(tc.m, tc.tp, tc.pp, w, fullRNG, false)
+				full, _, _, err := optimize(tc.m, tc.tp, tc.pp, w, fullRNG, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				priced, _, err := optimize(tc.m, tc.tp, tc.pp, w, priceRNG, true)
+				priced, _, _, err := optimize(tc.m, tc.tp, tc.pp, w, priceRNG, true)
 				if err != nil {
 					t.Fatal(err)
 				}

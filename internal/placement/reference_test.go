@@ -13,12 +13,13 @@ import (
 // same proposals, cooling and acceptance rule, with every non-degenerate
 // proposal priced by a full anchorCost evaluation of the swapped anchor
 // table, undone on rejection. It also returns the number of those
-// proposals and of the distinct (unordered stage pair, commit epoch) keys
-// among them, which is how many prices a memo invalidated on commit takes.
-func referenceOptimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (p *Placement, proposals, keys int, err error) {
+// proposals, of the distinct (unordered stage pair, commit epoch) keys
+// among them, which is how many bounds a memo invalidated on commit takes,
+// and of the accepted proposals.
+func referenceOptimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (p *Placement, proposals, keys, accepts int, err error) {
 	base, err := Partition(m, tp, pp)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	anchors := make([]mesh.DieID, pp)
 	for i := range base {
@@ -36,7 +37,7 @@ func referenceOptimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (p 
 		return &Placement{Regions: regions}
 	}
 	if pp <= 1 {
-		return build(perm), 0, 0, nil
+		return build(perm), 0, 0, 0, nil
 	}
 	occupied := m.NewLinkSet()
 	curCost := anchorCost(m, anchors, w, occupied)
@@ -44,7 +45,6 @@ func referenceOptimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (p 
 	bestCost := curCost
 
 	seen := map[[3]int]bool{}
-	epoch := 0
 	temp := curCost * 0.1
 	if temp <= 0 {
 		temp = 1
@@ -56,11 +56,11 @@ func referenceOptimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (p 
 			continue
 		}
 		proposals++
-		seen[[3]int{min(a, b), max(a, b), epoch}] = true
+		seen[[3]int{min(a, b), max(a, b), accepts}] = true
 		anchors[a], anchors[b] = anchors[b], anchors[a]
 		c := anchorCost(m, anchors, w, occupied)
 		if c <= curCost || rng.Float64() < math.Exp((curCost-c)/math.Max(temp, 1e-12)) {
-			epoch++
+			accepts++
 			perm[a], perm[b] = perm[b], perm[a]
 			curCost = c
 			if c < bestCost {
@@ -72,7 +72,7 @@ func referenceOptimize(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (p 
 		}
 		temp *= 0.995
 	}
-	return build(bestPerm), proposals, len(seen), nil
+	return build(bestPerm), proposals, len(seen), accepts, nil
 }
 
 // Test-only exports for the external test package, which builds its
@@ -117,7 +117,7 @@ func checkAgainstReference(t *testing.T, m *mesh.Mesh, tp, pp int, w Workload, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _, err := referenceOptimize(m, tp, pp, w, wantRNG)
+	want, _, _, _, err := referenceOptimize(m, tp, pp, w, wantRNG)
 	if err != nil {
 		t.Fatal(err)
 	}

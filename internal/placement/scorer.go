@@ -27,6 +27,30 @@
 // terms appear as +0.0 lane entries, an exact additive identity, so layout
 // never perturbs a single float bit.
 //
+// SwapLowerBound bounds a swap's price from below in O(4 + moved pairs)
+// work with no lane sum, so the annealer can reject most uphill proposals
+// without pricing them. The Scorer also keeps the committed state's floor:
+// its term vector with every valid pair's term at γ = 0 (hops·Bytes; both
+// candidate routes are shortest, so the hop count is the anchors' Manhattan
+// distance) and pipeline terms as priced, with floorSum its sum in slot
+// order. The bound is floorSum, plus the dirty edges' new terms and the
+// moved pairs' new floors, less the committed floors they replace, less a
+// margin of 2^-29 of the magnitude (floorSum plus those new terms). It never
+// exceeds SwapCost:
+//
+//   - for Bytes ≥ 0, pairCost's float64(h)·Bytes·(1+γ) never rounds below
+//     float64(h)·Bytes, so every priced term is at least its floor term;
+//   - SwapCost is a recursive sum of non-negative terms, whose rounding
+//     error is below n·2^-53 of the sum (Higham, Accuracy and Stability of
+//     Numerical Algorithms, §4.2), and the bound's own few operations add a
+//     like amount; for any term count n below 2^20 both fit in the margin.
+//
+// The argument needs finite, non-negative volumes small enough that no term
+// or sum overflows: every PipelineBytes entry and every valid pair's Bytes,
+// and their total, at most MaxFloat64/4/((Cols+Rows)·(links+1)), and fewer
+// than 2^20 terms. Outside that range it fails (a term that overflows is
+// stored as +0, below its floor, for one), so SwapLowerBound returns −Inf.
+//
 // NewScorer panics unless the mesh has interned routes and every anchor is
 // on the mesh; past the interning bound Optimize prices each proposal with a
 // full evaluation instead.
@@ -112,7 +136,22 @@ type Scorer struct {
 	epoch      int64
 	occAfter   []uint64
 	movedEpoch []int64
+
+	// The Eq 2 floor of the committed state, kept by Commit (see the
+	// package comment): floor is the term vector with every valid pair at
+	// float64(hops)·Bytes and pipeline slots equal to base, and floorSum its
+	// sum in slot order. dieXY holds every die index's coordinates, whose
+	// Manhattan distance is a pair's hop count. boundOK records that the
+	// workload's volumes are in the range where SwapLowerBound is proven.
+	floor    []float64
+	floorSum float64
+	dieXY    [][2]int32
+	boundOK  bool
 }
+
+// boundMargin is SwapLowerBound's rounding margin, relative to the
+// magnitude of the bound's terms.
+const boundMargin = 0x1p-29
 
 // NewScorer builds a Scorer for the assignment: anchors[s] is the routing
 // endpoint of stage s. It panics unless m has interned routes and every
@@ -141,6 +180,11 @@ func NewScorer(m *mesh.Mesh, anchors []mesh.DieID, w Workload) *Scorer {
 		nw:         nw,
 		occAfter:   make([]uint64, nw),
 		movedEpoch: make([]int64, np),
+		dieXY:      make([][2]int32, m.Dies()),
+	}
+	for i := range sc.dieXY {
+		d := m.DieAt(i)
+		sc.dieXY[i] = [2]int32{int32(d.X), int32(d.Y)}
 	}
 	for s, a := range anchors {
 		di := m.DieIndex(a)
@@ -166,6 +210,8 @@ func NewScorer(m *mesh.Mesh, anchors []mesh.DieID, w Workload) *Scorer {
 	sc.pfx = make([]float64, nterm+1)
 	sc.lane = make([]float64, nterm)
 	sc.patched = make([]int32, 0, nterm)
+	sc.floor = make([]float64, nterm)
+	sc.boundOK = boundVolumesOK(m, w, sc.pairSlot, nterm)
 
 	for s := 0; s+1 < pp; s++ {
 		e := sc.routeOff(sc.anchorIdx[s], sc.anchorIdx[s+1])
@@ -181,6 +227,7 @@ func NewScorer(m *mesh.Mesh, anchors []mesh.DieID, w Workload) *Scorer {
 		if slot >= 0 {
 			pr := &w.Pairs[i]
 			sc.base[slot] = sc.pairCost(pr.Bytes, sc.anchorIdx[pr.Sender], sc.anchorIdx[pr.Helper], sc.occW)
+			sc.floor[slot] = sc.pairFloor(pr.Bytes, sc.anchorIdx[pr.Sender], sc.anchorIdx[pr.Helper])
 			sc.markPair(i, true)
 		}
 	}
@@ -188,7 +235,37 @@ func NewScorer(m *mesh.Mesh, anchors []mesh.DieID, w Workload) *Scorer {
 		sc.pfx[i+1] = sc.pfx[i] + t
 	}
 	copy(sc.lane, sc.base)
+	copy(sc.floor, sc.base[:max(pp-1, 0)])
+	sc.sumFloor()
 	return sc
+}
+
+// boundVolumesOK reports whether SwapLowerBound is proven for w on m:
+// every PipelineBytes entry and every valid pair's Bytes is finite, ≥ 0
+// and at most MaxFloat64/4/((Cols+Rows)·(links+1)), so is their total, and
+// the term count is below 2^20. A term is at most hops·volume·(1+γ) with
+// hops < Cols+Rows and γ ≤ links, so no term, sum or margin overflows.
+func boundVolumesOK(m *mesh.Mesh, w Workload, pairSlot []int32, nterm int) bool {
+	if nterm >= 1<<20 {
+		return false
+	}
+	limit := math.MaxFloat64 / 4 / float64((m.Cols+m.Rows)*(m.NumLinks()+1))
+	total := 0.0
+	inRange := func(v float64) bool {
+		total += v
+		return v >= 0 && v <= limit // false for NaN
+	}
+	for _, v := range w.PipelineBytes {
+		if !inRange(v) {
+			return false
+		}
+	}
+	for i, pr := range w.Pairs {
+		if pairSlot[i] >= 0 && !inRange(pr.Bytes) {
+			return false
+		}
+	}
+	return total <= limit
 }
 
 // Cost returns the Eq 2 cost of the committed assignment — bit-identical to
@@ -207,12 +284,17 @@ func (sc *Scorer) SwapCost(x, y int) float64 {
 // the value SwapCost(x, y) returned before it. The swap is re-priced, its
 // patched terms are written into the term vector, each dirty pipeline
 // edge's net removal and addition planes are applied to the link multiset,
-// and the moved pairs' transpose bits are re-marked along their new routes.
+// the moved pairs' transpose bits are re-marked along their new routes, and
+// the floor takes the new pipeline terms and the moved pairs' floors.
 func (sc *Scorer) Commit(x, y int) float64 {
 	sc.check("Commit", x, y)
 	d0, ne := sc.patch(x, y)
+	npipe := int32(sc.pp - 1)
 	for _, s := range sc.patched {
 		sc.base[s] = sc.lane[s]
+		if s < npipe {
+			sc.floor[s] = sc.lane[s]
+		}
 	}
 	sc.patched = sc.patched[:0]
 	for i := d0; i < len(sc.base); i++ {
@@ -223,12 +305,90 @@ func (sc *Scorer) Commit(x, y int) float64 {
 		sc.addLinks(sc.enP[i][:sc.nw], +1)
 	}
 	sc.markMoved(x, y, false)
-	sc.anchorIdx[x], sc.anchorIdx[y] = sc.anchorIdx[y], sc.anchorIdx[x]
+	ai := sc.anchorIdx
+	ai[x], ai[y] = ai[y], ai[x]
 	sc.markMoved(x, y, true)
+	for _, st := range [2]int{x, y} {
+		for _, pi := range sc.stagePairs[st] {
+			pr := &sc.w.Pairs[pi]
+			sc.floor[sc.pairSlot[pi]] = sc.pairFloor(pr.Bytes, ai[pr.Sender], ai[pr.Helper])
+		}
+	}
+	sc.sumFloor()
 	return sc.Cost()
 }
 
-// check guards the precondition shared by SwapCost and Commit.
+// SwapLowerBound returns a lower bound on SwapCost(x, y), or −Inf when the
+// workload's volumes are outside the range where the bound is proven (see
+// the package comment). It reads the committed floor, re-derived at the ≤4
+// dirty pipeline edges and the moved pairs, without touching the committed
+// state or the lane.
+func (sc *Scorer) SwapLowerBound(x, y int) float64 {
+	sc.check("SwapLowerBound", x, y)
+	if !sc.boundOK {
+		return math.Inf(-1)
+	}
+	edges, ne := sc.dirtyEdges(x, y)
+	lb, mag := sc.floorSum, sc.floorSum
+	for _, s := range edges[:ne] {
+		t := float64(sc.hops(sc.swapped(s, x, y), sc.swapped(s+1, x, y))) * sc.pipeVol(s)
+		lb += t - sc.floor[s]
+		mag += t
+	}
+	sc.epoch++
+	ep := sc.epoch
+	for _, st := range [2]int{x, y} {
+		for _, pi := range sc.stagePairs[st] {
+			if sc.movedEpoch[pi] == ep {
+				continue
+			}
+			sc.movedEpoch[pi] = ep
+			pr := &sc.w.Pairs[pi]
+			f := sc.pairFloor(pr.Bytes, sc.swapped(pr.Sender, x, y), sc.swapped(pr.Helper, x, y))
+			lb += f - sc.floor[sc.pairSlot[pi]]
+			mag += f
+		}
+	}
+	return lb - mag*boundMargin
+}
+
+// sumFloor recomputes floorSum in slot order.
+func (sc *Scorer) sumFloor() {
+	sum := 0.0
+	for _, f := range sc.floor {
+		sum += f
+	}
+	sc.floorSum = sum
+}
+
+// swapped returns the die index of stage s's anchor once the anchors of
+// stages x and y are swapped.
+func (sc *Scorer) swapped(s, x, y int) int32 {
+	switch s {
+	case x:
+		return sc.anchorIdx[y]
+	case y:
+		return sc.anchorIdx[x]
+	}
+	return sc.anchorIdx[s]
+}
+
+// hops returns the Manhattan distance between die indices u and v: the
+// length of every shortest route between them.
+func (sc *Scorer) hops(u, v int32) int32 {
+	a, b := sc.dieXY[u], sc.dieXY[v]
+	dx, dy := a[0]-b[0], a[1]-b[1]
+	return max(dx, -dx) + max(dy, -dy)
+}
+
+// pairFloor is a pair's term between die indices u and v at γ = 0, the
+// least value pairCost can return for non-negative bytes.
+func (sc *Scorer) pairFloor(bytes float64, u, v int32) float64 {
+	return float64(sc.hops(u, v)) * bytes
+}
+
+// check guards the precondition shared by SwapCost, SwapLowerBound and
+// Commit.
 func (sc *Scorer) check(op string, x, y int) {
 	if x == y {
 		panic("placement: Scorer." + op + " of a degenerate swap")
@@ -328,27 +488,10 @@ func (sc *Scorer) sumRestore(d0 int) float64 {
 	return c
 }
 
-// patch prices the swap of x and y word-parallel into the lane and returns
-// the first dirty slot d0 and the number ne of dirty pipeline edges, whose
-// removal/addition planes it leaves in eoP/enP[0:ne]. Per dirty edge, the
-// committed and proposed routes are interned link bitmasks, and AND-NOT
-// cancels their shared links (net delta zero — the word-level form of
-// prefix/suffix trimming). A surviving removal or addition hits its link
-// exactly once unless two different edges touch the same link; those links
-// accumulate in the overlap plane ovA. Outside ovA all deltas are ±1, so a
-// link flips down iff its committed multiplicity is exactly one and up iff
-// it was unoccupied — two word operations against occOne and occW. The few
-// ovA links (pipeline chains are locally collinear, so rerouted paths do
-// retrace neighbouring edges) are resolved exactly by probing the edge
-// planes for the link's net multiset delta.
-func (sc *Scorer) patch(x, y int) (d0, ne int) {
-	ai := sc.anchorIdx
-
-	// The ≤4 dirty edges in the full evaluation's order (x-1, x, y-1, y,
-	// clamped and deduplicated — x ≠ y, so the only possible duplicates are
-	// y-1 == x and y == x-1).
-	var edges [4]int
-	var hops [4]int
+// dirtyEdges returns the ≤4 pipeline edges the swap of x and y reroutes,
+// in the full evaluation's order (x-1, x, y-1, y, clamped and deduplicated
+// — x ≠ y, so the only possible duplicates are y-1 == x and y == x-1).
+func (sc *Scorer) dirtyEdges(x, y int) (edges [4]int, ne int) {
 	if x > 0 {
 		edges[ne] = x - 1
 		ne++
@@ -365,6 +508,27 @@ func (sc *Scorer) patch(x, y int) (d0, ne int) {
 		edges[ne] = y
 		ne++
 	}
+	return edges, ne
+}
+
+// patch prices the swap of x and y word-parallel into the lane and returns
+// the first dirty slot d0 and the number ne of dirty pipeline edges, whose
+// removal/addition planes it leaves in eoP/enP[0:ne]. Per dirty edge, the
+// committed and proposed routes are interned link bitmasks, and AND-NOT
+// cancels their shared links (net delta zero — the word-level form of
+// prefix/suffix trimming). A surviving removal or addition hits its link
+// exactly once unless two different edges touch the same link; those links
+// accumulate in the overlap plane ovA. Outside ovA all deltas are ±1, so a
+// link flips down iff its committed multiplicity is exactly one and up iff
+// it was unoccupied — two word operations against occOne and occW. The few
+// ovA links (pipeline chains are locally collinear, so rerouted paths do
+// retrace neighbouring edges) are resolved exactly by probing the edge
+// planes for the link's net multiset delta.
+func (sc *Scorer) patch(x, y int) (d0, ne int) {
+	ai := sc.anchorIdx
+
+	edges, ne := sc.dirtyEdges(x, y)
+	var hops [4]int
 
 	nw := sc.nw
 	arena := sc.maskArena
@@ -376,19 +540,7 @@ func (sc *Scorer) patch(x, y int) (d0, ne int) {
 	eoP, enP := &sc.eoP, &sc.enP
 	for i := 0; i < ne; i++ {
 		s := edges[i]
-		u := ai[s]
-		if s == x {
-			u = ai[y]
-		} else if s == y {
-			u = ai[x]
-		}
-		v := ai[s+1]
-		if s+1 == x {
-			v = ai[y]
-		} else if s+1 == y {
-			v = ai[x]
-		}
-		e := sc.routeOff(u, v)
+		e := sc.routeOff(sc.swapped(s, x, y), sc.swapped(s+1, x, y))
 		nm := arena[e : e+nw]
 		oo := sc.routeOff(ai[s], ai[s+1])
 		om := arena[oo : oo+nw]
@@ -550,21 +702,8 @@ func (sc *Scorer) movedPair(pi, x, y int, ep int64, occW []uint64) {
 	sc.movedEpoch[pi] = ep
 	slot := sc.pairSlot[pi]
 	sc.patched = append(sc.patched, slot)
-	ai := sc.anchorIdx
 	pr := &sc.w.Pairs[pi]
-	u := ai[pr.Sender]
-	if pr.Sender == x {
-		u = ai[y]
-	} else if pr.Sender == y {
-		u = ai[x]
-	}
-	v := ai[pr.Helper]
-	if pr.Helper == x {
-		v = ai[y]
-	} else if pr.Helper == y {
-		v = ai[x]
-	}
-	sc.lane[slot] = sc.pairCost(pr.Bytes, u, v, occW)
+	sc.lane[slot] = sc.pairCost(pr.Bytes, sc.swapped(pr.Sender, x, y), sc.swapped(pr.Helper, x, y), occW)
 }
 
 // pairCost is a pair's lane term between die indices u and v: the minimum

@@ -312,10 +312,11 @@ func assertZeroAlloc(t *testing.T, what string, op func(sc *Scorer, rng *rand.Ra
 	}
 }
 
-// TestScorerZeroAlloc asserts the annealer's price/commit cycle performs no
-// allocations on an interned mesh.
+// TestScorerZeroAlloc asserts the annealer's bound/price/commit cycle
+// performs no allocations on an interned mesh.
 func TestScorerZeroAlloc(t *testing.T) {
-	assertZeroAlloc(t, "price/commit cycle", func(sc *Scorer, rng *rand.Rand, x, y int) {
+	assertZeroAlloc(t, "bound/price/commit cycle", func(sc *Scorer, rng *rand.Rand, x, y int) {
+		sc.SwapLowerBound(x, y)
 		sc.SwapCost(x, y)
 		// Commit on a 1-in-4 coin: following a commit must also be
 		// allocation-free.
