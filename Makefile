@@ -40,10 +40,14 @@ bench:
 # per distinct swap and committed state, fewer prices than bounds), the
 # lower bound never above the price (TestSwapLowerBoundBelowPrice) and the
 # quasi-monotonicity of math.Exp that rejecting on it relies on
-# (TestExpQuasiMonotone), plus one
+# (TestExpQuasiMonotone), the GA's deterministic price counts
+# (TestOptimizeComponentCounts: one t_max price per genome whose
+# RecompChoice or Pairs changed from its tournament parent's, fewer Eq 2
+# prices than feasible genomes), plus one
 # iteration of each annealer (priced and full re-evaluation), placement
 # and GA benchmark (BenchmarkGAGeneration times a 16- and a 48-generation
-# run and reports their difference per generation), of mesh construction
+# run on a 7-stage and a 16-stage Mem_pair instance and reports their
+# difference per generation), of mesh construction
 # on every Table II wafer and mesh-switch (BenchmarkMeshNew, which every
 # search pays once), of the cold single-worker search
 # (BenchmarkSearchSequential, where GCMR and BuildOptions run) and of the
@@ -51,7 +55,7 @@ bench:
 # fails in seconds without waiting for the full bench run.
 bench-smoke:
 	go test -run 'TestScorer(Batch|Swap)?ZeroAlloc|TestOptimizePricingCount|TestSwapLowerBoundBelowPrice|TestExpQuasiMonotone' -count=1 ./internal/placement
-	go test -run 'TestFitnessZeroAlloc|TestOptimizeAllocsFlatInGenerations' -count=1 ./internal/ga
+	go test -run 'TestFitnessZeroAlloc|TestOptimizeAllocsFlatInGenerations|TestOptimizeComponentCounts' -count=1 ./internal/ga
 	go test -run 'TestCanonicalAllocs' -count=1 ./internal/service
 	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkOptimizePlacement|BenchmarkGAGeneration|BenchmarkMeshNew|BenchmarkSearchSequential$$|BenchmarkCanonical' -benchtime=1x -benchmem .
 

@@ -377,38 +377,51 @@ func BenchmarkOptimizePlacement(b *testing.B) {
 }
 
 // BenchmarkGAGeneration is the §IV-D GA inner loop — one generation of
-// mutation, direct fitness scoring on per-worker scratch and selection.
-// Each iteration times a 16- and a 48-generation Optimize run from one
-// seed: ns/generation is their difference over the 32 extra generations,
-// and ns/setup the rest of the short run (seeding math/rand, the arenas'
-// first fill, the result), which no generation pays. ns/op, B/op and
-// allocs/op cover the pair of runs.
+// selection, crossover, mutation and pricing on per-worker scratch — on
+// two instances: pp7 is benchutil.GAProblem (7 stages, no Mem_pairs) and
+// pp16-pairs benchutil.GAPairsProblem (16 stages whose GCMR plan starts
+// with 13 Mem_pairs, the shape of a deep Table II pipeline). Each
+// iteration times a 16- and a 48-generation Optimize run from one seed:
+// ns/generation is their difference over the 32 extra generations, and
+// ns/setup the rest of the short run (seeding math/rand, the arena's first
+// fill, the result), which no generation pays. ns/op, B/op and allocs/op
+// cover the pair of runs.
 func BenchmarkGAGeneration(b *testing.B) {
-	const short, long = 16, 48
-	prob, seed, err := benchutil.GAProblem()
-	if err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		build func() (*ga.Problem, ga.Genome, error)
+	}{
+		{"pp7", benchutil.GAProblem},
+		{"pp16-pairs", benchutil.GAPairsProblem},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			prob, seed, err := tc.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			const short, long = 16, 48
+			optimize := func(gens int, s int64) time.Duration {
+				start := time.Now()
+				if _, err := ga.Optimize(prob, seed, ga.Options{
+					Population: 24, Generations: gens, Omega: 0.5, Seed: s, Workers: 1,
+				}); err != nil {
+					b.Fatal(err)
+				}
+				return time.Since(start)
+			}
+			var tShort, tLong time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tShort += optimize(short, int64(i))
+				tLong += optimize(long, int64(i))
+			}
+			b.StopTimer()
+			perGen := float64(tLong-tShort) / float64(b.N*(long-short))
+			b.ReportMetric(perGen, "ns/generation")
+			b.ReportMetric(float64(tShort)/float64(b.N)-short*perGen, "ns/setup")
+		})
 	}
-	optimize := func(gens int, s int64) time.Duration {
-		start := time.Now()
-		if _, err := ga.Optimize(prob, seed, ga.Options{
-			Population: 24, Generations: gens, Omega: 0.5, Seed: s, Workers: 1,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	var tShort, tLong time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tShort += optimize(short, int64(i))
-		tLong += optimize(long, int64(i))
-	}
-	b.StopTimer()
-	perGen := float64(tLong-tShort) / float64(b.N*(long-short))
-	b.ReportMetric(perGen, "ns/generation")
-	b.ReportMetric(float64(tShort)/float64(b.N)-short*perGen, "ns/setup")
 }
 
 // BenchmarkCanonical renders the canonical record of a co-exploration

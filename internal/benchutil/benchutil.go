@@ -5,6 +5,7 @@
 package benchutil
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -88,11 +89,34 @@ func AnnealSwapCycleFull(m *mesh.Mesh, anchors []mesh.DieID, w placement.Workloa
 
 // GAProblem builds the GA-generation benchmark instance: a 7-stage
 // pipeline on Config3 (8 dies per stage) with a three-option recompute
-// pareto frontier per stage, seeded from the GCMR plan.
+// pareto frontier per stage, seeded from the GCMR plan. Every stage's
+// checkpoints fit locally, so the plan has no Mem_pairs.
 func GAProblem() (*ga.Problem, ga.Genome, error) {
+	return gaProblem(8, 7, 30e9, 300e9)
+}
+
+// GAPairsProblem builds the GA instance that starts with Mem_pairs, as a
+// deep Table II pipeline does: 16 stages on Config3, 3 dies per stage, the
+// same frontier shape as GAProblem's, and 86 GB of checkpoint room per
+// stage. Without recomputation the first 1F1B stages overflow it, and the
+// GCMR plan pairs them with later stages' spare room in 13 Mem_pairs.
+// It fails unless the plan has at least 8 Mem_pairs.
+func GAPairsProblem() (*ga.Problem, ga.Genome, error) {
+	prob, seed, err := gaProblem(3, 16, 10e9, 124e9)
+	if err == nil && len(seed.Pairs) < 8 {
+		err = fmt.Errorf("benchutil: the pp-16 GA instance's GCMR plan has %d Mem_pairs, want at least 8", len(seed.Pairs))
+	}
+	return prob, seed, err
+}
+
+// gaProblem builds a pp-stage GA instance on Config3 with tp dies per
+// stage. Stage s retains pp−s micro-batches; its options checkpoint
+// ckptPerMB, half of it and a sixth of it per micro-batch, at 0, 0.08 and
+// 0.2 extra backward time, and it holds modelBytes of model state in its
+// dies' 70 GB each.
+func gaProblem(tp, pp int, ckptPerMB, modelBytes float64) (*ga.Problem, ga.Genome, error) {
 	m := mesh.New(hw.Config3())
-	const pp = 7
-	base, err := placement.Partition(m, 8, pp)
+	base, err := placement.Partition(m, tp, pp)
 	if err != nil {
 		return nil, ga.Genome{}, err
 	}
@@ -100,15 +124,15 @@ func GAProblem() (*ga.Problem, ga.Genome, error) {
 	for s := 0; s < pp; s++ {
 		profiles[s] = recompute.StageProfile{
 			Options: []recompute.Option{
-				{CkptBytesPerMB: 30e9, ExtraBwdTime: 0},
-				{CkptBytesPerMB: 15e9, ExtraBwdTime: 0.08},
-				{CkptBytesPerMB: 5e9, ExtraBwdTime: 0.2},
+				{CkptBytesPerMB: ckptPerMB, ExtraBwdTime: 0},
+				{CkptBytesPerMB: ckptPerMB / 2, ExtraBwdTime: 0.08},
+				{CkptBytesPerMB: ckptPerMB / 6, ExtraBwdTime: 0.2},
 			},
 			Retained:    pp - s,
 			FwdTime:     1,
 			BwdTime:     2,
-			ModelPBytes: 300e9,
-			LocalBytes:  70e9 * 8,
+			ModelPBytes: modelBytes,
+			LocalBytes:  70e9 * float64(tp),
 		}
 	}
 	plan, err := recompute.GCMR(profiles)

@@ -2,9 +2,11 @@
 // (Fig 12). A genome bundles a recomputation configuration, a stage→region
 // placement permutation, and the Mem_pair set; the five customised operators
 // Op1–Op5 mutate and recombine genomes, a fitness function
-// (t_max × (1 + Eq 2 GlobalCost)) prices every genome directly on per-worker
-// scratch, and selection mixes elitism with binary tournaments under the ω
-// knob whose convergence/quality trade-off is the Fig 24b experiment.
+// (t_max × (1 + Eq 2 GlobalCost)) prices each genome on per-worker scratch,
+// and selection mixes elitism with binary tournaments under the ω knob
+// whose convergence/quality trade-off is the Fig 24b experiment. A child
+// inherits its tournament parent's t_max and Eq 2 cost and prices again
+// only a part whose inputs its crossover and mutation changed.
 package ga
 
 import (
@@ -80,9 +82,10 @@ func (p *Problem) Fitness(g Genome) float64 {
 
 // fitness is Fitness on a worker's scratch. Every genome is priced in full:
 // t_max from its recomputation choices and Mem_pairs, and Eq 2 by
-// EvalAnchors over the stage anchors looked up in the scratch's base-region
-// table, which is the evaluation GlobalCost runs, so the value is the same
-// to the bit. On an interned mesh it does not allocate.
+// globalCost, which is the evaluation GlobalCost runs, so the value is the
+// same to the bit. On an interned mesh it does not allocate. Optimize
+// prices its genomes with score, which takes the same two parts but reuses
+// a parent's when their inputs are unchanged.
 func (p *Problem) fitness(g Genome, s *evalScratch) float64 {
 	if !p.validPerm(g.Perm) {
 		return math.Inf(1)
@@ -91,27 +94,35 @@ func (p *Problem) fitness(g Genome, s *evalScratch) float64 {
 	if !feasible {
 		return math.Inf(1)
 	}
+	// GlobalCost can be zero for trivial single-stage problems; keep the
+	// fitness ordered by time in that case.
+	return tmax * (1 + p.globalCost(g, s))
+}
+
+// globalCost is Eq 2 of the genome's placement and Mem_pairs: EvalAnchors
+// over the stage anchors looked up in the scratch's base-region table.
+// The permutation must index BaseRegions in range.
+func (p *Problem) globalCost(g Genome, s *evalScratch) float64 {
 	s.anchors = s.anchors[:0]
 	for _, r := range g.Perm {
 		s.anchors = append(s.anchors, s.base[r])
 	}
-	cost := placement.EvalAnchors(p.Mesh, s.anchors, placement.Workload{
+	return placement.EvalAnchors(p.Mesh, s.anchors, placement.Workload{
 		PipelineBytes: p.PipelineBytes,
 		Pairs:         g.Pairs,
 	}, s.occ)
-	// GlobalCost can be zero for trivial single-stage problems; keep the
-	// fitness ordered by time in that case.
-	return tmax * (1 + cost)
 }
 
 // evalScratch is one pool worker's fitness state: the base regions'
 // anchors (derived once), the genome's stage→anchor table, the
-// occupied-link set Eq 2 reuses and maxStageTime's per-stage pair volumes.
-// Each worker owns one, so scoring takes no locks.
+// occupied-link set Eq 2 reuses and maxStageTime's per-stage pair volumes,
+// plus how many t_max and Eq 2 prices score took on it. Each worker owns
+// one, so scoring takes no locks.
 type evalScratch struct {
-	base, anchors      []mesh.DieID
-	occ                *mesh.LinkSet
-	outgoing, incoming []float64
+	base, anchors          []mesh.DieID
+	occ                    *mesh.LinkSet
+	outgoing, incoming     []float64
+	tmaxPrices, costPrices int
 }
 
 func (p *Problem) newScratch() *evalScratch {
@@ -205,17 +216,33 @@ type Result struct {
 
 // Optimize runs the GA from the given seed genome (typically the greedy
 // GCMR + serpentine solution, which the GA escapes via Op1–Op5).
+//
+// A child starts as a copy of its first tournament parent, and it inherits
+// that parent's priced parts with the genome: t_max with its feasibility,
+// a function of RecompChoice and Pairs, and the Eq 2 cost, a function of
+// Perm and Pairs. After crossover and mutation the child is compared with
+// that parent, and only a part whose inputs differ is priced again, so
+// every fitness has the bits fitness would give it. Elites enter the next
+// generation in their own arena slots, without a copy.
 func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
+	res, _, _, err := optimize(p, seed, opts)
+	return res, err
+}
+
+// optimize is Optimize. It also returns how many t_max and Eq 2 prices it
+// took, summed over the workers' scratches.
+func optimize(p *Problem, seed Genome, opts Options) (res *Result, tmaxPrices, costPrices int, err error) {
 	if p.stages() == 0 {
-		return nil, fmt.Errorf("ga: empty problem")
+		return nil, 0, 0, fmt.Errorf("ga: empty problem")
 	}
 	if len(seed.RecompChoice) != p.stages() || len(seed.Perm) != p.stages() {
-		return nil, fmt.Errorf("ga: seed genome shape mismatch")
+		return nil, 0, 0, fmt.Errorf("ga: seed genome shape mismatch")
 	}
 	// Every descendant's Perm takes its entries from the seed's, so a seed
-	// in range keeps crossover's region index in range.
+	// in range keeps crossover's region index and score's anchor lookup in
+	// range.
 	if !p.validPerm(seed.Perm) {
-		return nil, fmt.Errorf("ga: seed permutation indexes outside the %d base regions", len(p.BaseRegions))
+		return nil, 0, 0, fmt.Errorf("ga: seed permutation indexes outside the %d base regions", len(p.BaseRegions))
 	}
 	pop := opts.Population
 	if pop <= 0 {
@@ -234,21 +261,24 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
 
-	// The genomes live in two arenas of pop slots, the halves of arena:
-	// population points into one and next into the other. Each generation
-	// overwrites next's genomes in place, then the two swap, so a genome is
-	// never written while it is read. A slot reuses its slices once they
+	// The genomes live in an arena of 2·pop slots: population points into
+	// pop of them and free holds the rest. Each generation the elites keep
+	// their slots, the children are written into free slots, which no
+	// tournament reads, and then the last generation's non-elite slots
+	// become free. A fresh slot holds no priced parts, so the initial
+	// population is priced in full. A slot reuses its slices once they
 	// have grown, so with one worker a generation allocates nothing.
-	arena := make([]Genome, 2*pop)
+	arena := make([]slot, 2*pop)
 	population, next := make([]scored, pop), make([]scored, pop)
+	free := make([]*slot, pop)
 	for i := range population {
-		population[i].g, next[i].g = &arena[i], &arena[pop+i]
+		population[i].g, free[i] = &arena[i], &arena[pop+i]
 	}
 
 	// Genome generation stays sequential (it consumes the RNG stream), but
-	// fitness — the expensive, pure part — is scored in place on the worker
-	// pool. Each worker owns an evalScratch, and fitness depends only on the
-	// genome, so the result is identical for every worker count.
+	// pricing — the expensive, pure part — runs in place on the worker
+	// pool. Each worker owns an evalScratch, and a slot's parts depend only
+	// on its genome, so the result is identical for every worker count.
 	runner := pool.New(opts.Workers)
 	scratches := make([]*evalScratch, runner.Width(pop))
 	var batch []scored
@@ -256,21 +286,20 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 		if scratches[w] == nil {
 			scratches[w] = p.newScratch()
 		}
-		batch[i].f = p.fitness(*batch[i].g, scratches[w])
+		batch[i].f = p.score(batch[i].g, scratches[w])
 	}
 
 	for i, s := range population {
-		copyGenome(s.g, seed)
+		copyGenome(&s.g.Genome, seed)
 		if i > 0 {
-			p.mutate(s.g, rng)
+			p.mutate(&s.g.Genome, rng)
 		}
 	}
 	batch = population
 	runner.RunWorker(len(batch), score)
 
-	// res.Best gets its own copy: an arena slot is overwritten two
-	// generations after it is written.
-	res := &Result{BestFitness: math.Inf(1), History: make([]float64, 0, gens+1)}
+	// res.Best gets its own copy: a slot is overwritten once it is free.
+	res = &Result{BestFitness: math.Inf(1), History: make([]float64, 0, gens+1)}
 	used := make([]bool, len(p.BaseRegions))
 	// Selection: ω fraction of parents by elitism, the rest by binary
 	// tournament (preserving diversity).
@@ -279,41 +308,106 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 		sortPopulation(population)
 		if population[0].f < res.BestFitness {
 			res.BestFitness = population[0].f
-			copyGenome(&res.Best, *population[0].g)
+			copyGenome(&res.Best, population[0].g.Genome)
 		}
 		res.History = append(res.History, res.BestFitness)
 		if gen == gens {
 			break
 		}
 
-		for i, s := range next {
-			if i < elite {
-				copyGenome(s.g, *population[i].g)
-				next[i].f = population[i].f
-				continue
-			}
-			copyGenome(s.g, p.tournament(population, rng))
+		copy(next, population[:elite])
+		for i, c := range free[:pop-elite] {
+			parent := p.tournament(population, rng)
+			copyGenome(&c.Genome, parent.Genome)
+			c.parts = parent.parts
 			// Crossover with a second tournament parent half the time.
 			if rng.Float64() < 0.5 {
-				p.crossover(s.g, p.tournament(population, rng), used, rng)
+				p.crossover(&c.Genome, p.tournament(population, rng).Genome, used, rng)
 			}
-			p.mutate(s.g, rng)
+			p.mutate(&c.Genome, rng)
+			c.dropChanged(&parent.Genome)
+			next[elite+i].g = c
 		}
 		batch = next[elite:]
 		runner.RunWorker(len(batch), score)
+		for i, s := range population[elite:] {
+			free[i] = s.g
+		}
 		population, next = next, population
 	}
-	if math.IsInf(res.BestFitness, 1) {
-		return nil, fmt.Errorf("ga: no feasible genome found")
+	for _, s := range scratches {
+		if s != nil {
+			tmaxPrices += s.tmaxPrices
+			costPrices += s.costPrices
+		}
 	}
-	return res, nil
+	if math.IsInf(res.BestFitness, 1) {
+		return nil, tmaxPrices, costPrices, fmt.Errorf("ga: no feasible genome found")
+	}
+	return res, tmaxPrices, costPrices, nil
 }
 
-// scored is a population member: a genome in one of Optimize's arenas and
-// its fitness. It holds a pointer, not the genome, so sorting moves 16
-// bytes per element.
+// slot is a genome of Optimize's arena with its priced parts.
+type slot struct {
+	Genome
+	parts
+}
+
+// parts are a genome's priced fitness parts: t_max with its feasibility,
+// a function of RecompChoice and Pairs, and the Eq 2 cost, a function of
+// Perm and Pairs. hasTmax and hasCost say which of them hold; an
+// infeasible genome's cost is never priced.
+type parts struct {
+	tmax, cost                 float64
+	feasible, hasTmax, hasCost bool
+}
+
+// dropChanged clears the parts whose inputs differ from parent's: t_max
+// when RecompChoice or Pairs differ, the cost when Perm or Pairs do. It
+// compares the genomes rather than having the operators flag what they
+// touch: Op1 can redraw the same option, a crossover suffix can match and
+// Op3 can swap a stage with itself, and an operator cannot forget to flag.
+func (c *slot) dropChanged(parent *Genome) {
+	samePairs := slices.EqualFunc(c.Pairs, parent.Pairs, samePair)
+	if !samePairs || !slices.Equal(c.RecompChoice, parent.RecompChoice) {
+		c.hasTmax = false
+	}
+	if !samePairs || !slices.Equal(c.Perm, parent.Perm) {
+		c.hasCost = false
+	}
+}
+
+// samePair reports whether two Mem_pairs are equal to the bit.
+func samePair(a, b recompute.MemPair) bool {
+	return a.Sender == b.Sender && a.Helper == b.Helper && math.Float64bits(a.Bytes) == math.Float64bits(b.Bytes)
+}
+
+// score is the slot's fitness on a worker's scratch. It prices only the
+// parts the slot does not hold and returns tmax × (1 + cost), the
+// expression fitness returns, so the bits are the same. It skips fitness's
+// permutation check: Optimize validated the seed's.
+func (p *Problem) score(c *slot, s *evalScratch) float64 {
+	if !c.hasTmax {
+		c.tmax, c.feasible = p.maxStageTime(c.Genome, s)
+		c.hasTmax = true
+		s.tmaxPrices++
+	}
+	if !c.feasible {
+		return math.Inf(1)
+	}
+	if !c.hasCost {
+		c.cost = p.globalCost(c.Genome, s)
+		c.hasCost = true
+		s.costPrices++
+	}
+	return c.tmax * (1 + c.cost)
+}
+
+// scored is a population member: a slot of Optimize's arena and its
+// fitness. It holds a pointer, not the slot, so sorting moves 16 bytes per
+// element.
 type scored struct {
-	g *Genome
+	g *slot
 	f float64
 }
 
@@ -334,12 +428,12 @@ func sortPopulation(pop []scored) {
 	})
 }
 
-func (p *Problem) tournament(pop []scored, rng *rand.Rand) Genome {
+func (p *Problem) tournament(pop []scored, rng *rand.Rand) *slot {
 	a, b := rng.Intn(len(pop)), rng.Intn(len(pop))
 	if pop[a].f <= pop[b].f {
-		return *pop[a].g
+		return pop[a].g
 	}
-	return *pop[b].g
+	return pop[b].g
 }
 
 // mutate applies one of the five §IV-D operators.

@@ -13,18 +13,20 @@ import (
 
 // referenceOptimize is Optimize as it stood before the genome arenas: the
 // same validation, RNG draws and selection, with a fresh Clone of every
-// child, sort.Slice over 80-byte values holding the genomes themselves, and
-// scoring into a new slice per generation.
-// TestOptimizeMatchesReference pins Optimize against it.
-func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, error) {
+// child, sort.Slice over 80-byte values holding the genomes themselves,
+// every genome priced in full by fitness and scoring into a new slice per
+// generation. TestOptimizeMatchesReference pins Optimize against it. It
+// also counts what TestOptimizeComponentCounts bounds Optimize's prices by.
+func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, ReferenceCounts, error) {
+	var n ReferenceCounts
 	if p.stages() == 0 {
-		return nil, fmt.Errorf("ga: empty problem")
+		return nil, n, fmt.Errorf("ga: empty problem")
 	}
 	if len(seed.RecompChoice) != p.stages() || len(seed.Perm) != p.stages() {
-		return nil, fmt.Errorf("ga: seed genome shape mismatch")
+		return nil, n, fmt.Errorf("ga: seed genome shape mismatch")
 	}
 	if !p.validPerm(seed.Perm) {
-		return nil, fmt.Errorf("ga: seed permutation indexes outside the %d base regions", len(p.BaseRegions))
+		return nil, n, fmt.Errorf("ga: seed permutation indexes outside the %d base regions", len(p.BaseRegions))
 	}
 	pop := opts.Population
 	if pop <= 0 {
@@ -44,7 +46,9 @@ func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
 	runner := pool.New(opts.Workers)
 	scratches := make([]*evalScratch, runner.Width(pop))
-	score := func(genomes []Genome) []referenceScored {
+	// score prices genomes in full. costChanged[i] says whether genome i's
+	// Eq 2 inputs differ from its first tournament parent's.
+	score := func(genomes []Genome, costChanged []bool) []referenceScored {
 		out := make([]referenceScored, len(genomes))
 		runner.RunWorker(len(genomes), func(w, i int) {
 			if scratches[w] == nil {
@@ -52,6 +56,15 @@ func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 			}
 			out[i] = referenceScored{genomes[i], p.fitness(genomes[i], scratches[w])}
 		})
+		for i, s := range out {
+			n.Scored++
+			if !math.IsInf(s.f, 1) {
+				n.Feasible++
+				if costChanged[i] {
+					n.FeasibleCostChanged++
+				}
+			}
+		}
 		return out
 	}
 
@@ -62,7 +75,7 @@ func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 		p.mutate(&g, rng)
 		initial = append(initial, g)
 	}
-	population := score(initial)
+	population := score(initial, slices.Repeat([]bool{true}, pop))
 
 	res := &Result{BestFitness: math.Inf(1)}
 	used := make([]bool, len(p.BaseRegions))
@@ -79,6 +92,7 @@ func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 		elite := max(1, int(omega*float64(pop)))
 		next := append(make([]referenceScored, 0, pop), population[:elite]...)
 		children := make([]Genome, 0, pop-elite)
+		var costChanged []bool
 		for elite+len(children) < pop {
 			a := referenceTournament(population, rng)
 			child := a.Clone()
@@ -88,13 +102,32 @@ func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 			}
 			p.mutate(&child, rng)
 			children = append(children, child)
+			samePairs := slices.EqualFunc(child.Pairs, a.Pairs, samePair)
+			if !samePairs || !slices.Equal(child.RecompChoice, a.RecompChoice) {
+				n.TmaxChanged++
+			}
+			costChanged = append(costChanged, !samePairs || !slices.Equal(child.Perm, a.Perm))
 		}
-		population = append(next, score(children)...)
+		population = append(next, score(children, costChanged)...)
 	}
 	if math.IsInf(res.BestFitness, 1) {
-		return nil, fmt.Errorf("ga: no feasible genome found")
+		return nil, n, fmt.Errorf("ga: no feasible genome found")
 	}
-	return res, nil
+	return res, n, nil
+}
+
+// ReferenceCounts tallies the genomes referenceOptimize scores: the
+// initial population and every child. A child's t_max or Eq 2 inputs
+// changed when they differ from its first tournament parent's; every
+// genome of the initial population counts as changed. A genome is feasible
+// when its fitness is finite.
+type ReferenceCounts struct {
+	Scored, Feasible int
+	// TmaxChanged counts the children whose RecompChoice or Pairs changed.
+	TmaxChanged int
+	// FeasibleCostChanged counts the feasible genomes whose Perm or Pairs
+	// changed.
+	FeasibleCostChanged int
 }
 
 type referenceScored struct {
@@ -111,10 +144,12 @@ func referenceTournament(pop []referenceScored, rng *rand.Rand) Genome {
 }
 
 // Test-only exports for the external-package tests, which reach
-// benchutil.GAProblem (benchutil imports ga).
+// benchutil's GA instances (benchutil imports ga).
 var (
 	ReferenceOptimize = referenceOptimize
+	OptimizeCounted   = optimize
 	SmallProblem      = testProblem
+	MeshSwitchProblem = meshSwitchProblem
 )
 
 // TestPopulationSortMatchesSortSlice pins the property Optimize's
@@ -125,8 +160,8 @@ var (
 // (infeasible genomes) and NaN.
 func TestPopulationSortMatchesSortSlice(t *testing.T) {
 	rng := newRand(5)
-	genomes := make([]Genome, 80)
-	index := func(g *Genome) int {
+	genomes := make([]slot, 80)
+	index := func(g *slot) int {
 		for i := range genomes {
 			if &genomes[i] == g {
 				return i
