@@ -31,7 +31,7 @@ bench:
 # Fast regression gate for the search inner loops and the canonical
 # record: the zero-alloc assertions of the Scorer's bound/price/commit
 # cycle, its read-only pricing and its commit, and of the GA's fitness on a
-# reused per-worker scratch, the GA's flat allocation count in generations
+# reused scratch, the GA's flat allocation count in generations
 # (1,000 generations within a small slack of 200), and the canonical
 # record's allocation bound (TestCanonicalAllocs: at most 32 for a
 # 32-candidate record), on their own (the benchmarks only report allocs,

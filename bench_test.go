@@ -377,7 +377,7 @@ func BenchmarkOptimizePlacement(b *testing.B) {
 }
 
 // BenchmarkGAGeneration is the §IV-D GA inner loop — one generation of
-// selection, crossover, mutation and pricing on per-worker scratch — on
+// selection, crossover, mutation and pricing on the run's one scratch — on
 // two instances: pp7 is benchutil.GAProblem (7 stages, no Mem_pairs) and
 // pp16-pairs benchutil.GAPairsProblem (16 stages whose GCMR plan starts
 // with 13 Mem_pairs, the shape of a deep Table II pipeline). Each
@@ -403,7 +403,7 @@ func BenchmarkGAGeneration(b *testing.B) {
 			optimize := func(gens int, s int64) time.Duration {
 				start := time.Now()
 				if _, err := ga.Optimize(prob, seed, ga.Options{
-					Population: 24, Generations: gens, Omega: 0.5, Seed: s, Workers: 1,
+					Population: 24, Generations: gens, Omega: 0.5, Seed: s,
 				}); err != nil {
 					b.Fatal(err)
 				}

@@ -996,7 +996,7 @@ func gaGenerationBench(name string) entry {
 	e := run(name, func() {
 		iter++
 		_, err := ga.Optimize(prob, seed, ga.Options{
-			Population: 24, Generations: gens, Omega: 0.5, Seed: iter, Workers: 1,
+			Population: 24, Generations: gens, Omega: 0.5, Seed: iter,
 		})
 		check(err)
 	})

@@ -27,12 +27,12 @@ func main() {
 	// per die, all under the wafer-area budget.
 	candidates := hw.Enumerate(hw.EnumeratorOptions{
 		HBMPerDie: []int{2, 3, 4, 5, 6},
-		Workers:   *workers,
 	})
 	fmt.Printf("enumerator produced %d feasible wafer candidates\n\n", len(candidates))
 
-	// The architecture sweep fans out over the shared worker pool; every
-	// candidate's strategy evaluations are memoized in the process cache.
+	// The architecture sweep fans its candidates out over -workers
+	// goroutines; every candidate's strategy evaluations are memoized in
+	// the process cache.
 	watos := core.New()
 	watos.Options.Workers = *workers
 	res, err := watos.Explore(candidates, spec, work)

@@ -142,13 +142,13 @@ type FrameworkResult struct {
 }
 
 // RunFrameworks evaluates every framework's restricted search concurrently
-// on the shared worker pool (workers = pool width, 0 = GOMAXPROCS) and
-// returns the outcomes in input order. The frameworks are independent, and
-// each inner search runs sequentially so parallelism is applied across the
-// sweep; results are identical to running RunFramework in a loop.
+// with pool.Map (workers searches at once, 0 = GOMAXPROCS) and returns the
+// outcomes in input order. The frameworks are independent whole searches,
+// and each runs with Workers: 1 so one level runs concurrently; results are
+// identical to running RunFramework in a loop.
 func RunFrameworks(fws []Framework, w hw.WaferConfig, spec model.Spec, work model.Workload,
 	pred predictor.Predictor, workers int) []FrameworkResult {
-	return pool.Map(pool.New(workers), len(fws), func(i int) FrameworkResult {
+	return pool.Map(workers, len(fws), func(i int) FrameworkResult {
 		opts := fws[i].options()
 		opts.Workers = 1
 		res, err := sched.Search(w, spec, work, pred, opts)

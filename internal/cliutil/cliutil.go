@@ -20,7 +20,7 @@ import (
 
 // WorkersFlag registers the shared -workers flag on the default flag set.
 func WorkersFlag() *int {
-	return flag.Int("workers", 0, "evaluation worker-pool width (0 = all CPUs, 1 = sequential)")
+	return flag.Int("workers", 0, "whole searches run at once: a search's candidates or a sweep's points (0 = all CPUs, 1 = sequential)")
 }
 
 // NoCacheFlag registers the shared -nocache flag on the default flag set.

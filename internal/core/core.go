@@ -63,18 +63,17 @@ func (f *Framework) Explore(candidates []hw.WaferConfig, spec model.Spec, work m
 		f.Predictor = predictor.NewLookupTable(predictor.TileLevel{})
 	}
 	out := &ExploreResult{}
-	// Architecture candidates are independent: sweep them on the shared
-	// worker pool. Each inner sched.Search runs its own candidate loop
-	// sequentially (Workers=1) so parallelism is applied at one level and
-	// the pool is not oversubscribed; results are collected in input order
-	// so the winner (first strictly-best candidate) matches a sequential
-	// sweep exactly.
+	// Architecture candidates are independent whole searches: fan them out
+	// with pool.Map. Each inner sched.Search runs its own candidate loop
+	// sequentially (Workers=1) so one level runs concurrently; a lone
+	// architecture hands Workers to its search's candidate fan-out instead.
+	// Results are collected in input order so the winner (first
+	// strictly-best candidate) matches a sequential sweep exactly.
 	inner := f.Options
-	archWorkers := inner.Workers
 	if len(candidates) > 1 {
 		inner.Workers = 1
 	}
-	out.PerArch = pool.Map(pool.New(archWorkers), len(candidates), func(i int) ArchResult {
+	out.PerArch = pool.Map(f.Options.Workers, len(candidates), func(i int) ArchResult {
 		w := candidates[i]
 		if err := w.Validate(); err != nil {
 			return ArchResult{Wafer: w, Err: err}

@@ -525,7 +525,6 @@ func Fig24b() (*Table, error) {
 	for _, omega := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
 		r, err := ga.Optimize(prob, seed, ga.Options{
 			Population: 32, Generations: 100, Omega: omega, Seed: 42,
-			Workers: Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -605,11 +604,12 @@ func Fig25() (*Table, error) {
 		name, class          string
 		area, mem, thpt, obj float64
 	}
-	// Die candidates are independent: sweep the Fig 25 design space on the
-	// shared worker pool (each inner search sequential), collecting points
-	// in sweep order so the table is identical for every worker count.
+	// Die candidates are independent whole searches: sweep the Fig 25
+	// design space with pool.Map (each inner search with Workers: 1),
+	// collecting points in sweep order so the table is identical for every
+	// worker count.
 	dieSweep := hw.DieSweep()
-	swept := pool.Map(pool.New(Workers), len(dieSweep), func(i int) *point {
+	swept := pool.Map(Workers, len(dieSweep), func(i int) *point {
 		die := dieSweep[i]
 		cands := hw.Enumerate(hw.EnumeratorOptions{Dies: []hw.DieConfig{die}, HBMPerDie: []int{4}})
 		if len(cands) == 0 {

@@ -5,8 +5,9 @@ import (
 	"repro/internal/search"
 )
 
-// Workers is the worker-pool width used by every experiment runner's
-// searches (0 = GOMAXPROCS, 1 = sequential). cmd/figures threads its
+// Workers is how many whole searches every experiment runner's fan-out
+// runs at once — a search's candidates, Fig 25's dies, the compared
+// frameworks (0 = GOMAXPROCS, 1 = sequential). cmd/figures threads its
 // -workers flag here.
 var Workers int
 

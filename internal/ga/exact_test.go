@@ -18,9 +18,9 @@ import (
 // package's small problem, on BenchmarkGAGeneration's two instances (the
 // second starts with 13 Mem_pairs) and on the mesh-switch problem, each
 // also with every genome infeasible (where both must fail), over seeds
-// 1–5, ω ∈ {0, 0.25, 0.5, 1}, populations {1, 2, 24, 32} and 1 or 2
-// workers, both must return the same best fitness and history bits, the
-// same best genome and the same error.
+// 1–5, ω ∈ {0, 0.25, 0.5, 1} and populations {1, 2, 24, 32}, both must
+// return the same best fitness and history bits, the same best genome and
+// the same error.
 func TestOptimizeMatchesReference(t *testing.T) {
 	benchProb, benchSeed, err := benchutil.GAProblem()
 	if err != nil {
@@ -51,16 +51,14 @@ func TestOptimizeMatchesReference(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				for _, omega := range []float64{0, 0.25, 0.5, 1} {
 					for _, pop := range []int{1, 2, 24, 32} {
-						for _, workers := range []int{1, 2} {
-							opts := ga.Options{Population: pop, Generations: 60, Omega: omega, Seed: seed, Workers: workers}
-							got, gotErr := ga.Optimize(tc.prob, tc.seed, opts)
-							if (gotErr != nil) != tc.wantErr {
-								t.Fatalf("%+v: error %v, want an error: %v", opts, gotErr, tc.wantErr)
-							}
-							want, _, wantErr := ga.ReferenceOptimize(tc.prob, tc.seed, opts)
-							if msg := resultsDiffer(got, gotErr, want, wantErr); msg != "" {
-								t.Fatalf("%+v: %s", opts, msg)
-							}
+						opts := ga.Options{Population: pop, Generations: 60, Omega: omega, Seed: seed}
+						got, gotErr := ga.Optimize(tc.prob, tc.seed, opts)
+						if (gotErr != nil) != tc.wantErr {
+							t.Fatalf("%+v: error %v, want an error: %v", opts, gotErr, tc.wantErr)
+						}
+						want, _, wantErr := ga.ReferenceOptimize(tc.prob, tc.seed, opts)
+						if msg := resultsDiffer(got, gotErr, want, wantErr); msg != "" {
+							t.Fatalf("%+v: %s", opts, msg)
 						}
 					}
 				}
@@ -78,8 +76,7 @@ func TestOptimizeMatchesReference(t *testing.T) {
 // feasible genome whose Perm or Pairs changed (the initial population
 // included) and at most for every feasible genome: a child that keeps its
 // parent's Perm and Pairs is priced when that parent was infeasible. Both
-// take fewer prices than genomes scored, and neither count depends on the
-// worker count.
+// take fewer prices than genomes scored.
 func TestOptimizeComponentCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -96,7 +93,7 @@ func TestOptimizeComponentCounts(t *testing.T) {
 			var total ga.ReferenceCounts
 			var tmaxTotal, costTotal int
 			for s := int64(1); s <= 5; s++ {
-				opts := ga.Options{Population: 32, Generations: 60, Omega: 0.5, Seed: s, Workers: 1}
+				opts := ga.Options{Population: 32, Generations: 60, Omega: 0.5, Seed: s}
 				_, want, err := ga.ReferenceOptimize(prob, seed, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -104,11 +101,6 @@ func TestOptimizeComponentCounts(t *testing.T) {
 				_, tmax, cost, err := ga.OptimizeCounted(prob, seed, opts)
 				if err != nil {
 					t.Fatal(err)
-				}
-				opts.Workers = 2
-				if _, tmax2, cost2, err := ga.OptimizeCounted(prob, seed, opts); err != nil || tmax2 != tmax || cost2 != cost {
-					t.Fatalf("seed %d: 2 workers took %d t_max and %d Eq 2 prices (error %v), 1 worker %d and %d",
-						s, tmax2, cost2, err, tmax, cost)
 				}
 				if wantTmax := opts.Population + want.TmaxChanged; tmax != wantTmax {
 					t.Fatalf("seed %d: %d t_max prices, want %d (population %d + %d children with changed RecompChoice or Pairs)",

@@ -2,7 +2,7 @@
 // (Fig 12). A genome bundles a recomputation configuration, a stage→region
 // placement permutation, and the Mem_pair set; the five customised operators
 // Op1–Op5 mutate and recombine genomes, a fitness function
-// (t_max × (1 + Eq 2 GlobalCost)) prices each genome on per-worker scratch,
+// (t_max × (1 + Eq 2 GlobalCost)) prices each genome on one reused scratch,
 // and selection mixes elitism with binary tournaments under the ω knob
 // whose convergence/quality trade-off is the Fig 24b experiment. A child
 // inherits its tournament parent's t_max and Eq 2 cost and prices again
@@ -18,7 +18,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/placement"
 	"repro/internal/recompute"
-	"repro/internal/search/pool"
 )
 
 // Genome is one candidate configuration.
@@ -80,7 +79,7 @@ func (p *Problem) Fitness(g Genome) float64 {
 	return p.fitness(g, p.newScratch())
 }
 
-// fitness is Fitness on a worker's scratch. Every genome is priced in full:
+// fitness is Fitness on a reused scratch. Every genome is priced in full:
 // t_max from its recomputation choices and Mem_pairs, and Eq 2 by
 // globalCost, which is the evaluation GlobalCost runs, so the value is the
 // same to the bit. On an interned mesh it does not allocate. Optimize
@@ -113,11 +112,10 @@ func (p *Problem) globalCost(g Genome, s *evalScratch) float64 {
 	}, s.occ)
 }
 
-// evalScratch is one pool worker's fitness state: the base regions'
+// evalScratch is one Optimize run's fitness state: the base regions'
 // anchors (derived once), the genome's stage→anchor table, the
 // occupied-link set Eq 2 reuses and maxStageTime's per-stage pair volumes,
-// plus how many t_max and Eq 2 prices score took on it. Each worker owns
-// one, so scoring takes no locks.
+// plus how many t_max and Eq 2 prices score took on it.
 type evalScratch struct {
 	base, anchors          []mesh.DieID
 	occ                    *mesh.LinkSet
@@ -200,9 +198,11 @@ type Options struct {
 	Omega float64
 	// Seed for reproducibility.
 	Seed int64
-	// Workers sizes the fitness-evaluation worker pool (0 = GOMAXPROCS,
-	// 1 = sequential). Fitness is a pure function of the genome, so the
-	// result is identical for every worker count.
+	// Workers is ignored: Optimize prices each generation sequentially on
+	// one scratch.
+	//
+	// Deprecated: a generation's genomes cost microseconds each, too
+	// little to hand to goroutines; callers fan out whole searches instead.
 	Workers int
 }
 
@@ -230,7 +230,7 @@ func Optimize(p *Problem, seed Genome, opts Options) (*Result, error) {
 }
 
 // optimize is Optimize. It also returns how many t_max and Eq 2 prices it
-// took, summed over the workers' scratches.
+// took.
 func optimize(p *Problem, seed Genome, opts Options) (res *Result, tmaxPrices, costPrices int, err error) {
 	if p.stages() == 0 {
 		return nil, 0, 0, fmt.Errorf("ga: empty problem")
@@ -267,7 +267,7 @@ func optimize(p *Problem, seed Genome, opts Options) (res *Result, tmaxPrices, c
 	// tournament reads, and then the last generation's non-elite slots
 	// become free. A fresh slot holds no priced parts, so the initial
 	// population is priced in full. A slot reuses its slices once they
-	// have grown, so with one worker a generation allocates nothing.
+	// have grown, so a generation allocates nothing.
 	arena := make([]slot, 2*pop)
 	population, next := make([]scored, pop), make([]scored, pop)
 	free := make([]*slot, pop)
@@ -275,28 +275,17 @@ func optimize(p *Problem, seed Genome, opts Options) (res *Result, tmaxPrices, c
 		population[i].g, free[i] = &arena[i], &arena[pop+i]
 	}
 
-	// Genome generation stays sequential (it consumes the RNG stream), but
-	// pricing — the expensive, pure part — runs in place on the worker
-	// pool. Each worker owns an evalScratch, and a slot's parts depend only
-	// on its genome, so the result is identical for every worker count.
-	runner := pool.New(opts.Workers)
-	scratches := make([]*evalScratch, runner.Width(pop))
-	var batch []scored
-	score := func(w, i int) {
-		if scratches[w] == nil {
-			scratches[w] = p.newScratch()
-		}
-		batch[i].f = p.score(batch[i].g, scratches[w])
-	}
-
+	// Each genome is priced as soon as it is made, on the run's one
+	// scratch. Pricing draws nothing from rng and a slot's parts depend
+	// only on its genome.
+	scratch := p.newScratch()
 	for i, s := range population {
 		copyGenome(&s.g.Genome, seed)
 		if i > 0 {
 			p.mutate(&s.g.Genome, rng)
 		}
+		population[i].f = p.score(s.g, scratch)
 	}
-	batch = population
-	runner.RunWorker(len(batch), score)
 
 	// res.Best gets its own copy: a slot is overwritten once it is free.
 	res = &Result{BestFitness: math.Inf(1), History: make([]float64, 0, gens+1)}
@@ -326,25 +315,17 @@ func optimize(p *Problem, seed Genome, opts Options) (res *Result, tmaxPrices, c
 			}
 			p.mutate(&c.Genome, rng)
 			c.dropChanged(&parent.Genome)
-			next[elite+i].g = c
+			next[elite+i] = scored{c, p.score(c, scratch)}
 		}
-		batch = next[elite:]
-		runner.RunWorker(len(batch), score)
 		for i, s := range population[elite:] {
 			free[i] = s.g
 		}
 		population, next = next, population
 	}
-	for _, s := range scratches {
-		if s != nil {
-			tmaxPrices += s.tmaxPrices
-			costPrices += s.costPrices
-		}
-	}
 	if math.IsInf(res.BestFitness, 1) {
-		return nil, tmaxPrices, costPrices, fmt.Errorf("ga: no feasible genome found")
+		return nil, scratch.tmaxPrices, scratch.costPrices, fmt.Errorf("ga: no feasible genome found")
 	}
-	return res, tmaxPrices, costPrices, nil
+	return res, scratch.tmaxPrices, scratch.costPrices, nil
 }
 
 // slot is a genome of Optimize's arena with its priced parts.
@@ -382,7 +363,7 @@ func samePair(a, b recompute.MemPair) bool {
 	return a.Sender == b.Sender && a.Helper == b.Helper && math.Float64bits(a.Bytes) == math.Float64bits(b.Bytes)
 }
 
-// score is the slot's fitness on a worker's scratch. It prices only the
+// score is the slot's fitness on Optimize's scratch. It prices only the
 // parts the slot does not hold and returns tmax × (1 + cost), the
 // expression fitness returns, so the bits are the same. It skips fitness's
 // permutation check: Optimize validated the seed's.

@@ -128,7 +128,7 @@ func TestOptimizeRejectsBadInput(t *testing.T) {
 	for _, r := range []int{len(prob.BaseRegions), -1} {
 		bad := seed.Clone()
 		bad.Perm[len(bad.Perm)-1] = r
-		if _, err := Optimize(prob, bad, Options{Population: 8, Generations: 4, Workers: 1}); err == nil {
+		if _, err := Optimize(prob, bad, Options{Population: 8, Generations: 4}); err == nil {
 			t.Errorf("seed permutation entry %d should fail", r)
 		}
 	}
@@ -233,45 +233,6 @@ func meshSwitchProblem(t *testing.T) (*Problem, Genome) {
 	return prob, SeedFromPlan(plan, pp)
 }
 
-// TestOptimizeDeterministicAcrossWorkers pins the §IV-D contract that
-// fitness scoring is a pure function of the genome: Workers=1 and
-// Workers=8 must produce identical convergence histories and best
-// genomes, on both the square and mesh-switch meshes, even though the
-// genomes are spread over the per-worker scratches differently.
-func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(*testing.T) (*Problem, Genome)
-	}{
-		{"mesh2d", testProblem},
-		{"meshswitch", meshSwitchProblem},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			prob1, seed := tc.build(t)
-			prob8, _ := tc.build(t)
-			r1, err := Optimize(prob1, seed, Options{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r8, err := Optimize(prob8, seed, Options{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(r1.History) != len(r8.History) {
-				t.Fatalf("history lengths differ: %d vs %d", len(r1.History), len(r8.History))
-			}
-			for g := range r1.History {
-				if r1.History[g] != r8.History[g] {
-					t.Fatalf("generation %d: Workers=1 best %x, Workers=8 best %x", g, r1.History[g], r8.History[g])
-				}
-			}
-			if r1.BestFitness != r8.BestFitness {
-				t.Fatalf("best fitness differs: %x vs %x", r1.BestFitness, r8.BestFitness)
-			}
-		})
-	}
-}
-
 // TestFitnessScratchMatchesDirect asserts that a reused scratch prices
 // every genome bit-identically to the reference t_max × (1 + GlobalCost)
 // over the materialised placement.
@@ -325,16 +286,16 @@ func TestFitnessZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestOptimizeAllocsFlatInGenerations pins the generation loop: with one
-// worker, a run of 1,000 generations may allocate only a little more than
-// one of 200, the slack being genome slots whose Mem_pair slices grow
-// later in the longer run. Every per-generation allocation (a child's
-// copy, a population slice) shows up 800 times over.
+// TestOptimizeAllocsFlatInGenerations pins the generation loop: a run of
+// 1,000 generations may allocate only a little more than one of 200, the
+// slack being genome slots whose Mem_pair slices grow later in the longer
+// run. Every per-generation allocation (a child's copy, a population
+// slice) shows up 800 times over.
 func TestOptimizeAllocsFlatInGenerations(t *testing.T) {
 	prob, seed := testProblem(t)
 	allocs := func(gens int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Optimize(prob, seed, Options{Population: 32, Generations: gens, Omega: 0.5, Seed: 1, Workers: 1}); err != nil {
+			if _, err := Optimize(prob, seed, Options{Population: 32, Generations: gens, Omega: 0.5, Seed: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})

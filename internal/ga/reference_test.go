@@ -7,16 +7,15 @@ import (
 	"slices"
 	"sort"
 	"testing"
-
-	"repro/internal/search/pool"
 )
 
 // referenceOptimize is Optimize as it stood before the genome arenas: the
 // same validation, RNG draws and selection, with a fresh Clone of every
 // child, sort.Slice over 80-byte values holding the genomes themselves,
-// every genome priced in full by fitness and scoring into a new slice per
-// generation. TestOptimizeMatchesReference pins Optimize against it. It
-// also counts what TestOptimizeComponentCounts bounds Optimize's prices by.
+// every genome priced in full by fitness on one scratch and scoring into a
+// new slice per generation. TestOptimizeMatchesReference pins Optimize
+// against it. It also counts what TestOptimizeComponentCounts bounds
+// Optimize's prices by.
 func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, ReferenceCounts, error) {
 	var n ReferenceCounts
 	if p.stages() == 0 {
@@ -44,18 +43,14 @@ func referenceOptimize(p *Problem, seed Genome, opts Options) (*Result, Referenc
 		omega = 1
 	}
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
-	runner := pool.New(opts.Workers)
-	scratches := make([]*evalScratch, runner.Width(pop))
+	scratch := p.newScratch()
 	// score prices genomes in full. costChanged[i] says whether genome i's
 	// Eq 2 inputs differ from its first tournament parent's.
 	score := func(genomes []Genome, costChanged []bool) []referenceScored {
 		out := make([]referenceScored, len(genomes))
-		runner.RunWorker(len(genomes), func(w, i int) {
-			if scratches[w] == nil {
-				scratches[w] = p.newScratch()
-			}
-			out[i] = referenceScored{genomes[i], p.fitness(genomes[i], scratches[w])}
-		})
+		for i, g := range genomes {
+			out[i] = referenceScored{g, p.fitness(g, scratch)}
+		}
 		for i, s := range out {
 			n.Scored++
 			if !math.IsInf(s.f, 1) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/search/pool"
 	"repro/internal/units"
 )
 
@@ -26,9 +25,6 @@ type EnumeratorOptions struct {
 	Chiplet HBMChipletConfig
 	// WaferEdgeMM overrides the usable wafer edge; zero uses 198.32.
 	WaferEdgeMM float64
-	// Workers sizes the enumeration worker pool (0 = GOMAXPROCS). The
-	// candidate list is independent of the worker count.
-	Workers int
 }
 
 func (o *EnumeratorOptions) setDefaults() {
@@ -56,62 +52,16 @@ func (o *EnumeratorOptions) setDefaults() {
 // the physical area and IO constraints: for each candidate die and DRAM
 // chiplet count it packs the largest N_X × N_Y grid of die sites onto the
 // wafer and emits the resulting architecture. Candidates are returned sorted
-// by descending aggregate compute throughput.
+// by descending aggregate compute throughput. Each packing takes
+// microseconds, so the (die, HBM count) grid is packed in a plain loop.
 func Enumerate(opts EnumeratorOptions) []WaferConfig {
 	opts.setDefaults()
-	// Candidates are independent points of the (die, HBM count) grid: pack
-	// each one on the worker pool, then filter in index order so the
-	// candidate list is identical for every worker count.
-	type point struct {
-		die DieConfig
-		hbm int
-	}
-	var grid []point
+	var out []WaferConfig
 	for _, die := range opts.Dies {
 		for _, hbm := range opts.HBMPerDie {
-			grid = append(grid, point{die: die, hbm: hbm})
-		}
-	}
-	runner := pool.New(opts.Workers)
-	packed := pool.Map(runner, len(grid), func(i int) *WaferConfig {
-		die, hbm := grid[i].die, grid[i].hbm
-		w := WaferConfig{
-			Name:           fmt.Sprintf("%s-hbm%d", die.Name, hbm),
-			Die:            die,
-			HBMPerDie:      hbm,
-			HBM:            opts.Chiplet,
-			D2DLinkLatency: 100 * units.Nanosecond,
-			NoCLatency:     20 * units.Nanosecond,
-			Topology:       Mesh2D,
-			WaferEdgeMM:    opts.WaferEdgeMM,
-			HostBandwidth:  160 * units.GB,
-		}
-		site := w.SiteAreaMM2()
-		if site <= 0 {
-			return nil
-		}
-		maxDies := int(math.Floor(w.AreaBudget() / site))
-		if maxDies < 1 {
-			return nil
-		}
-		dx, dy := nearSquareGrid(maxDies)
-		if dx < 1 || dy < 1 {
-			return nil
-		}
-		w.DiesX, w.DiesY = dx, dy
-		if w.Dies() < opts.MinDies || w.Dies() > opts.MaxDies {
-			return nil
-		}
-		if err := w.Validate(); err != nil {
-			return nil
-		}
-		w.Name = fmt.Sprintf("%s-%dx%d", w.Name, dx, dy)
-		return &w
-	})
-	var out []WaferConfig
-	for _, w := range packed {
-		if w != nil {
-			out = append(out, *w)
+			if w, ok := pack(die, hbm, &opts); ok {
+				out = append(out, w)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -122,6 +72,41 @@ func Enumerate(opts EnumeratorOptions) []WaferConfig {
 		return out[i].Name < out[j].Name
 	})
 	return out
+}
+
+// pack builds the wafer of one (die, HBM count) point with the largest
+// near-square die grid its area budget admits, and reports whether it
+// meets the die-count bounds and the physical constraints.
+func pack(die DieConfig, hbm int, opts *EnumeratorOptions) (WaferConfig, bool) {
+	w := WaferConfig{
+		Name:           fmt.Sprintf("%s-hbm%d", die.Name, hbm),
+		Die:            die,
+		HBMPerDie:      hbm,
+		HBM:            opts.Chiplet,
+		D2DLinkLatency: 100 * units.Nanosecond,
+		NoCLatency:     20 * units.Nanosecond,
+		Topology:       Mesh2D,
+		WaferEdgeMM:    opts.WaferEdgeMM,
+		HostBandwidth:  160 * units.GB,
+	}
+	site := w.SiteAreaMM2()
+	if site <= 0 {
+		return w, false
+	}
+	maxDies := int(math.Floor(w.AreaBudget() / site))
+	if maxDies < 1 {
+		return w, false
+	}
+	dx, dy := nearSquareGrid(maxDies)
+	if dx < 1 || dy < 1 {
+		return w, false
+	}
+	w.DiesX, w.DiesY = dx, dy
+	if w.Dies() < opts.MinDies || w.Dies() > opts.MaxDies || w.Validate() != nil {
+		return w, false
+	}
+	w.Name = fmt.Sprintf("%s-%dx%d", w.Name, dx, dy)
+	return w, true
 }
 
 // nearSquareGrid returns the most-square dx×dy grid with dx·dy ≤ n and the

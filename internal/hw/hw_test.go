@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +110,55 @@ func TestEnumerateRespectsConstraints(t *testing.T) {
 		if cands[i].PeakFLOPS() > cands[i-1].PeakFLOPS()+1e-6 {
 			t.Fatalf("candidates not sorted by compute at %d", i)
 		}
+	}
+}
+
+// TestEnumerateCandidateNames pins the enumerator's output, names and
+// order, for the default design space and for examples/archdse's (two to
+// six DRAM chiplets per die): the order is the descending-compute sort,
+// ties broken by name.
+func TestEnumerateCandidateNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts EnumeratorOptions
+		want []string
+	}{
+		{"defaults", EnumeratorOptions{}, []string{
+			"die-18x18-hbm1-9x7",
+			"die-18x18-hbm2-10x6",
+			"die-16x16-hbm1-10x8",
+			"die-18x18-hbm3-8x7",
+			"die-18x18-hbm4-8x7",
+			"die-18x18-hbm5-8x7",
+			"die-16x16-hbm2-11x7",
+			"die-18x18-hbm6-11x5",
+			"die-16x16-hbm3-9x8",
+			"die-16x16-hbm4-9x8",
+			"die-16x16-hbm5-10x7",
+			"die-16x16-hbm6-11x6",
+		}},
+		{"archdse", EnumeratorOptions{HBMPerDie: []int{2, 3, 4, 5, 6}}, []string{
+			"die-18x18-hbm2-10x6",
+			"die-18x18-hbm3-8x7",
+			"die-18x18-hbm4-8x7",
+			"die-18x18-hbm5-8x7",
+			"die-16x16-hbm2-11x7",
+			"die-18x18-hbm6-11x5",
+			"die-16x16-hbm3-9x8",
+			"die-16x16-hbm4-9x8",
+			"die-16x16-hbm5-10x7",
+			"die-16x16-hbm6-11x6",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			for _, c := range Enumerate(tc.opts) {
+				got = append(got, c.Name)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("candidates %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 

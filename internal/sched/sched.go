@@ -7,11 +7,12 @@
 // with the highest throughput.
 //
 // Candidate evaluation runs on the shared concurrent runtime of
-// internal/search: independent (TP, PP, collective) candidates fan out over
-// a bounded worker pool and strategy evaluations are memoized in the shared
-// LRU cache. Results are deterministic for a fixed Options.Seed regardless
-// of Options.Workers — each candidate derives its own RNG stream and the
-// pool collects results in candidate order.
+// internal/search: independent (TP, PP, collective) candidates, each a
+// whole search, fan out over pool.Map, and strategy evaluations are
+// memoized in the shared LRU cache. A candidate's own search — placement,
+// GA, allocation — runs sequentially. Results are deterministic for a fixed
+// Options.Seed regardless of Options.Workers — each candidate derives its
+// own RNG stream and pool.Map collects results in candidate order.
 package sched
 
 import (
@@ -71,10 +72,11 @@ type Options struct {
 	GAGenerations int
 	// Seed drives the placement optimiser and GA.
 	Seed int64
-	// Workers sizes the candidate-evaluation worker pool: 0 = auto
+	// Workers is how many candidates are explored at once: 0 = auto
 	// (GOMAXPROCS), 1 = strictly sequential on the calling goroutine (the
-	// reproducible single-threaded mode for ablations). Results are
-	// identical for every worker count.
+	// reproducible single-threaded mode for ablations). Each candidate's
+	// own search runs sequentially. Results are identical for every worker
+	// count.
 	Workers int
 	// DisableCache bypasses the shared evaluation memoization cache.
 	DisableCache bool
@@ -160,7 +162,7 @@ func Search(w hw.WaferConfig, spec model.Spec, work model.Workload, pred predict
 	}
 
 	// Enumerate the candidate (TP, PP, collective) jobs up front so they
-	// can fan out over the worker pool with a stable order.
+	// can fan out with pool.Map in a stable order.
 	type job struct {
 		tp, pp int
 		coll   collective.Algorithm
@@ -180,16 +182,7 @@ func Search(w hw.WaferConfig, spec model.Spec, work model.Workload, pred predict
 	}
 
 	ev := search.New(opts.DisableCache)
-	// Parallelism is applied at one level: when several candidates fan out
-	// concurrently, each candidate's GA scores its population sequentially
-	// (nesting pools would run up to Workers² CPU-bound goroutines). A
-	// single-candidate search (FixedTP/FixedPP) hands the pool to the GA
-	// instead. Results are worker-count invariant either way.
-	exploreOpts := opts
-	if len(jobs) > 1 {
-		exploreOpts.Workers = 1
-	}
-	res.Explored = pool.Map(pool.New(opts.Workers), len(jobs), func(i int) Candidate {
+	res.Explored = pool.Map(opts.Workers, len(jobs), func(i int) Candidate {
 		j := jobs[i]
 		// Each candidate owns a deterministic RNG stream derived from the
 		// search seed and its job index, so the result is byte-identical
@@ -208,7 +201,7 @@ func Search(w hw.WaferConfig, spec model.Spec, work model.Workload, pred predict
 			}
 		}
 		rng := rand.New(rand.NewSource(candSeed))
-		cand := explore(w, m, spec, work, pred, j.tp, j.pp, j.coll, exploreOpts, rng, ev)
+		cand := explore(w, m, spec, work, pred, j.tp, j.pp, j.coll, opts, rng, ev)
 		if !opts.DisableCache {
 			candidateCache.Put(key, cand)
 		}
@@ -393,7 +386,6 @@ func explore(w hw.WaferConfig, m *mesh.Mesh, spec model.Spec, work model.Workloa
 			}
 			if gaRes, err := ga.Optimize(prob, ga.SeedFromPlan(plan, pp), ga.Options{
 				Omega: omega, Generations: gens, Seed: opts.Seed,
-				Workers: opts.Workers,
 			}); err == nil {
 				best := gaRes.Best
 				if refined, err := recompute.NewPlan(profiles, best.RecompChoice, best.Pairs); err == nil {

@@ -161,7 +161,7 @@ func TestConcurrentCacheAccess(t *testing.T) {
 	cfg, m, strat := testConfig(t, 4, 8)
 	c := NewCache(8)
 	ev := Cached(SimEvaluator{}, c)
-	reports := pool.Map(pool.New(8), 32, func(i int) sim.Report {
+	reports := pool.Map(8, 32, func(i int) sim.Report {
 		r, err := ev.Evaluate(cfg, m, strat)
 		if err != nil {
 			t.Error(err)

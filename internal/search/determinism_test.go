@@ -95,8 +95,10 @@ func TestSearchDeterministicRunToRun(t *testing.T) {
 }
 
 func TestGASearchDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The GA path adds parallel population scoring on top of the candidate
-	// fan-out; fitness is pure, so results must still match exactly.
+	// A fixed (TP, PP) GA search is one candidate, the shape whose pool
+	// was once handed to the GA's population scoring. The GA now scores
+	// sequentially at every worker count, and the lone candidate runs
+	// inline, so 1 and 4 workers must give the same result exactly.
 	opts := func(workers int) sched.Options {
 		return sched.Options{
 			FixedTP: 4, FixedPP: 14, UseGA: true, GAGenerations: 10,

@@ -1,11 +1,17 @@
-// Package pool provides the bounded worker pool underlying the concurrent
-// evaluation runtime of internal/search. It is deliberately dependency-free
-// so that leaf packages (e.g. internal/hw's architecture enumerator) can fan
-// work out without importing the evaluation stack and creating an import
-// cycle.
+// Package pool provides the concurrency of the evaluation runtime of
+// internal/search. It is deliberately dependency-free so that any package
+// can fan work out without importing the evaluation stack and creating an
+// import cycle.
 //
-// Determinism contract: Run/Map execute fn(i) for every i in [0, n) exactly
-// once and collect results by index, so the output of a parallel run is
+// Map is the one batch fan-out. It is called only where each task is a
+// whole search: the candidates of sched.Search, the architectures of
+// core.Explore, the frameworks of baselines.RunFrameworks and the dies of
+// Fig 25. The searches inside a fanned-out task run with Workers: 1, so
+// one level runs concurrently and nothing finer than a search (a GA
+// generation, an enumerator's packing) goes to a goroutine.
+//
+// Determinism contract: Map executes fn(i) for every i in [0, n) exactly
+// once and collects results by index, so the output of a parallel run is
 // byte-identical to a sequential one as long as fn(i) depends only on i.
 //
 // Queue is the long-lived counterpart: a plain bounded priority queue that
@@ -17,92 +23,46 @@ package pool
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// Runner is a bounded worker pool. The zero value runs with GOMAXPROCS
-// workers; Workers pins the width (1 = strictly sequential, no goroutines,
-// preserving single-threaded behaviour for reproducible ablations).
-type Runner struct {
-	// Workers is the pool width; <=0 selects GOMAXPROCS.
-	Workers int
-}
-
-// New returns a Runner with the given width (<=0 = GOMAXPROCS).
-func New(workers int) *Runner { return &Runner{Workers: workers} }
-
-// width resolves the effective worker count for n tasks.
-func (r *Runner) width(n int) int {
-	w := 0
-	if r != nil {
-		w = r.Workers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Width resolves the worker count Run/RunWorker would use for n tasks —
-// the upper bound on the worker IDs RunWorker passes to fn. Callers sizing
-// per-worker scratch tables should size them with the largest n they will
-// dispatch.
-func (r *Runner) Width(n int) int { return r.width(n) }
-
-// Run executes fn(i) for every i in [0, n). With one worker it runs inline
-// on the calling goroutine in index order; otherwise tasks are distributed
-// over the pool and Run returns once all complete.
-func (r *Runner) Run(n int, fn func(i int)) {
-	r.RunWorker(n, func(_, i int) { fn(i) })
-}
-
-// RunWorker is Run with worker identity: fn(w, i) is called with the ID
-// w ∈ [0, Width(n)) of the executing worker, which is stable for the
-// goroutine across all its tasks in this call. Callers use it to keep
-// per-worker scratch state (caches, scorers) without locking; task results
-// must still depend only on i for the determinism contract to hold.
-func (r *Runner) RunWorker(n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	w := r.width(n)
+// Map runs fn(i) for every i in [0, n) on up to workers goroutines
+// (<=0 = GOMAXPROCS) and returns the results in index order. With one
+// worker, or at most one task, it runs inline on the calling goroutine in
+// index order, with no goroutines at all.
+func Map[T any](workers, n int, fn func(i int) T) []T {
+	out := make([]T, max(n, 0))
+	w := width(workers, n)
 	if w == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
+		for i := range out {
+			out[i] = fn(i)
 		}
-		return
+		return out
 	}
-	var next int
-	var mu sync.Mutex
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(worker int) {
+	for range w {
+		go func() {
 			defer wg.Done()
 			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				out[i] = fn(i)
 			}
-		}(k)
+		}()
 	}
 	wg.Wait()
+	return out
 }
 
-// Map runs fn over [0, n) on the pool and returns the results in index
-// order, making parallel output identical to sequential output.
-func Map[T any](r *Runner, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	r.Run(n, func(i int) { out[i] = fn(i) })
-	return out
+// width resolves the number of goroutines Map runs n tasks on: workers,
+// or GOMAXPROCS when workers <= 0, clamped to [1, n].
+func width(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, n))
 }

@@ -112,10 +112,9 @@ type Task struct {
 
 // Queue is a long-lived bounded priority job queue: a fixed set of workers
 // drains a bounded backlog of submitted tasks, highest priority first. It
-// complements Runner — Runner fans a known batch of n tasks out and joins
-// them, while Queue accepts tasks one at a time over its lifetime, which is
-// what a resident evaluation service needs. Like Runner it is deliberately
-// dependency-free.
+// complements Map — Map fans a known batch of n tasks out and joins them,
+// while Queue accepts tasks one at a time over its lifetime, which is what
+// a resident evaluation service needs.
 //
 // Dispatch order is (class desc, criticality desc, arrival asc): classes
 // separate tenants (interactive > sweep-leg > background), criticality

@@ -1,7 +1,6 @@
 // Package search is the unified concurrent evaluation runtime shared by the
-// central scheduler (internal/sched), the GA global optimizer (internal/ga),
-// the architecture DSE (internal/core, internal/baselines) and the figure
-// harness (internal/experiments).
+// central scheduler (internal/sched), the architecture DSE (internal/core,
+// internal/baselines) and the figure harness (internal/experiments).
 //
 // It owns candidate evaluation end-to-end:
 //
@@ -12,15 +11,18 @@
 //     recompute genome, placement, allocations, mesh fault state), with
 //     hit/miss counters exposed for benchmarks.
 //
-// Candidates fan out over the bounded worker pool of the pool subpackage
-// (pool.New, pool.Map), which callers use directly. Its determinism
+// Whole searches fan out with pool.Map of the pool subpackage, which
+// callers use directly: the scheduler's (TP, PP, collective) candidates,
+// the Table II and Fig 25 architecture sweeps and the framework
+// comparisons. A fan-out exists only where each task is a whole search,
+// and the searches inside its tasks run with Workers: 1; a candidate's GA
+// and the architecture enumerator run sequentially. The determinism
 // contract: parallel output is identical to sequential.
 //
 // Every evaluation entry point of the repository funnels through this
 // package and the pool, so a single -workers knob and one shared cache
-// accelerate the scheduler's (TP, PP) sweep, GA population scoring, the
-// Table II / Fig 25 architecture sweeps, and repeated figure reproductions
-// alike.
+// accelerate the scheduler's (TP, PP) sweep, the architecture sweeps and
+// repeated figure reproductions alike.
 package search
 
 import (
